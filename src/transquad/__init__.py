@@ -36,7 +36,6 @@ from .filtering import (
     FilterConfig,
     RejectionEntry,
     RejectionLog,
-    apply_exclusion_list,
     filter_corpus,
     non_latin_letter_ratio,
 )
@@ -55,7 +54,6 @@ from .script_tools import (
     transliterate_residuals,
 )
 from .translation import (
-    CountingEngine,
     DictionaryEngine,
     IdentityEngine,
     TranslationCache,

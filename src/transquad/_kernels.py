@@ -1,20 +1,11 @@
-"""Greedy cosine-matching cores for the BERTScore computation.
-
-Two implementations of the same kernel: a numba-jitted fused loop that never
-materializes the similarity matrix, and a pure-numpy matmul fallback. The
-active one is picked at import time - numba when importable, unless
-TRANSQUAD_NO_NUMBA=1 forces the numpy path. Both are importable directly for
-tests and for benchmarks/bench_bertscore.py.
-"""
+"""Greedy cosine-matching core for the BERTScore computation."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 
-def greedy_match_numpy(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
+def greedy_match(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
     """(precision, recall) of greedy max-cosine matching between row sets.
 
     recall: mean over gold rows of the max cosine against pred rows;
@@ -31,59 +22,3 @@ def greedy_match_numpy(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float
     recall = float(sim.max(axis=1).mean())
     precision = float(sim.max(axis=0).mean())
     return precision, recall
-
-
-NUMBA_AVAILABLE = False
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _greedy_match_jit(gold, pred):  # pragma: no cover - measured via wrapper
-        n_gold, dim = gold.shape
-        n_pred = pred.shape[0]
-        gnorm = np.empty(n_gold)
-        for i in range(n_gold):
-            acc = 0.0
-            for k in range(dim):
-                acc += gold[i, k] * gold[i, k]
-            gnorm[i] = np.sqrt(acc) if acc > 0.0 else 1.0
-        pnorm = np.empty(n_pred)
-        for j in range(n_pred):
-            acc = 0.0
-            for k in range(dim):
-                acc += pred[j, k] * pred[j, k]
-            pnorm[j] = np.sqrt(acc) if acc > 0.0 else 1.0
-
-        row_max = np.full(n_gold, -np.inf)
-        col_max = np.full(n_pred, -np.inf)
-        for i in range(n_gold):
-            for j in range(n_pred):
-                dot = 0.0
-                for k in range(dim):
-                    dot += gold[i, k] * pred[j, k]
-                cos = dot / (gnorm[i] * pnorm[j])
-                if cos > row_max[i]:
-                    row_max[i] = cos
-                if cos > col_max[j]:
-                    col_max[j] = cos
-        return col_max.mean(), row_max.mean()
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    pass
-
-
-def greedy_match_numba(gold: np.ndarray, pred: np.ndarray) -> tuple[float, float]:
-    """Jitted variant of greedy_match_numpy; requires numba."""
-    if not NUMBA_AVAILABLE:
-        raise RuntimeError("numba is not available; use greedy_match_numpy")
-    gold = np.ascontiguousarray(gold, dtype=np.float64)
-    pred = np.ascontiguousarray(pred, dtype=np.float64)
-    precision, recall = _greedy_match_jit(gold, pred)
-    return float(precision), float(recall)
-
-
-_FORCE_NUMPY = os.environ.get("TRANSQUAD_NO_NUMBA", "") not in ("", "0")
-USE_NUMBA = NUMBA_AVAILABLE and not _FORCE_NUMPY
-
-greedy_match = greedy_match_numba if USE_NUMBA else greedy_match_numpy

@@ -8,7 +8,9 @@ evaluate, pipeline. Stage commands read paths from the JSON config (global
     transquad --config cfg.json postprocess
     transquad --config cfg.json realign
 
-is equivalent to one ``pipeline`` run (modulo the merged rejection log).
+writes the same corpus, rejection log and stats as one ``pipeline`` run: the
+subcommands call the same stage functions, and ``realign`` keeps the
+pre-filter entries that ``translate`` logged.
 
 Exit codes: 0 success, 1 data or validation failure, 2 configuration or I/O
 failure.
@@ -17,34 +19,29 @@ failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import sys
 from pathlib import Path
 
-from .corpus import (
-    Corpus,
-    collapse_answers,
-    compute_stats,
-    load_corpus,
-    save_corpus,
-    validate_spans,
-)
+from .alignment import align_corpus
+from .corpus import compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, PipelineError, TransquadError
 from .evaluation import TableEmbeddingProvider, evaluate_predictions, load_predictions
-from .filtering import filter_corpus
+from .filtering import STAGE_PRE_FILTER, RejectionLog
 from .pipeline import (
     PipelineConfig,
     load_config,
-    make_candidates,
+    postprocess_candidates,
+    prefilter,
     read_candidates,
     run_pipeline,
+    translate_records,
     write_candidates,
+    write_dataset,
 )
-from .script_tools import build_transliterator, localize_digits, transliterate_residuals
-from .translation import TranslationCache, TranslationRequest, build_engine, translate_batch
-from .alignment import align_corpus
+from .script_tools import build_transliterator
+from .translation import TranslationCache, build_engine
 
 logger = logging.getLogger("transquad")
 
@@ -67,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="train", choices=("train", "test"))
     p.add_argument("--output", help="also write the report to this path")
 
-    p = sub.add_parser("filter", help="apply exclusion list and content heuristics")
+    p = sub.add_parser("filter", help="collapse answers, then apply the content filter")
     p.add_argument("--input", help="override config input_path")
     p.add_argument("--output", help="filtered corpus path (default: <output_path>.filtered.json)")
     p.add_argument("--rejection-log", help="override config rejection_log_path")
@@ -138,7 +135,7 @@ def _cmd_stats(args) -> int:
 def _cmd_filter(args) -> int:
     cfg = _require_config(args)
     corpus = load_corpus(args.input or cfg.input_path, cfg.split)
-    kept, log = filter_corpus(corpus, cfg.filter)
+    kept, log = prefilter(corpus, cfg.filter)
     save_corpus(kept, args.output or _derived(cfg, ".filtered.json"))
     log.write(args.rejection_log or cfg.rejection_log_path)
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
@@ -148,27 +145,17 @@ def _cmd_filter(args) -> int:
 def _cmd_translate(args) -> int:
     cfg = _require_config(args)
     corpus = load_corpus(args.input or cfg.input_path, cfg.split)
-    collapsed = Corpus(
-        split=corpus.split,
-        records=tuple(collapse_answers(rec) for rec in corpus.records),
-        version=corpus.version,
-    )
-    kept, log = filter_corpus(collapsed, cfg.filter)
+    kept, log = prefilter(corpus, cfg.filter)
     engine = build_engine(cfg.engine_id)
     with TranslationCache(cfg.cache_path) as cache:
-        def translate(texts: list[str]) -> list[str]:
-            request = TranslationRequest(
-                texts=tuple(texts),
-                source_lang=cfg.source_lang,
-                target_lang=cfg.target_lang,
-                engine_id=engine.engine_id,
-            )
-            return translate_batch(request, engine, cache, max_workers=cfg.parallelism)
-
-        contexts = translate([r.context for r in kept.records]) if kept.records else []
-        questions = translate([r.question for r in kept.records]) if kept.records else []
-        answers = translate([r.answers[0].text for r in kept.records]) if kept.records else []
-    candidates = make_candidates(kept.records, contexts, questions, answers)
+        candidates = translate_records(
+            kept.records,
+            engine,
+            source_lang=cfg.source_lang,
+            target_lang=cfg.target_lang,
+            cache=cache,
+            parallelism=cfg.parallelism,
+        )
     out = args.output or _derived(cfg, ".candidates.jsonl")
     write_candidates(candidates, out, split=cfg.split)
     log.write(args.rejection_log or cfg.rejection_log_path)
@@ -179,20 +166,7 @@ def _cmd_translate(args) -> int:
 def _cmd_postprocess(args) -> int:
     cfg = _require_config(args)
     candidates, split = read_candidates(args.input or _derived(cfg, ".candidates.jsonl"))
-    transliterator = build_transliterator(cfg.transliterator_id)
-
-    def fix(text: str) -> str:
-        return localize_digits(transliterate_residuals(text, transliterator))
-
-    fixed = [
-        dataclasses.replace(
-            cand,
-            translated_context=fix(cand.translated_context),
-            translated_question=fix(cand.translated_question),
-            translated_answer=fix(cand.translated_answer),
-        )
-        for cand in candidates
-    ]
+    fixed = postprocess_candidates(candidates, build_transliterator(cfg.transliterator_id))
     out = args.output or _derived(cfg, ".postprocessed.jsonl")
     write_candidates(fixed, out, split=split)
     print(f"postprocessed {len(fixed)} records -> {out}")
@@ -202,12 +176,13 @@ def _cmd_postprocess(args) -> int:
 def _cmd_realign(args) -> int:
     cfg = _require_config(args)
     candidates, split = read_candidates(args.input or _derived(cfg, ".postprocessed.jsonl"))
-    corpus, log = align_corpus(candidates, split=split)
-    save_corpus(corpus, args.output or cfg.output_path)
-    log.write(args.rejection_log or cfg.rejection_log_path)
-    stats_payload = json.dumps(compute_stats(corpus).to_dict(), indent=2) + "\n"
-    Path(cfg.stats_path).write_text(stats_payload, encoding="utf-8")
-    print(f"aligned {len(corpus)} of {len(candidates)} candidates ({len(log)} rejected)")
+    corpus, alignment_log = align_corpus(candidates, split=split)
+    # Keep what translate rejected; alignment entries from an earlier realign are replaced.
+    log_path = args.rejection_log or cfg.rejection_log_path
+    log = RejectionLog([e for e in RejectionLog.read(log_path) if e.stage == STAGE_PRE_FILTER])
+    log.extend(alignment_log)
+    write_dataset(corpus, log, args.output or cfg.output_path, log_path, cfg.stats_path)
+    print(f"aligned {len(corpus)} of {len(candidates)} candidates ({len(alignment_log)} rejected)")
     return 0
 
 

@@ -22,8 +22,7 @@ from .errors import ConfigError, ConfigValidationError
 
 STAGE_PRE_FILTER = "pre-filter"
 STAGE_ALIGNMENT = "alignment"
-STAGE_POST_CHECK = "post-check"
-STAGES = (STAGE_PRE_FILTER, STAGE_ALIGNMENT, STAGE_POST_CHECK)
+STAGES = (STAGE_PRE_FILTER, STAGE_ALIGNMENT)
 
 REASON_MANUAL_EXCLUSION = "manual-exclusion"
 REASON_NON_LATIN = "non-latin-content"
@@ -109,6 +108,28 @@ class RejectionLog:
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
+    @classmethod
+    def read(cls, path: str | Path) -> RejectionLog:
+        """Parse a log written by ``write``; an absent file reads as an empty log.
+
+        Raises ValueError naming ``path:lineno`` for a line that is not a
+        valid entry, including an unknown stage or reason.
+        """
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return cls()
+        log = cls()
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                log.append(RejectionEntry(rec["qid"], rec["stage"], rec["reason"], rec["detail"]))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: not a rejection entry: {exc}") from exc
+        return log
+
 
 def non_latin_letter_ratio(text: str) -> float:
     """Fraction of letters that fall outside Basic-Latin A-Z/a-z.
@@ -138,26 +159,6 @@ def load_exclusion_list(path: str | Path) -> set[str]:
         if stripped and not stripped.startswith("#"):
             out.add(stripped)
     return out
-
-
-def apply_exclusion_list(corpus: Corpus, qids_or_titles: set[str]) -> tuple[Corpus, RejectionLog]:
-    """Drop every record whose qid or owning title is listed."""
-    log = RejectionLog()
-    kept = []
-    for rec in corpus.records:
-        if rec.qid in qids_or_titles:
-            log.append(
-                RejectionEntry(rec.qid, STAGE_PRE_FILTER, REASON_MANUAL_EXCLUSION, "qid listed")
-            )
-        elif rec.title in qids_or_titles:
-            log.append(
-                RejectionEntry(
-                    rec.qid, STAGE_PRE_FILTER, REASON_MANUAL_EXCLUSION, f"title {rec.title!r} listed"
-                )
-            )
-        else:
-            kept.append(rec)
-    return replace(corpus, records=tuple(kept)), log
 
 
 def filter_corpus(corpus: Corpus, cfg: FilterConfig) -> tuple[Corpus, RejectionLog]:

@@ -1,10 +1,13 @@
 """End-to-end dataset construction: parse, collapse, filter, translate, fix scripts, realign.
 
-Stage order: parse -> collapse_answers -> filter_corpus -> translate (context,
-question, and answer as three independent batches) -> transliterate_residuals
--> localize_digits -> realign -> serialize. Collapsing first means only one
-answer per record is ever translated; translating the three fields
+Stage order: parse -> prefilter (collapse_answers, then filter_corpus) ->
+translate_records (context, question, and answer as three independent
+batches) -> postprocess_candidates (transliterate_residuals, then
+localize_digits) -> align_corpus -> write_dataset. Collapsing first means
+only one answer per record is ever translated; translating the three fields
 independently is what makes the answer-not-found rejection meaningful.
+``run_pipeline`` and the CLI's stage subcommands call the same stage
+functions, so both write the same corpus, rejection log and stats.
 
 Outputs are written atomically (temp file + rename), so an aborted run never
 leaves a truncated dataset behind. With deterministic engines a fixed config
@@ -23,13 +26,14 @@ import logging
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .alignment import AlignmentCandidate, align_corpus
 from .corpus import (
     Corpus,
+    QaRecord,
     SPLITS,
     collapse_answers,
     compute_stats,
@@ -159,7 +163,6 @@ def load_config(path: str | Path) -> PipelineConfig:
 class PipelineRunSummary:
     input_count: int
     filtered_count: int  # records that survived pre-filtering
-    translated_count: int
     aligned_count: int
     rejected_by_reason: dict[str, int]
     wall_time: float
@@ -168,7 +171,6 @@ class PipelineRunSummary:
         return {
             "input_count": self.input_count,
             "filtered_count": self.filtered_count,
-            "translated_count": self.translated_count,
             "aligned_count": self.aligned_count,
             "rejected_by_reason": dict(sorted(self.rejected_by_reason.items())),
             "wall_time": self.wall_time,
@@ -178,7 +180,6 @@ class PipelineRunSummary:
         lines = [
             f"{'input records':<24}{self.input_count:>8}",
             f"{'after pre-filter':<24}{self.filtered_count:>8}",
-            f"{'translated':<24}{self.translated_count:>8}",
             f"{'aligned (kept)':<24}{self.aligned_count:>8}",
         ]
         for reason, count in sorted(self.rejected_by_reason.items()):
@@ -193,28 +194,51 @@ class PipelineResult:
     rejection_log: RejectionLog
     input_count: int
     filtered_count: int
-    translated_count: int
 
 
-def _postprocess(text: str, transliterator: Transliterator) -> str:
-    # Transliteration first: digit localization only creates Devanagari
-    # evidence, never Latin tokens, so this order is the stable one.
-    return localize_digits(transliterate_residuals(text, transliterator))
+# -- stages: each one is shared by run_pipeline and its CLI subcommand --
 
 
-def make_candidates(
-    source_records,
-    contexts: list[str],
-    questions: list[str],
-    answers: list[str],
+def prefilter(corpus: Corpus, filter_cfg: FilterConfig) -> tuple[Corpus, RejectionLog]:
+    """Collapse every record to one answer, then apply the content filter."""
+    collapsed = replace(corpus, records=tuple(collapse_answers(rec) for rec in corpus.records))
+    return filter_corpus(collapsed, filter_cfg)
+
+
+def translate_records(
+    records: Sequence[QaRecord],
+    engine: TranslationEngine,
+    *,
+    source_lang: str,
+    target_lang: str,
+    cache: TranslationCache | None = None,
+    parallelism: int = 4,
 ) -> list[AlignmentCandidate]:
-    """Pair translated fields with each source record's relative answer position."""
-    out = []
-    for rec, ctx, question, answer in zip(source_records, contexts, questions, answers):
+    """Translate context, question and answer as three independent batches.
+
+    Each candidate carries its source record's relative answer position.
+    """
+    if not records:
+        return []
+
+    def translate(texts: list[str]) -> list[str]:
+        request = TranslationRequest(
+            texts=tuple(texts),
+            source_lang=source_lang,
+            target_lang=target_lang,
+            engine_id=engine.engine_id,
+        )
+        return translate_batch(request, engine, cache, max_workers=parallelism)
+
+    contexts = translate([rec.context for rec in records])
+    questions = translate([rec.question for rec in records])
+    answers = translate([rec.answers[0].text for rec in records])
+    candidates = []
+    for rec, ctx, question, answer in zip(records, contexts, questions, answers):
         # Clamp: the relative position is only a tie-break hint, so a source
         # span that is itself out of bounds must not abort the run.
         relative = rec.answers[0].start / len(rec.context) if rec.context else 0.0
-        out.append(
+        candidates.append(
             AlignmentCandidate(
                 qid=rec.qid,
                 translated_context=ctx,
@@ -224,7 +248,28 @@ def make_candidates(
                 title=rec.title,
             )
         )
-    return out
+    return candidates
+
+
+def _postprocess(text: str, transliterator: Transliterator) -> str:
+    # Transliteration first: digit localization only creates Devanagari
+    # evidence, never Latin tokens, so this order is the stable one.
+    return localize_digits(transliterate_residuals(text, transliterator))
+
+
+def postprocess_candidates(
+    candidates: Sequence[AlignmentCandidate], transliterator: Transliterator
+) -> list[AlignmentCandidate]:
+    """Transliterate Latin residue and localize digits in all three translated fields."""
+    return [
+        replace(
+            cand,
+            translated_context=_postprocess(cand.translated_context, transliterator),
+            translated_question=_postprocess(cand.translated_question, transliterator),
+            translated_answer=_postprocess(cand.translated_answer, transliterator),
+        )
+        for cand in candidates
+    ]
 
 
 def run_corpus_pipeline(
@@ -238,43 +283,25 @@ def run_corpus_pipeline(
     cache: TranslationCache | None = None,
     parallelism: int = 4,
 ) -> PipelineResult:
-    """The in-memory pipeline core: everything between parse and serialize."""
-    input_count = len(corpus)
-    collapsed = Corpus(
-        split=corpus.split,
-        records=tuple(collapse_answers(rec) for rec in corpus.records),
-        version=corpus.version,
+    """The in-memory pipeline core: every stage between parse and serialize."""
+    kept, log = prefilter(corpus, filter_cfg)
+    candidates = translate_records(
+        kept.records,
+        engine,
+        source_lang=source_lang,
+        target_lang=target_lang,
+        cache=cache,
+        parallelism=parallelism,
     )
-    kept, log = filter_corpus(collapsed, filter_cfg)
-
-    if kept.records:
-        def translate(texts: list[str]) -> list[str]:
-            request = TranslationRequest(
-                texts=tuple(texts),
-                source_lang=source_lang,
-                target_lang=target_lang,
-                engine_id=engine.engine_id,
-            )
-            return translate_batch(request, engine, cache, max_workers=parallelism)
-
-        contexts = translate([rec.context for rec in kept.records])
-        questions = translate([rec.question for rec in kept.records])
-        answers = translate([rec.answers[0].text for rec in kept.records])
-        contexts = [_postprocess(t, transliterator) for t in contexts]
-        questions = [_postprocess(t, transliterator) for t in questions]
-        answers = [_postprocess(t, transliterator) for t in answers]
-        candidates = make_candidates(kept.records, contexts, questions, answers)
-    else:
-        candidates = []
-
-    aligned, alignment_log = align_corpus(candidates, split=corpus.split)
+    aligned, alignment_log = align_corpus(
+        postprocess_candidates(candidates, transliterator), split=corpus.split
+    )
     log.extend(alignment_log)
     return PipelineResult(
         corpus=aligned,
         rejection_log=log,
-        input_count=input_count,
+        input_count=len(corpus),
         filtered_count=len(kept),
-        translated_count=len(kept),
     )
 
 
@@ -284,11 +311,41 @@ def _atomic_write(path: str | Path, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        # mkstemp creates 0600; give the file the mode a plain open() would.
+        # The umask can only be read by setting it, so it is put back at once.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_bytes(payload: dict[str, Any]) -> bytes:
+    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+
+
+def write_dataset(
+    corpus: Corpus,
+    log: RejectionLog,
+    output_path: str | Path,
+    rejection_log_path: str | Path,
+    stats_path: str | Path,
+) -> None:
+    """Check every span, then write the corpus (atomically), the rejection log and the stats.
+
+    Nothing is written when the check fails.
+    """
+    report = validate_spans(corpus)
+    if not report.ok:
+        raise InvalidCorpusError(
+            f"pipeline produced {len(report.violations)} invalid span(s); this is a bug"
+        )
+    _atomic_write(output_path, serialize_corpus(corpus))
+    log.write(rejection_log_path)
+    _atomic_write(stats_path, _json_bytes(compute_stats(corpus).to_dict()))
 
 
 def run_pipeline(
@@ -329,31 +386,22 @@ def run_pipeline(
             parallelism=cfg.parallelism,
         )
 
-        stage = "post-check"
-        report = validate_spans(result.corpus)
-        if not report.ok:
-            raise InvalidCorpusError(
-                f"pipeline produced {len(report.violations)} invalid span(s); this is a bug"
-            )
-
         stage = "write"
-        _atomic_write(cfg.output_path, serialize_corpus(result.corpus))
-        result.rejection_log.write(cfg.rejection_log_path)
-        stats = compute_stats(result.corpus)
-        _atomic_write(
-            cfg.stats_path, (json.dumps(stats.to_dict(), indent=2) + "\n").encode("utf-8")
+        write_dataset(
+            result.corpus,
+            result.rejection_log,
+            cfg.output_path,
+            cfg.rejection_log_path,
+            cfg.stats_path,
         )
         summary = PipelineRunSummary(
             input_count=result.input_count,
             filtered_count=result.filtered_count,
-            translated_count=result.translated_count,
             aligned_count=len(result.corpus),
             rejected_by_reason=result.rejection_log.counts_by_reason(),
             wall_time=time.perf_counter() - started,
         )
-        _atomic_write(
-            cfg.summary_path, (json.dumps(summary.to_dict(), indent=2) + "\n").encode("utf-8")
-        )
+        _atomic_write(cfg.summary_path, _json_bytes(summary.to_dict()))
         return summary
     except PipelineError:
         raise

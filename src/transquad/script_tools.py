@@ -21,12 +21,12 @@ from typing import Iterator, Mapping, Sequence
 
 from ._text import (
     DEVANAGARI_DIGIT_ZERO,
-    ascii_casefold,  # noqa: F401  (re-exported for callers pairing fold with classify)
     is_basic_latin_letter,
     is_devanagari,
     is_devanagari_digit,
     is_digit,
     is_letter,
+    read_tsv_table,
 )
 from .errors import TransliterationError
 
@@ -140,32 +140,10 @@ class TableTransliterator(Transliterator):
     @classmethod
     def from_file(cls, path: str | Path) -> "TableTransliterator":
         """Two-column tab-separated file: source token, target token."""
-        table = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
-            table[parts[0]] = parts[1]
-        return cls(table)
+        return cls(read_tsv_table(path))
 
     def transliterate(self, tokens):
         return [self.table.get(t, t) for t in tokens]
-
-
-class CountingTransliterator(Transliterator):
-    """Wraps another transliterator and records what it was asked to handle."""
-
-    def __init__(self, inner: Transliterator):
-        self.inner = inner
-        self.calls = 0
-        self.tokens_seen: list[str] = []
-
-    def transliterate(self, tokens):
-        self.calls += 1
-        self.tokens_seen.extend(tokens)
-        return self.inner.transliterate(tokens)
 
 
 def build_transliterator(transliterator_id: str) -> Transliterator:

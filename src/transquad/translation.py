@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from ._text import read_tsv_table
 from .errors import (
     CacheIOError,
     ConfigValidationError,
@@ -91,33 +92,10 @@ class DictionaryEngine(TranslationEngine):
     @classmethod
     def from_file(cls, path: str | Path) -> "DictionaryEngine":
         """Two-column tab-separated file: source term, target term."""
-        table = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
-            table[parts[0]] = parts[1]
-        return cls(table)
+        return cls(read_tsv_table(path))
 
     def translate(self, texts, source_lang, target_lang):
         return [" ".join(self.table.get(w, w) for w in t.split()) for t in texts]
-
-
-class CountingEngine(TranslationEngine):
-    """Wraps another engine and counts invocations; for cache/retry tests."""
-
-    def __init__(self, inner: TranslationEngine):
-        self.inner = inner
-        self.engine_id = inner.engine_id
-        self.calls = 0
-        self.texts_translated = 0
-
-    def translate(self, texts, source_lang, target_lang):
-        self.calls += 1
-        self.texts_translated += len(texts)
-        return self.inner.translate(texts, source_lang, target_lang)
 
 
 def build_engine(engine_id: str) -> TranslationEngine:

@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic corpus builders and word pools."""
+"""Shared fixtures: deterministic corpus builders, word pools and counting test doubles."""
 
 from __future__ import annotations
 
@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from transquad.corpus import AnswerSpan, Corpus, QaRecord
+from transquad.script_tools import Transliterator
+from transquad.translation import TranslationEngine
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -23,6 +25,35 @@ DEVANAGARI_WORDS = (
     "मराठी प्रश्न उत्तर शिकणे जन्म गायिका संगीत चित्रपट भाषा पुस्तक शहर नदी डोंगर वारा "
     "पाऊस आकाश समुद्र प्रवास कथा कविता इतिहास विज्ञान शेती बाजार मंदिर रस्ता घर शाळा"
 ).split()
+
+
+class CountingEngine(TranslationEngine):
+    """Wraps another engine and counts invocations; for cache/retry tests."""
+
+    def __init__(self, inner: TranslationEngine):
+        self.inner = inner
+        self.engine_id = inner.engine_id
+        self.calls = 0
+        self.texts_translated = 0
+
+    def translate(self, texts, source_lang, target_lang):
+        self.calls += 1
+        self.texts_translated += len(texts)
+        return self.inner.translate(texts, source_lang, target_lang)
+
+
+class CountingTransliterator(Transliterator):
+    """Wraps another transliterator and records what it was asked to handle."""
+
+    def __init__(self, inner: Transliterator):
+        self.inner = inner
+        self.calls = 0
+        self.tokens_seen: list[str] = []
+
+    def transliterate(self, tokens):
+        self.calls += 1
+        self.tokens_seen.extend(tokens)
+        return self.inner.transliterate(tokens)
 
 
 def alpha_suffix(i: int) -> str:

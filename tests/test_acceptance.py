@@ -28,7 +28,6 @@ from transquad.evaluation import bert_score, evaluate_predictions, token_f1
 from transquad.filtering import FilterConfig
 from transquad.pipeline import load_config, run_corpus_pipeline, run_pipeline
 from transquad.script_tools import (
-    CountingTransliterator,
     IdentityTransliterator,
     Script,
     TableTransliterator,
@@ -36,9 +35,15 @@ from transquad.script_tools import (
     localize_digits,
     transliterate_residuals,
 )
-from transquad.translation import CountingEngine, DictionaryEngine, IdentityEngine
+from transquad.translation import DictionaryEngine, IdentityEngine
 
-from conftest import DEVANAGARI_WORDS, ENGLISH_WORDS, build_english_corpus
+from conftest import (
+    DEVANAGARI_WORDS,
+    ENGLISH_WORDS,
+    CountingEngine,
+    CountingTransliterator,
+    build_english_corpus,
+)
 
 README = Path(__file__).parent.parent / "README.md"
 

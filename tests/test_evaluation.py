@@ -8,11 +8,6 @@ import random
 import numpy as np
 import pytest
 
-from transquad._kernels import (
-    NUMBA_AVAILABLE,
-    greedy_match_numba,
-    greedy_match_numpy,
-)
 from transquad.corpus import AnswerSpan, Corpus, QaRecord
 from transquad.evaluation import (
     TableEmbeddingProvider,
@@ -188,17 +183,6 @@ def test_one_hot_reduction_equals_token_f1():
         _, _, f = bert_score(gold, pred)
         assert f == pytest.approx(token_f1(" ".join(gold_tokens), " ".join(pred_tokens)),
                                   abs=1e-9)
-
-
-@pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_and_numpy_kernels_agree():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        gold = rng.normal(size=(rng.integers(1, 9), 16))
-        pred = rng.normal(size=(rng.integers(1, 9), 16))
-        assert greedy_match_numba(gold, pred) == pytest.approx(
-            greedy_match_numpy(gold, pred), abs=1e-12
-        )
 
 
 # -- embedding provider --

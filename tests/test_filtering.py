@@ -13,7 +13,6 @@ from transquad.filtering import (
     FilterConfig,
     RejectionEntry,
     RejectionLog,
-    apply_exclusion_list,
     filter_corpus,
     load_exclusion_list,
     non_latin_letter_ratio,
@@ -62,21 +61,29 @@ def three_record_corpus():
     )
 
 
-def test_empty_exclusion_list_is_identity():
+def filter_excluding(tmp_path, corpus, *listed):
+    path = tmp_path / "excl.txt"
+    path.write_text("".join(line + "\n" for line in listed), encoding="utf-8")
+    return filter_corpus(corpus, FilterConfig(exclusion_list_path=str(path)))
+
+
+def test_empty_exclusion_list_is_identity(tmp_path):
     corpus = three_record_corpus()
-    kept, log = apply_exclusion_list(corpus, set())
+    kept, log = filter_excluding(tmp_path, corpus)
     assert kept.records == corpus.records
     assert len(log) == 0
 
 
-def test_exclusion_by_qid():
-    kept, log = apply_exclusion_list(three_record_corpus(), {"q2"})
+def test_exclusion_by_qid(tmp_path):
+    kept, log = filter_excluding(tmp_path, three_record_corpus(), "q2")
     assert [r.qid for r in kept.records] == ["q1", "q3"]
-    assert [(e.qid, e.stage, e.reason) for e in log] == [("q2", "pre-filter", "manual-exclusion")]
+    assert [e.to_dict() for e in log] == [
+        {"qid": "q2", "stage": "pre-filter", "reason": "manual-exclusion", "detail": "qid listed"}
+    ]
 
 
-def test_exclusion_by_title_removes_whole_group():
-    kept, log = apply_exclusion_list(three_record_corpus(), {"shared"})
+def test_exclusion_by_title_removes_whole_group(tmp_path):
+    kept, log = filter_excluding(tmp_path, three_record_corpus(), "shared")
     assert [r.qid for r in kept.records] == ["q3"]
     assert sorted(e.qid for e in log) == ["q1", "q2"]
     assert all(e.reason == "manual-exclusion" for e in log)
@@ -187,7 +194,7 @@ def test_lowering_threshold_only_grows_rejections():
 # -- rejection log format --
 
 
-def test_rejection_log_jsonl_round_trip():
+def test_rejection_log_jsonl_round_trip(tmp_path):
     log = RejectionLog()
     log.append(RejectionEntry("q1", "pre-filter", "manual-exclusion", "qid listed"))
     log.append(RejectionEntry("q2", "alignment", "answer-not-found"))
@@ -200,6 +207,14 @@ def test_rejection_log_jsonl_round_trip():
     }
     assert json.loads(lines[1])["detail"] is None
     assert log.counts_by_reason() == {"manual-exclusion": 1, "answer-not-found": 1}
+
+    path = tmp_path / "rej.jsonl"
+    log.write(path)
+    assert RejectionLog.read(path).entries == log.entries
+    assert len(RejectionLog.read(tmp_path / "absent.jsonl")) == 0
+    path.write_text(lines[0].replace("pre-filter", "made-up-stage") + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="rej.jsonl:1"):
+        RejectionLog.read(path)
 
 
 def test_rejection_entry_validates_reason_and_stage():

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from transquad.cli import main
 from transquad.corpus import collapse_answers, load_corpus, parse_corpus, serialize_corpus
 from transquad.errors import ConfigParseError, ConfigValidationError, PipelineError
-from transquad.filtering import FilterConfig
+from transquad.filtering import FilterConfig, RejectionLog
 from transquad.pipeline import (
     load_config,
     read_candidates,
@@ -17,9 +21,9 @@ from transquad.pipeline import (
     run_pipeline,
 )
 from transquad.script_tools import IdentityTransliterator
-from transquad.translation import CountingEngine, DictionaryEngine, IdentityEngine
+from transquad.translation import DictionaryEngine, IdentityEngine
 
-from conftest import build_english_corpus
+from conftest import CountingEngine, build_english_corpus
 
 
 def write_config(tmp_path, **overrides):
@@ -265,17 +269,32 @@ def test_cli_pipeline_and_exit_codes(tmp_path, capsys):
 
 
 def test_cli_stage_chain_matches_pipeline(tmp_path, capsys):
-    corpus = build_english_corpus(8, seed=6)
-    write_input(tmp_path, corpus)
-    path, raw = write_config(tmp_path)
+    corpus = build_english_corpus(12, seed=6)
+    # Records 2 and 7 diverge: the dictionary translates the bare answer, but
+    # in the context the answer is fused with a suffix it does not know.
+    records = list(corpus.records)
+    table_lines = []
+    for i in (2, 7):
+        rec = records[i]
+        answer = rec.answers[0].text
+        table_lines.append(f"{answer}\tअनुवाद{i}\n")
+        records[i] = replace(rec, context=rec.context.replace(answer, answer + "tail"))
+    write_input(tmp_path, replace(corpus, records=tuple(records)))
+    table = tmp_path / "dict.tsv"
+    table.write_text("".join(table_lines), encoding="utf-8")
+    # Pre-filter rejections: one qid, and a title that covers records 3 and 8.
+    excl = tmp_path / "excl.txt"
+    excl.write_text(f"{records[0].qid}\n{records[3].title}\n", encoding="utf-8")
+    settings = {"engine_id": f"dictionary:{table}", "filter": {"exclusion_list_path": str(excl)}}
+    path, raw = write_config(tmp_path, **settings)
 
     assert main(["--config", str(path), "translate"]) == 0
     candidates, split = read_candidates(tmp_path / "output.candidates.jsonl")
-    assert len(candidates) == 8 and split == "train"
-
+    assert len(candidates) == 9 and split == "train"
     assert main(["--config", str(path), "postprocess"]) == 0
+    # A second realign replaces the alignment entries of the first.
     assert main(["--config", str(path), "realign"]) == 0
-    staged = load_corpus(raw["output_path"], "train")
+    assert main(["--config", str(path), "realign"]) == 0
 
     pipeline_out = tmp_path / "direct"
     pipeline_out.mkdir()
@@ -285,10 +304,28 @@ def test_cli_stage_chain_matches_pipeline(tmp_path, capsys):
         rejection_log_path=str(pipeline_out / "rej.jsonl"),
         stats_path=str(pipeline_out / "stats.json"),
         cache_path=str(pipeline_out / "cache.jsonl"),
+        **settings,
     )
     assert main(["--config", str(path2), "pipeline"]) == 0
-    direct = load_corpus(raw2["output_path"], "train")
-    assert staged.records == direct.records
+    for key in ("output_path", "rejection_log_path", "stats_path"):
+        assert Path(raw[key]).read_bytes() == Path(raw2[key]).read_bytes(), key
+
+    kept = load_corpus(raw["output_path"], "train")
+    log = RejectionLog.read(raw["rejection_log_path"])
+    assert len(kept) + len(log) == len(records)
+    assert {e.qid: e.reason for e in log} == {
+        records[0].qid: "manual-exclusion",
+        records[3].qid: "manual-exclusion",
+        records[8].qid: "manual-exclusion",
+        records[2].qid: "answer-not-found",
+        records[7].qid: "answer-not-found",
+    }
+    # Atomic writes honour the umask like the plain write of the log does.
+    umask = os.umask(0)
+    os.umask(umask)
+    written = [raw2[key] for key in ("output_path", "rejection_log_path", "stats_path")]
+    for written_path in written + [pipeline_out / "output.summary.json", raw["output_path"]]:
+        assert stat.S_IMODE(os.stat(written_path).st_mode) == 0o666 & ~umask, written_path
 
 
 def test_cli_filter_subcommand(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from transquad.errors import TransliterationError
 from transquad.script_tools import (
-    CountingTransliterator,
     IdentityTransliterator,
     Script,
     TableTransliterator,
@@ -19,6 +18,8 @@ from transquad.script_tools import (
     localize_digits,
     transliterate_residuals,
 )
+
+from conftest import CountingTransliterator
 
 # Pieces of a real translated sentence: Latin residue, Devanagari words,
 # ASCII digits inside Devanagari parentheses.

@@ -7,7 +7,6 @@ import pytest
 from transquad.errors import EngineError, EngineUnavailableError, TransientEngineError
 from transquad.errors import ConfigValidationError
 from transquad.translation import (
-    CountingEngine,
     DictionaryEngine,
     IdentityEngine,
     TranslationCache,
@@ -17,6 +16,8 @@ from transquad.translation import (
     build_engine,
     translate_batch,
 )
+
+from conftest import CountingEngine
 
 
 def request(texts, engine_id="identity"):
@@ -47,6 +48,9 @@ def test_dictionary_engine_from_tsv(tmp_path):
     table.write_text("# comment\ncat\tमांजर\ndog\tकुत्रा\n", encoding="utf-8")
     engine = DictionaryEngine.from_file(table)
     assert engine.translate(["cat dog"], "en", "mr") == ["मांजर कुत्रा"]
+    table.write_text("cat\tमांजर\ndog only\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="table.tsv:2"):
+        DictionaryEngine.from_file(table)
 
 
 def test_uppercase_engine():
