@@ -70,6 +70,10 @@ class TransliterationError(TransquadError):
         self.tokens = tokens
 
 
+class MissingEmbeddingError(TransquadError, LookupError):
+    """A token to be scored has no vector in the embedding table."""
+
+
 class PipelineError(TransquadError):
     """A pipeline stage failed; ``stage`` names it, __cause__ carries the reason."""
 

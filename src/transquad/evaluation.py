@@ -27,6 +27,7 @@ import numpy as np
 from ._kernels import greedy_match
 from ._text import ascii_casefold
 from .corpus import Corpus
+from .errors import MissingEmbeddingError
 
 
 def normalize(text: str) -> list[str]:
@@ -129,7 +130,7 @@ class TableEmbeddingProvider(EmbeddingProvider):
         try:
             return np.stack([self.table[t] for t in tokens])
         except KeyError as exc:
-            raise LookupError(f"no embedding for token {exc.args[0]!r}") from None
+            raise MissingEmbeddingError(f"no embedding for token {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,9 @@ Two mechanisms stand in for the source dataset's manual cleanup: a plain-text
 exclusion list (one qid or article title per line, ``#`` comments) for
 explicit removals, and a letter-script ratio heuristic that flags contexts
 dominated by non-Latin letters (language samples, phonetics tables, ...).
+The ratio is counted with C string operations (``str.isascii``,
+``str.isalpha`` and one regular expression), never a Python loop per
+character.
 
 Every removal, here and in later stages, lands in a RejectionLog entry so
 that kept + rejected always accounts for the whole input.
@@ -12,13 +15,15 @@ that kept + rejected always accounts for the whole input.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ._text import is_basic_latin_letter, is_letter
 from .corpus import Corpus
 from .errors import ConfigError, ConfigValidationError
+
+_BASIC_LATIN_LETTER = re.compile("[A-Za-z]")
 
 STAGE_PRE_FILTER = "pre-filter"
 STAGE_ALIGNMENT = "alignment"
@@ -135,15 +140,14 @@ def non_latin_letter_ratio(text: str) -> float:
     """Fraction of letters that fall outside Basic-Latin A-Z/a-z.
 
     Digits, punctuation and whitespace count on neither side; a text with no
-    letters at all scores 0.0.
+    letters at all scores 0.0. ``str.isalpha`` is true on exactly the letter
+    categories (L*), so both counts run in C: all letters, then the
+    Basic-Latin ones. An ASCII text has no other letters and scores 0.0.
     """
-    letters = 0
-    non_latin = 0
-    for ch in text:
-        if is_letter(ch):
-            letters += 1
-            if not is_basic_latin_letter(ch):
-                non_latin += 1
+    if text.isascii():
+        return 0.0
+    letters = sum(map(str.isalpha, text))
+    non_latin = letters - len(_BASIC_LATIN_LETTER.findall(text))
     return non_latin / letters if letters else 0.0
 
 

@@ -3,7 +3,7 @@
 Stage order: parse -> prefilter (collapse_answers, then filter_corpus) ->
 translate_records (context, question, and answer as three independent
 batches) -> postprocess_candidates (transliterate_residuals, then
-localize_digits) -> align_corpus -> write_dataset. Collapsing first means
+localize_digits, once per distinct text) -> align_corpus -> write_dataset. Collapsing first means
 only one answer per record is ever translated; translating the three fields
 independently is what makes the answer-not-found rejection meaningful.
 ``run_pipeline`` and the CLI's stage subcommands call the same stage
@@ -54,6 +54,7 @@ from .script_tools import (
     build_transliterator,
     localize_digits,
     transliterate_residuals,
+    warn_mixed_tokens,
 )
 from .translation import (
     TranslationCache,
@@ -251,25 +252,39 @@ def translate_records(
     return candidates
 
 
-def _postprocess(text: str, transliterator: Transliterator) -> str:
-    # Transliteration first: digit localization only creates Devanagari
-    # evidence, never Latin tokens, so this order is the stable one.
-    return localize_digits(transliterate_residuals(text, transliterator))
-
-
 def postprocess_candidates(
     candidates: Sequence[AlignmentCandidate], transliterator: Transliterator
 ) -> list[AlignmentCandidate]:
-    """Transliterate Latin residue and localize digits in all three translated fields."""
-    return [
+    """Transliterate Latin residue and localize digits in all three translated fields.
+
+    Each distinct text is processed once and its result shared, like the
+    dedup in ``translate_batch``: a context asked about five times is fixed
+    once. The mixed-script tokens left alone are reported in one warning.
+    """
+    fixed: dict[str, str] = {}
+    mixed: list[str] = []
+
+    def fix(text: str) -> str:
+        out = fixed.get(text)
+        if out is None:
+            # Transliteration first: digit localization only creates
+            # Devanagari evidence, never Latin tokens, so this order is the
+            # stable one.
+            out = localize_digits(transliterate_residuals(text, transliterator, mixed))
+            fixed[text] = out
+        return out
+
+    result = [
         replace(
             cand,
-            translated_context=_postprocess(cand.translated_context, transliterator),
-            translated_question=_postprocess(cand.translated_question, transliterator),
-            translated_answer=_postprocess(cand.translated_answer, transliterator),
+            translated_context=fix(cand.translated_context),
+            translated_question=fix(cand.translated_question),
+            translated_answer=fix(cand.translated_answer),
         )
         for cand in candidates
     ]
+    warn_mixed_tokens(mixed)
+    return result
 
 
 def run_corpus_pipeline(
@@ -336,14 +351,15 @@ def write_dataset(
 ) -> None:
     """Check every span, then write the corpus (atomically), the rejection log and the stats.
 
-    Nothing is written when the check fails.
+    Nothing is written when the check fails. The check here is the only
+    one: serialization is told not to repeat it.
     """
     report = validate_spans(corpus)
     if not report.ok:
         raise InvalidCorpusError(
             f"pipeline produced {len(report.violations)} invalid span(s); this is a bug"
         )
-    _atomic_write(output_path, serialize_corpus(corpus))
+    _atomic_write(output_path, serialize_corpus(corpus, allow_invalid=True))
     log.write(rejection_log_path)
     _atomic_write(stats_path, _json_bytes(compute_stats(corpus).to_dict()))
 

@@ -7,17 +7,29 @@ punctuation never changes a token's letter-based class) and classified as
 Latin, Devanagari, Neutral, or Mixed. Latin tokens go to a pluggable
 transliterator; ASCII digits are mapped to their Devanagari counterparts.
 
+Classification runs in C string operations, not a Python loop per
+character. One ``str.translate`` pass maps a token to a string of evidence
+classes (Basic-Latin letter; Devanagari letter or digit; other letter; other
+decimal digit; no evidence), and a few ``in`` tests on that string give the
+script. The translate table is filled lazily, one entry per code point seen.
+``transliterate_residuals`` first finds, with one regular-expression scan,
+the tokens that hold anything besides ASCII punctuation and Devanagari-block
+characters; only those can be Latin or Mixed, and only those are classified.
+
 Mixed tokens (e.g. "abc123", "abcक") are deliberately left alone - splitting
-mid-token is riskier than leaving residue - and logged for inspection.
+mid-token is riskier than leaving residue. ``warn_mixed_tokens`` reports them
+in one WARNING per call: the count and a sample of at most
+``MIXED_SAMPLE_SIZE`` distinct tokens, so log volume stays bounded.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ._text import (
     DEVANAGARI_DIGIT_ZERO,
@@ -50,18 +62,50 @@ class TokenScript:
     start: int  # code-point offset of the token in the source text
 
 
-def _iter_raw_tokens(text: str) -> Iterator[tuple[int, str]]:
-    """Yield (start, token) for maximal non-whitespace runs."""
-    start = None
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            if start is not None:
-                yield start, text[start:i]
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        yield start, text[start:]
+# Evidence classes: one character per code point, as ``_EvidenceTable`` maps
+# them. Devanagari letters and digits share a class because classify_token
+# treats them alike.
+_LATIN = "L"  # Basic-Latin letter A-Z, a-z
+_DEVANAGARI = "D"  # letter in the Devanagari block, or Devanagari digit
+_OTHER_LETTER = "O"  # any other letter (category L*)
+_OTHER_DIGIT = "N"  # any other decimal digit (category Nd), ASCII 0-9 included
+_NO_EVIDENCE = "."  # whitespace, punctuation, symbols, marks
+
+_TOKEN = re.compile(r"\S+")
+# Code points that are never Latin, other-letter or other-digit evidence:
+# ASCII punctuation and symbols, and the whole Devanagari block. A token made
+# of these alone is Devanagari or Neutral, so transliteration skips it
+# unclassified; the scan finds the other tokens without leaving C.
+_PLAIN = r"!-/:-@\[-`{-~\u0900-\u097f"
+_LATIN_OR_MIXED = re.compile(rf"(?<!\S)[{_PLAIN}]*+[^\s{_PLAIN}]\S*+")
+_ASCII_DIGITS = re.compile("[0-9]+")
+
+MIXED_SAMPLE_SIZE = 10  # distinct tokens quoted in the mixed-script warning
+
+
+class _EvidenceTable(dict):
+    """``str.translate`` table from code point to evidence class, filled on first sight.
+
+    Only code points that occur get an entry, so import builds nothing and
+    the table stays as small as the alphabet of the tokens seen.
+    """
+
+    def __missing__(self, cp: int) -> str:
+        ch = chr(cp)
+        if is_letter(ch):
+            if is_basic_latin_letter(ch):
+                cls = _LATIN
+            else:
+                cls = _DEVANAGARI if is_devanagari(ch) else _OTHER_LETTER
+        elif is_digit(ch):
+            cls = _DEVANAGARI if is_devanagari_digit(ch) else _OTHER_DIGIT
+        else:
+            cls = _NO_EVIDENCE
+        self[cp] = cls
+        return cls
+
+
+_EVIDENCE = _EvidenceTable()
 
 
 def classify_token(token: str) -> Script:
@@ -74,29 +118,15 @@ def classify_token(token: str) -> Script:
     Devanagari evidence, which keeps already-localized numbers from being
     re-flagged.
     """
-    has_letter = False
-    has_dev_digit = False
-    all_latin = True
-    all_devanagari = True
-    for ch in token:
-        if is_letter(ch):
-            has_letter = True
-        elif is_digit(ch):
-            if is_devanagari_digit(ch):
-                has_dev_digit = True
-        else:
-            continue
-        if not is_basic_latin_letter(ch):
-            all_latin = False
-        if not is_devanagari(ch):
-            all_devanagari = False
-    if not has_letter and not has_dev_digit:
-        return Script.NEUTRAL
-    if all_latin:
-        return Script.LATIN
-    if all_devanagari:
-        return Script.DEVANAGARI
-    return Script.MIXED
+    classes = token.translate(_EVIDENCE)
+    if _OTHER_LETTER in classes:
+        return Script.MIXED
+    latin = _LATIN in classes
+    if latin == (_DEVANAGARI in classes):
+        return Script.MIXED if latin else Script.NEUTRAL
+    if _OTHER_DIGIT in classes:
+        return Script.MIXED
+    return Script.LATIN if latin else Script.DEVANAGARI
 
 
 def classify_tokens(text: str) -> list[TokenScript]:
@@ -105,18 +135,24 @@ def classify_tokens(text: str) -> list[TokenScript]:
     The tokens, in order, reconstruct the non-whitespace content of the text.
     """
     return [
-        TokenScript(token=tok, script=classify_token(tok), start=start)
-        for start, tok in _iter_raw_tokens(text)
+        TokenScript(token=m.group(), script=classify_token(m.group()), start=m.start())
+        for m in _TOKEN.finditer(text)
     ]
+
+
+def _localize_run(match: re.Match) -> str:
+    return match.group().translate(_DIGIT_TABLE)
 
 
 def localize_digits(text: str) -> str:
     """Replace each ASCII digit 0-9 with the Devanagari digit at the same offset.
 
     Every other code point is untouched; output length equals input length;
-    idempotent (Devanagari digits map to themselves by absence).
+    idempotent (Devanagari digits map to themselves by absence). Only the
+    runs of ASCII digits are mapped, so the rest of the text is not looked up
+    character by character.
     """
-    return text.translate(_DIGIT_TABLE)
+    return _ASCII_DIGITS.sub(_localize_run, text)
 
 
 class Transliterator:
@@ -159,22 +195,44 @@ def build_transliterator(transliterator_id: str) -> Transliterator:
     )
 
 
-def transliterate_residuals(text: str, translit: Transliterator) -> str:
+def warn_mixed_tokens(tokens: Sequence[str]) -> None:
+    """Log one WARNING for the mixed-script tokens a stage left alone.
+
+    The line gives the total and quotes at most ``MIXED_SAMPLE_SIZE``
+    distinct tokens, so its length does not grow with the corpus.
+    """
+    if tokens:
+        sample = list(dict.fromkeys(tokens))[:MIXED_SAMPLE_SIZE]
+        logger.warning(
+            "left %d mixed-script token(s) untouched; sample: %s", len(tokens), sample
+        )
+
+
+def transliterate_residuals(
+    text: str, translit: Transliterator, mixed: list[str] | None = None
+) -> str:
     """Send exactly the Latin-classified tokens through the transliterator.
 
     Replacements happen in place; Devanagari/Neutral/Mixed tokens and all
     whitespace are byte-identical before and after. With the identity
-    transliterator this is the identity on any input.
+    transliterator this is the identity on any input. Mixed tokens are
+    appended to ``mixed`` for the caller to report once per stage; without a
+    list they are reported here, in one warning.
     """
-    tokens = classify_tokens(text)
-    latin = [t for t in tokens if t.script is Script.LATIN]
-    mixed = [t.token for t in tokens if t.script is Script.MIXED]
-    if mixed:
-        logger.warning("leaving %d mixed-script token(s) untouched: %s", len(mixed), mixed)
+    latin: list[tuple[int, int]] = []
+    found_mixed = [] if mixed is None else mixed
+    for m in _LATIN_OR_MIXED.finditer(text):
+        script = classify_token(m.group())
+        if script is Script.LATIN:
+            latin.append(m.span())
+        elif script is Script.MIXED:
+            found_mixed.append(m.group())
+    if mixed is None:
+        warn_mixed_tokens(found_mixed)
     if not latin:
         return text
 
-    sources = tuple(t.token for t in latin)
+    sources = tuple(text[start:end] for start, end in latin)
     try:
         replacements = translit.transliterate(list(sources))
     except TransliterationError:
@@ -191,9 +249,9 @@ def transliterate_residuals(text: str, translit: Transliterator) -> str:
 
     parts = []
     pos = 0
-    for tok, replacement in zip(latin, replacements):
-        parts.append(text[pos : tok.start])
+    for (start, end), replacement in zip(latin, replacements):
+        parts.append(text[pos:start])
         parts.append(replacement)
-        pos = tok.start + len(tok.token)
+        pos = end
     parts.append(text[pos:])
     return "".join(parts)

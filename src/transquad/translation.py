@@ -14,6 +14,7 @@ store, so entries survive process restarts.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,8 @@ from .errors import (
     EngineUnavailableError,
     TransientEngineError,
 )
+
+logger = logging.getLogger(__name__)
 
 CacheKey = tuple[str, str, str, str]  # engine_id, source_lang, target_lang, source_text
 
@@ -117,7 +120,8 @@ class TranslationCache:
 
     Each line carries engine_id, source_lang, target_lang, source_text, value
     (plus a timestamp). The whole file is loaded on open; later lines win on
-    duplicate keys. Safe for concurrent lookup/store; values for a key are
+    duplicate keys. A torn last line, left by a crash mid-append, is dropped
+    and cut off before the next append. Safe for concurrent lookup/store; values for a key are
     deterministic per engine, so last-writer-wins is harmless.
     """
 
@@ -126,22 +130,51 @@ class TranslationCache:
         self._entries: dict[CacheKey, str] = {}
         self._lock = threading.Lock()
         self._handle = None
+        # How the first append repairs a file that does not end in a newline:
+        # cut a torn last line off at this byte offset, or end a last line
+        # that parsed, so no record is glued onto it.
+        self._torn_at: int | None = None
+        self._needs_newline = False
         if self._path is not None and self._path.exists():
-            try:
-                with self._path.open("r", encoding="utf-8") as fh:
-                    for line in fh:
-                        if not line.strip():
-                            continue
-                        rec = json.loads(line)
+            self._load()
+
+    def _load(self) -> None:
+        """Read every line; a torn last line (a crash mid-append) is dropped.
+
+        A line that does not parse anywhere else raises CacheIOError naming
+        ``path:lineno``.
+        """
+        end = 0
+        try:
+            with self._path.open("rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    start, end = end, end + len(line)
+                    terminated = line.endswith(b"\n")
+                    if not line.strip():
+                        continue
+                    try:
+                        rec = json.loads(line.decode("utf-8"))
                         key = (
                             rec["engine_id"],
                             rec["source_lang"],
                             rec["target_lang"],
                             rec["source_text"],
                         )
-                        self._entries[key] = rec["value"]
-            except (OSError, json.JSONDecodeError, KeyError) as exc:
-                raise CacheIOError(f"cannot load cache {self._path}: {exc}") from exc
+                        value = rec["value"]
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if terminated:
+                            raise CacheIOError(
+                                f"cannot load cache {self._path}:{lineno}: {exc}"
+                            ) from exc
+                        logger.warning(
+                            "dropping torn last line %s:%d (%d bytes)", self._path, lineno, len(line)
+                        )
+                        self._torn_at = start
+                        return
+                    self._entries[key] = value
+                    self._needs_newline = not terminated
+        except OSError as exc:
+            raise CacheIOError(f"cannot load cache {self._path}: {exc}") from exc
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -158,6 +191,11 @@ class TranslationCache:
             try:
                 if self._handle is None:
                     self._handle = self._path.open("a", encoding="utf-8")
+                    if self._torn_at is not None:
+                        self._handle.truncate(self._torn_at)
+                    elif self._needs_newline:
+                        self._handle.write("\n")
+                    self._torn_at, self._needs_newline = None, False
                 record = {
                     "engine_id": key[0],
                     "source_lang": key[1],

@@ -11,16 +11,26 @@ from pathlib import Path
 import pytest
 
 from transquad.cli import main
-from transquad.corpus import collapse_answers, load_corpus, parse_corpus, serialize_corpus
-from transquad.errors import ConfigParseError, ConfigValidationError, PipelineError
+import transquad.corpus
+import transquad.pipeline
+from transquad.alignment import AlignmentCandidate
+from transquad.corpus import AnswerSpan, collapse_answers, load_corpus, serialize_corpus
+from transquad.errors import (
+    ConfigParseError,
+    ConfigValidationError,
+    InvalidCorpusError,
+    PipelineError,
+)
 from transquad.filtering import FilterConfig, RejectionLog
 from transquad.pipeline import (
     load_config,
+    postprocess_candidates,
     read_candidates,
     run_corpus_pipeline,
     run_pipeline,
+    write_dataset,
 )
-from transquad.script_tools import IdentityTransliterator
+from transquad.script_tools import MIXED_SAMPLE_SIZE, IdentityTransliterator
 from transquad.translation import DictionaryEngine, IdentityEngine
 
 from conftest import CountingEngine, build_english_corpus
@@ -207,6 +217,60 @@ def test_pipeline_error_names_parse_stage(tmp_path):
     assert err.value.stage == "parse"
 
 
+def test_pipeline_validates_spans_once(tmp_path, monkeypatch):
+    write_input(tmp_path, build_english_corpus(5))
+    path, _ = write_config(tmp_path)
+    calls = []
+    real = transquad.corpus.validate_spans
+
+    def counting(corpus):
+        calls.append(len(corpus))
+        return real(corpus)
+
+    # serialize_corpus looks the name up in corpus, write_dataset in pipeline.
+    monkeypatch.setattr(transquad.corpus, "validate_spans", counting)
+    monkeypatch.setattr(transquad.pipeline, "validate_spans", counting)
+    run_pipeline(load_config(path))
+    assert calls == [5]
+
+
+def test_write_dataset_refuses_invalid_spans_and_writes_nothing(tmp_path):
+    corpus = build_english_corpus(3)
+    rec = corpus.records[0]
+    bad = replace(rec, answers=(AnswerSpan(text="zzz", start=0),))
+    corpus = replace(corpus, records=(bad,) + corpus.records[1:])
+    outputs = [tmp_path / name for name in ("out.json", "log.jsonl", "stats.json")]
+    with pytest.raises(InvalidCorpusError):
+        write_dataset(corpus, RejectionLog(), *outputs)
+    assert not any(p.exists() for p in outputs)
+
+
+def test_postprocess_reports_mixed_tokens_in_one_bounded_warning(caplog):
+    def mixed(i):
+        return "x" + chr(0x0915 + i)  # a Latin and a Devanagari letter
+
+    candidates = [
+        AlignmentCandidate(
+            qid=f"q{i}",
+            translated_context=f"मराठी {mixed(i)} जन्म",
+            translated_question=f"{mixed(i)} काय?",
+            translated_answer="जन्म",
+            original_relative_position=0.0,
+        )
+        for i in range(3 * MIXED_SAMPLE_SIZE)
+    ]
+    with caplog.at_level("WARNING", logger="transquad.script_tools"):
+        fixed = postprocess_candidates(candidates, IdentityTransliterator())
+    assert fixed == candidates
+    (record,) = caplog.records
+    assert record.name == "transquad.script_tools" and "mixed-script" in record.msg
+    message = record.getMessage()
+    # 60 occurrences of 30 distinct tokens; only the first ten are quoted.
+    assert f"{6 * MIXED_SAMPLE_SIZE} mixed-script" in message
+    assert repr(mixed(MIXED_SAMPLE_SIZE - 1)) in message
+    assert repr(mixed(MIXED_SAMPLE_SIZE)) not in message
+
+
 # -- CLI --
 
 
@@ -361,7 +425,8 @@ def test_cli_evaluate(tmp_path, capsys):
     assert report["aggregate"]["f1"] == 1.0
 
 
-def test_cli_evaluate_with_embeddings(tmp_path, capsys):
+def run_evaluate_with_embeddings(tmp_path, prediction):
+    """``evaluate --embeddings`` on one gold answer "alpha beta" and a 2-token table."""
     doc = {
         "version": "1.1",
         "data": [
@@ -384,9 +449,9 @@ def test_cli_evaluate_with_embeddings(tmp_path, capsys):
     }
     gold_path = tmp_path / "gold.json"
     gold_path.write_text(json.dumps(doc), encoding="utf-8")
-    (tmp_path / "pred.json").write_text(json.dumps({"q1": "alpha"}), encoding="utf-8")
+    (tmp_path / "pred.json").write_text(json.dumps({"q1": prediction}), encoding="utf-8")
     (tmp_path / "emb.txt").write_text("alpha 1 0\nbeta 0 1\n", encoding="utf-8")
-    code = main(
+    return main(
         [
             "evaluate",
             "--gold", str(gold_path),
@@ -394,9 +459,19 @@ def test_cli_evaluate_with_embeddings(tmp_path, capsys):
             "--embeddings", str(tmp_path / "emb.txt"),
         ]
     )
-    assert code == 0
+
+
+def test_cli_evaluate_with_embeddings(tmp_path, capsys):
+    assert run_evaluate_with_embeddings(tmp_path, "alpha") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["per_question"]["q1"]["bert_f"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def test_cli_evaluate_token_missing_from_embeddings_exits_1(tmp_path, capsys):
+    assert run_evaluate_with_embeddings(tmp_path, "alpha gamma") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no embedding for token 'gamma'\n"
 
 
 def test_cli_stage_command_requires_config(tmp_path, capsys):

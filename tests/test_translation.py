@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from transquad.errors import EngineError, EngineUnavailableError, TransientEngineError
-from transquad.errors import ConfigValidationError
+from transquad.errors import (
+    CacheIOError,
+    ConfigValidationError,
+    EngineError,
+    EngineUnavailableError,
+    TransientEngineError,
+)
 from transquad.translation import (
     DictionaryEngine,
     IdentityEngine,
@@ -89,6 +94,50 @@ def test_cache_survives_reopen(tmp_path):
         cache.store(key, "नमस्कार")
     reopened = TranslationCache(path)
     assert reopened.lookup(key) == "नमस्कार"
+
+
+def _cache_with_two_entries(path):
+    with TranslationCache(path) as cache:
+        cache.store(("identity", "en", "mr", "a"), "A")
+        cache.store(("identity", "en", "mr", "b"), "B")
+
+
+def _reopen_and_store_twice(path):
+    cache = TranslationCache(path)
+    assert len(cache) == 2
+    cache.store(("identity", "en", "mr", "c"), "C")
+    cache.close()  # the file is repaired once; a store after close appends
+    cache.store(("identity", "en", "mr", "d"), "D")
+    cache.close()
+    reopened = TranslationCache(path)
+    assert [reopened.lookup(("identity", "en", "mr", t)) for t in "abcd"] == ["A", "B", "C", "D"]
+    assert path.read_bytes().endswith(b"\n") and path.read_bytes().count(b"\n") == 4
+
+
+def test_cache_drops_torn_trailing_line(tmp_path):
+    # A crash mid-append leaves half a JSON line at the end of the file,
+    # here cut inside a multi-byte character.
+    path = tmp_path / "cache.jsonl"
+    _cache_with_two_entries(path)
+    with path.open("ab") as fh:
+        fh.write('{"engine_id": "identity", "value": "नम'.encode("utf-8")[:-1])
+    _reopen_and_store_twice(path)
+
+
+def test_cache_ends_unterminated_last_line_before_appending(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _cache_with_two_entries(path)
+    path.write_bytes(path.read_bytes().rstrip(b"\n"))
+    _reopen_and_store_twice(path)
+
+
+def test_cache_corrupt_middle_line_names_path_and_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _cache_with_two_entries(path)
+    first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(first + '{"engine_id": "iden\n' + second, encoding="utf-8")
+    with pytest.raises(CacheIOError, match=f"{path}:2"):
+        TranslationCache(path)
 
 
 def test_cache_key_includes_engine_id(tmp_path):
