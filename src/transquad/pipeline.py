@@ -259,19 +259,23 @@ def postprocess_candidates(
 
     Each distinct text is processed once and its result shared, like the
     dedup in ``translate_batch``: a context asked about five times is fixed
-    once. The mixed-script tokens left alone are reported in one warning.
+    once. The mixed-script tokens left alone are reported in one warning,
+    counted once per field that holds them, as if every field were processed.
     """
     fixed: dict[str, str] = {}
-    mixed: list[str] = []
+    mixed: dict[str, list[str]] = {}  # text -> its mixed tokens, when any
 
     def fix(text: str) -> str:
         out = fixed.get(text)
         if out is None:
+            found: list[str] = []
             # Transliteration first: digit localization only creates
             # Devanagari evidence, never Latin tokens, so this order is the
             # stable one.
-            out = localize_digits(transliterate_residuals(text, transliterator, mixed))
+            out = localize_digits(transliterate_residuals(text, transliterator, found))
             fixed[text] = out
+            if found:
+                mixed[text] = found
         return out
 
     result = [
@@ -283,7 +287,19 @@ def postprocess_candidates(
         )
         for cand in candidates
     ]
-    warn_mixed_tokens(mixed)
+    if mixed:
+        warn_mixed_tokens(
+            [
+                token
+                for cand in candidates
+                for text in (
+                    cand.translated_context,
+                    cand.translated_question,
+                    cand.translated_answer,
+                )
+                for token in mixed.get(text, ())
+            ]
+        )
     return result
 
 

@@ -12,9 +12,8 @@ character. One ``str.translate`` pass maps a token to a string of evidence
 classes (Basic-Latin letter; Devanagari letter or digit; other letter; other
 decimal digit; no evidence), and a few ``in`` tests on that string give the
 script. The translate table is filled lazily, one entry per code point seen.
-``transliterate_residuals`` first finds, with one regular-expression scan,
-the tokens that hold anything besides ASCII punctuation and Devanagari-block
-characters; only those can be Latin or Mixed, and only those are classified.
+Tokens are found with one regular-expression scan for runs of
+non-whitespace; the regex's whitespace is exactly ``str.isspace()``.
 
 Mixed tokens (e.g. "abc123", "abcक") are deliberately left alone - splitting
 mid-token is riskier than leaving residue. ``warn_mixed_tokens`` reports them
@@ -72,13 +71,6 @@ _OTHER_DIGIT = "N"  # any other decimal digit (category Nd), ASCII 0-9 included
 _NO_EVIDENCE = "."  # whitespace, punctuation, symbols, marks
 
 _TOKEN = re.compile(r"\S+")
-# Code points that are never Latin, other-letter or other-digit evidence:
-# ASCII punctuation and symbols, and the whole Devanagari block. A token made
-# of these alone is Devanagari or Neutral, so transliteration skips it
-# unclassified; the scan finds the other tokens without leaving C.
-_PLAIN = r"!-/:-@\[-`{-~\u0900-\u097f"
-_LATIN_OR_MIXED = re.compile(rf"(?<!\S)[{_PLAIN}]*+[^\s{_PLAIN}]\S*+")
-_ASCII_DIGITS = re.compile("[0-9]+")
 
 MIXED_SAMPLE_SIZE = 10  # distinct tokens quoted in the mixed-script warning
 
@@ -140,19 +132,13 @@ def classify_tokens(text: str) -> list[TokenScript]:
     ]
 
 
-def _localize_run(match: re.Match) -> str:
-    return match.group().translate(_DIGIT_TABLE)
-
-
 def localize_digits(text: str) -> str:
     """Replace each ASCII digit 0-9 with the Devanagari digit at the same offset.
 
     Every other code point is untouched; output length equals input length;
-    idempotent (Devanagari digits map to themselves by absence). Only the
-    runs of ASCII digits are mapped, so the rest of the text is not looked up
-    character by character.
+    idempotent (Devanagari digits map to themselves by absence).
     """
-    return _ASCII_DIGITS.sub(_localize_run, text)
+    return text.translate(_DIGIT_TABLE)
 
 
 class Transliterator:
@@ -215,13 +201,17 @@ def transliterate_residuals(
 
     Replacements happen in place; Devanagari/Neutral/Mixed tokens and all
     whitespace are byte-identical before and after. With the identity
-    transliterator this is the identity on any input. Mixed tokens are
-    appended to ``mixed`` for the caller to report once per stage; without a
-    list they are reported here, in one warning.
+    transliterator this is the identity on any input.
+
+    Mixed tokens are appended to ``mixed`` when a list is given, so that a
+    caller fixing many texts (``pipeline.postprocess_candidates``) reports
+    them in one warning for the whole stage. Without a list, a direct call on
+    one text reports its own mixed tokens here, in one warning, so that they
+    are never left alone silently.
     """
     latin: list[tuple[int, int]] = []
     found_mixed = [] if mixed is None else mixed
-    for m in _LATIN_OR_MIXED.finditer(text):
+    for m in _TOKEN.finditer(text):
         script = classify_token(m.group())
         if script is Script.LATIN:
             latin.append(m.span())

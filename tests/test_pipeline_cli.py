@@ -271,6 +271,25 @@ def test_postprocess_reports_mixed_tokens_in_one_bounded_warning(caplog):
     assert repr(mixed(MIXED_SAMPLE_SIZE)) not in message
 
 
+def test_postprocess_counts_mixed_tokens_in_shared_texts_per_field(caplog):
+    # One context asked about three times: fixed once, counted three times.
+    candidates = [
+        AlignmentCandidate(
+            qid=f"q{i}",
+            translated_context="मराठी abcक जन्म",
+            translated_question=f"प्रश्न {i}?",
+            translated_answer="जन्म",
+            original_relative_position=0.0,
+        )
+        for i in range(3)
+    ]
+    with caplog.at_level("WARNING", logger="transquad.script_tools"):
+        postprocess_candidates(candidates, IdentityTransliterator())
+    (record,) = caplog.records
+    assert "left 3 mixed-script token(s)" in record.getMessage()
+    assert "['abcक']" in record.getMessage()
+
+
 # -- CLI --
 
 

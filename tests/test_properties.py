@@ -102,9 +102,8 @@ def test_transliterate_residuals_touches_only_latin_tokens(text):
 
 
 def test_transliterate_residuals_on_every_code_point_near_devanagari():
-    # The scan skips tokens made only of ASCII punctuation and Devanagari-block
-    # characters without classifying them; check each code point up to U+0FFF
-    # alone and next to a Devanagari letter.
+    # Every code point up to U+0FFF, alone and next to a Devanagari and a
+    # Latin letter, so each fills its evidence-table entry from a fresh token.
     for cp in range(0x1000):
         for text in (chr(cp), "क" + chr(cp), "a" + chr(cp)):
             assert_routed_like_reference(text)
