@@ -15,12 +15,13 @@ table-backed provider is included for offline use.
 
 from __future__ import annotations
 
+import itertools
 import json
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -48,8 +49,10 @@ def token_f1(gold: str, pred: str) -> float:
     1.0 when both token lists are empty; 0.0 when exactly one is empty or
     nothing overlaps. Symmetric in its arguments.
     """
-    gold_tokens = normalize(gold)
-    pred_tokens = normalize(pred)
+    return _tokens_f1(normalize(gold), normalize(pred))
+
+
+def _tokens_f1(gold_tokens: list[str], pred_tokens: list[str]) -> float:
     if not gold_tokens and not pred_tokens:
         return 1.0
     if not gold_tokens or not pred_tokens:
@@ -69,8 +72,10 @@ def bert_score(
     """(precision, recall, f) of greedy max-cosine matching between vector lists.
 
     recall averages, over gold vectors, the best cosine against any pred
-    vector; precision swaps the roles; f is their harmonic mean (0 when
-    P + R = 0). Token weights are uniform.
+    vector; precision swaps the roles; f is their harmonic mean. f is 0 when
+    P * R <= 0: with opposite signs (or a zero) the harmonic mean has no
+    meaning, and near P = -R it would grow without bound. So f stays in
+    [-1, 1], negative only when both P and R are. Token weights are uniform.
     """
     gold = np.asarray(gold_vecs, dtype=np.float64)
     pred = np.asarray(pred_vecs, dtype=np.float64)
@@ -83,12 +88,19 @@ def bert_score(
             f"embedding dimension mismatch: gold {gold.shape[1]} vs pred {pred.shape[1]}"
         )
     precision, recall = greedy_match(gold, pred)
-    f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    f = 0.0 if precision * recall <= 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f
 
 
 class EmbeddingProvider:
-    """Interface: one vector per token, parallel order, fixed dimension."""
+    """Interface: one vector per token, parallel order, fixed dimension.
+
+    ``embed`` gets the normalized tokens of one answer per call, never tokens
+    of two answers together, so a contextual model sees each answer alone.
+    It must be deterministic per token sequence: ``evaluate_predictions``
+    embeds each pair's distinct normalized answer once, and when prediction
+    and gold normalize to the same tokens one array serves both sides.
+    """
 
     def embed(self, tokens: Sequence[str]) -> np.ndarray:
         raise NotImplementedError
@@ -115,22 +127,71 @@ class TableEmbeddingProvider(EmbeddingProvider):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TableEmbeddingProvider":
-        """One line per token: the token, then its space-separated components."""
-        table = {}
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected a token and at least one number")
-            table[parts[0]] = [float(x) for x in parts[1:]]
-        return cls(table)
+        """One line per token: the token, then its whitespace-separated components.
+
+        Blank lines and lines starting with ``#`` are skipped; a later line
+        wins on a duplicate token. The lines stream through one
+        ``np.loadtxt`` call, which parses the numbers in C to the same bits
+        as ``float()``. If it refuses a row, the file is read again with
+        ``float()``, which also takes ``1_0`` and non-ASCII digits, and a
+        malformed number or a row of another length raises ValueError naming
+        ``path:lineno``.
+        """
+        rows = _table_rows(path)
+        first = next(rows, None)
+        if first is None:  # loadtxt would warn; __init__ refuses the empty table
+            return cls({})
+        tokens = []
+
+        def numbers():
+            for _, token, text in itertools.chain([first], rows):
+                tokens.append(token)
+                yield text
+
+        try:
+            matrix = np.loadtxt(numbers(), dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            tokens, matrix = _parse_table(path)
+        return cls(dict(zip(tokens, matrix)))
 
     def embed(self, tokens):
         try:
             return np.stack([self.table[t] for t in tokens])
         except KeyError as exc:
             raise MissingEmbeddingError(f"no embedding for token {exc.args[0]!r}") from None
+
+
+def _table_rows(path: str | Path) -> Iterator[tuple[int, str, str]]:
+    """(lineno, token, text of its numbers) for each data line of an embedding table."""
+    with Path(path).open(encoding="utf-8") as fh:
+        # splitlines on each line the file yields: the same lines, and line
+        # numbers, as splitlines on the whole text.
+        lines = (line for physical in fh for line in physical.splitlines())
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: expected a token and at least one number")
+            yield lineno, parts[0], parts[1]
+
+
+def _parse_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Tokens and vectors of an embedding table, each number parsed with ``float()``."""
+    tokens: list[str] = []
+    vectors: list[list[float]] = []
+    for lineno, token, text in _table_rows(path):
+        try:
+            vec = [float(x) for x in text.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if vectors and len(vec) != len(vectors[0]):
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(vectors[0])} numbers, found {len(vec)}"
+            )
+        tokens.append(token)
+        vectors.append(vec)
+    return tokens, np.array(vectors, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -167,15 +228,19 @@ class EvalReport:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
-def _bert_f_for_pair(gold: str, pred: str, embedder: EmbeddingProvider) -> float:
-    gold_tokens = normalize(gold)
-    pred_tokens = normalize(pred)
+def _bert_f_for_pair(
+    gold_tokens: list[str], pred_tokens: list[str], embedder: EmbeddingProvider
+) -> float:
     # Mirror token_f1's edge policy so the report stays total.
     if not gold_tokens and not pred_tokens:
         return 1.0
     if not gold_tokens or not pred_tokens:
         return 0.0
-    _, _, f = bert_score(embedder.embed(gold_tokens), embedder.embed(pred_tokens))
+    gold_vecs = embedder.embed(gold_tokens)
+    # Equal tokens give equal vectors from a deterministic provider; the
+    # kernel still runs, so the score is the one two calls would give.
+    pred_vecs = gold_vecs if pred_tokens == gold_tokens else embedder.embed(pred_tokens)
+    _, _, f = bert_score(gold_vecs, pred_vecs)
     return f
 
 
@@ -189,7 +254,9 @@ def evaluate_predictions(
     Gold records must carry exactly one answer (run collapse_answers first).
     Aggregates are plain means over the scored questions; skipped questions
     are excluded, not zero-filled, and reported so the choice is auditable.
-    BERTScore is omitted entirely when no embedder is supplied.
+    BERTScore is omitted entirely when no embedder is supplied. Each side of
+    a pair is normalized once, and each distinct normalized answer of a pair
+    is embedded once.
     """
     report = EvalReport()
     for rec in gold.records:
@@ -201,13 +268,16 @@ def evaluate_predictions(
         if rec.qid not in predictions:
             report.skipped.append(rec.qid)
             continue
-        gold_text = rec.answers[0].text
-        pred_text = predictions[rec.qid]
-        bert_f = _bert_f_for_pair(gold_text, pred_text, embedder) if embedder else None
+        gold_tokens = normalize(rec.answers[0].text)
+        pred_tokens = normalize(predictions[rec.qid])
         report.per_question[rec.qid] = QuestionScore(
-            em=exact_match(gold_text, pred_text),
-            f1=token_f1(gold_text, pred_text),
-            bert_f=bert_f,
+            em=int(gold_tokens == pred_tokens),
+            f1=_tokens_f1(gold_tokens, pred_tokens),
+            bert_f=(
+                _bert_f_for_pair(gold_tokens, pred_tokens, embedder)
+                if embedder is not None
+                else None
+            ),
         )
     scored = report.per_question.values()
     if scored:

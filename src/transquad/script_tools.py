@@ -11,7 +11,8 @@ Classification runs in C string operations, not a Python loop per
 character. One ``str.translate`` pass maps a token to a string of evidence
 classes (Basic-Latin letter; Devanagari letter or digit; other letter; other
 decimal digit; no evidence), and a few ``in`` tests on that string give the
-script. The translate table is filled lazily, one entry per code point seen.
+script. The translate table is filled lazily, one entry per code point seen,
+up to ``EVIDENCE_CAP`` entries.
 Tokens are found with one regular-expression scan for runs of
 non-whitespace; the regex's whitespace is exactly ``str.isspace()``.
 
@@ -75,11 +76,18 @@ _TOKEN = re.compile(r"\S+")
 MIXED_SAMPLE_SIZE = 10  # distinct tokens quoted in the mixed-script warning
 
 
+# Entries the evidence table keeps. Real text touches a few hundred code
+# points; past the cap a code point is classified on every sight, so a
+# long-lived process fed arbitrary Unicode stays bounded.
+EVIDENCE_CAP = 4096
+
+
 class _EvidenceTable(dict):
     """``str.translate`` table from code point to evidence class, filled on first sight.
 
     Only code points that occur get an entry, so import builds nothing and
-    the table stays as small as the alphabet of the tokens seen.
+    the table stays as small as the alphabet of the tokens seen, and never
+    larger than ``EVIDENCE_CAP``.
     """
 
     def __missing__(self, cp: int) -> str:
@@ -93,7 +101,8 @@ class _EvidenceTable(dict):
             cls = _DEVANAGARI if is_devanagari_digit(ch) else _OTHER_DIGIT
         else:
             cls = _NO_EVIDENCE
-        self[cp] = cls
+        if len(self) < EVIDENCE_CAP:
+            self[cp] = cls
         return cls
 
 

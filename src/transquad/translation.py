@@ -296,13 +296,7 @@ def translate_batch(
                 sleep,
             )
 
-        if max_workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                outputs = list(pool.map(run, chunks))
-        else:
-            outputs = [run(chunk) for chunk in chunks]
-
-        for chunk, out in zip(chunks, outputs):
+        def settle(chunk: list[str], out: list[str]) -> None:
             for source, value in zip(chunk, out):
                 if cache is not None:
                     cache.store(
@@ -311,5 +305,15 @@ def translate_batch(
                     )
                 for i in pending[source]:
                     results[i] = value
+
+        # Each chunk is stored as its result arrives, in input order, so an
+        # engine failure on a later chunk keeps every earlier one cached.
+        if max_workers > 1 and len(chunks) > 1:
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                for chunk, out in zip(chunks, pool.map(run, chunks)):
+                    settle(chunk, out)
+        else:
+            for chunk in chunks:
+                settle(chunk, run(chunk))
 
     return results  # type: ignore[return-value]  # every slot is filled above

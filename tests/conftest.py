@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from transquad.corpus import AnswerSpan, Corpus, QaRecord
+from transquad.evaluation import EmbeddingProvider
 from transquad.script_tools import Transliterator
 from transquad.translation import TranslationEngine
 
@@ -54,6 +55,18 @@ class CountingTransliterator(Transliterator):
         self.calls += 1
         self.tokens_seen.extend(tokens)
         return self.inner.transliterate(tokens)
+
+
+class CountingEmbedder(EmbeddingProvider):
+    """Wraps another embedding provider and records the token lists it was asked for."""
+
+    def __init__(self, inner: EmbeddingProvider):
+        self.inner = inner
+        self.calls: list[list[str]] = []
+
+    def embed(self, tokens):
+        self.calls.append(list(tokens))
+        return self.inner.embed(tokens)
 
 
 def alpha_suffix(i: int) -> str:

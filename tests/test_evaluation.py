@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from transquad.evaluation import (
     normalize,
     token_f1,
 )
+
+from conftest import CountingEmbedder
 
 REFERENCE = "मराठी प्रश्न उत्तर शिकणे"
 PRED_EXACT = "मराठी प्रश्न उत्तर शिकणे"
@@ -117,7 +120,7 @@ def brute_force_bert(gold, pred):
     matrix = [[cos(g, p) for p in pred] for g in gold]
     recall = sum(max(row) for row in matrix) / len(gold)
     precision = sum(max(col) for col in zip(*matrix)) / len(pred)
-    f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    f = 0.0 if precision * recall <= 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f
 
 
@@ -171,6 +174,32 @@ def test_bert_input_validation():
         bert_score([[1.0, 0.0]], [[1.0]])
 
 
+def test_bert_f_is_zero_when_precision_and_recall_differ_in_sign():
+    # Near-orthogonal vectors: recall is the best cosine, 1e-8; precision
+    # averages it with a slightly larger negative one, so P is just below -R
+    # and 2PR / (P + R) would be about 20.
+    gold = [[1.0, 0.0]]
+    pred = [[1e-8, 1.0], [-3.00000002e-8, 1.0]]
+    p, r, f = bert_score(gold, pred)
+    assert p < 0 < r and abs(p + r) < 1e-16
+    assert 2 * p * r / (p + r) > 1.0
+    assert f == 0.0
+
+
+def test_bert_f_stays_in_unit_interval_on_near_orthogonal_vectors():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        gold = rng.normal(size=(rng.integers(1, 4), 6))
+        pred = rng.normal(size=(rng.integers(1, 4), 6))
+        # Push every pred row nearly orthogonal to every gold row.
+        q, _ = np.linalg.qr(gold.T, mode="complete")
+        pred = pred @ q[:, gold.shape[0]:] @ q[:, gold.shape[0]:].T + 1e-9 * pred
+        p, r, f = bert_score(gold, pred)
+        assert -1.0 <= f <= 1.0
+        if p * r <= 0:
+            assert f == 0.0
+
+
 def test_one_hot_reduction_equals_token_f1():
     rng = random.Random(41)
     vocab = [f"tok{chr(ord('a') + i)}" for i in range(12)]
@@ -214,6 +243,68 @@ def test_table_provider_from_file(tmp_path):
     path.write_text("a 1.0 0.0\nb 0.0 1.0\n", encoding="utf-8")
     provider = TableEmbeddingProvider.from_file(path)
     assert np.array_equal(provider.embed(["a"])[0], [1.0, 0.0])
+
+
+def float_bits(fields):
+    return np.array([float(x) for x in fields], dtype=np.float64).tobytes()
+
+
+def test_table_provider_from_file_gives_float_bits(tmp_path):
+    rows = {
+        "a": ["0.1", "-2.5e-3", "1E+05", "nan", "-nan", "inf", "-Infinity", "4.9e-324"],
+        "b": ["1.", ".5", "+3", "-0.0", "1e308", "1e400", "2.2250738585072011e-308", "7"],
+        # loadtxt refuses these two spellings; float() takes them
+        "c": ["1_000", "\u0967.\u096b", "1", "2", "3", "4", "5", "6"],
+    }
+    path = tmp_path / "emb.txt"
+    path.write_text(
+        "# comment line\n"
+        "a\t" + "\t".join(rows["a"]) + "\n"
+        "\n"
+        "b " + "  ".join(rows["b"]) + " \n"
+        "c\u00a0" + " \t".join(rows["c"]) + "\n",
+        encoding="utf-8",
+    )
+    provider = TableEmbeddingProvider.from_file(path)
+    assert sorted(provider.table) == ["a", "b", "c"]
+    for token, fields in rows.items():
+        assert provider.table[token].tobytes() == float_bits(fields), token
+
+
+def test_table_provider_from_file_later_duplicate_wins(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\nb 3 4\na 5 6\n", encoding="utf-8")
+    provider = TableEmbeddingProvider.from_file(path)
+    assert provider.embed(["a", "b"]).tolist() == [[5.0, 6.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a 1 2\n\nb 3 x\n", "emb.txt:3: could not convert string to float: 'x'"),
+        ("a 1 2\nb 3 4 #5\n", "emb.txt:2: could not convert string to float: '#5'"),
+        # str.splitlines breaks lines at a form feed too, and counts them
+        ("a 1 2\x0cb 3 x\n", "emb.txt:2: could not convert string to float: 'x'"),
+        ("a 1 2\n# c\nb 3\n", "emb.txt:3: expected 2 numbers, found 1"),
+        ("a 1 2\nb 3 4 5\n", "emb.txt:2: expected 2 numbers, found 3"),
+        ("a 1 2\nb\n", "emb.txt:2: expected a token and at least one number"),
+    ],
+)
+def test_table_provider_from_file_names_the_bad_line(tmp_path, text, message):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        TableEmbeddingProvider.from_file(path)
+    assert str(info.value) == f"{tmp_path}/{message}"
+
+
+def test_table_provider_from_file_rejects_an_empty_table(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("# only a comment\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on empty input
+        with pytest.raises(ValueError, match="must not be empty"):
+            TableEmbeddingProvider.from_file(path)
 
 
 # -- evaluate_predictions --
@@ -282,6 +373,52 @@ def test_evaluate_with_embedder_adds_bert_f():
     assert score.bert_f is not None and 0.0 < score.bert_f < 1.0
     no_embed = evaluate_predictions(gold, {"q1": "a c"})
     assert no_embed.per_question["q1"].bert_f is None
+
+
+@pytest.mark.parametrize(
+    "gold, pred, calls",
+    [
+        ("a b", "a b", [["a", "b"]]),  # exact copy
+        ("a b", '"A, B."', [["a", "b"]]),  # case and punctuation variant
+        ("a b", "b a", [["a", "b"], ["b", "a"]]),  # same tokens, other order
+        ("a b", "a c", [["a", "b"], ["a", "c"]]),
+        ("a b", "", []),
+        ("a b", "।", []),  # normalizes to no tokens
+        ("॥", "a", []),
+        ("॥", "।", []),
+    ],
+)
+def test_evaluate_embeds_each_distinct_answer_once(gold, pred, calls):
+    table = TableEmbeddingProvider({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
+    embedder = CountingEmbedder(table)
+    report = evaluate_predictions(gold_corpus([("q1", gold)]), {"q1": pred}, embedder)
+    assert embedder.calls == calls
+    # One array on both sides scores what two separate calls score.
+    g, p = normalize(gold), normalize(pred)
+    if g and p:
+        expected = bert_score(table.embed(g), table.embed(p))[2]
+    else:
+        expected = float(g == p)
+    assert report.per_question["q1"].bert_f == expected
+
+
+def test_evaluate_uses_no_memo_across_pairs():
+    embedder = CountingEmbedder(TableEmbeddingProvider({"a": [1.0, 0.0], "b": [0.0, 1.0]}))
+    gold = gold_corpus([("q1", "a b"), ("q2", "a b")])
+    evaluate_predictions(gold, {"q1": "a b", "q2": "a"}, embedder)
+    assert embedder.calls == [["a", "b"], ["a", "b"], ["a"]]
+
+
+def test_evaluate_normalizes_each_side_once(monkeypatch):
+    import transquad.evaluation as evaluation
+
+    seen = []
+    original = evaluation.normalize
+    monkeypatch.setattr(evaluation, "normalize", lambda text: seen.append(text) or original(text))
+    gold = gold_corpus([("q1", "a b"), ("q2", "c")])
+    table = TableEmbeddingProvider({"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]})
+    evaluate_predictions(gold, {"q1": "A b.", "q2": "a"}, table)
+    assert seen == ["a b", "A b.", "c", "a"]
 
 
 def test_evaluate_requires_collapsed_gold():

@@ -444,7 +444,7 @@ def test_cli_evaluate(tmp_path, capsys):
     assert report["aggregate"]["f1"] == 1.0
 
 
-def run_evaluate_with_embeddings(tmp_path, prediction):
+def run_evaluate_with_embeddings(tmp_path, prediction, table="alpha 1 0\nbeta 0 1\n"):
     """``evaluate --embeddings`` on one gold answer "alpha beta" and a 2-token table."""
     doc = {
         "version": "1.1",
@@ -469,7 +469,7 @@ def run_evaluate_with_embeddings(tmp_path, prediction):
     gold_path = tmp_path / "gold.json"
     gold_path.write_text(json.dumps(doc), encoding="utf-8")
     (tmp_path / "pred.json").write_text(json.dumps({"q1": prediction}), encoding="utf-8")
-    (tmp_path / "emb.txt").write_text("alpha 1 0\nbeta 0 1\n", encoding="utf-8")
+    (tmp_path / "emb.txt").write_text(table, encoding="utf-8")
     return main(
         [
             "evaluate",
@@ -491,6 +491,15 @@ def test_cli_evaluate_token_missing_from_embeddings_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: no embedding for token 'gamma'\n"
+
+
+def test_cli_evaluate_malformed_embedding_number_exits_1(tmp_path, capsys):
+    assert run_evaluate_with_embeddings(tmp_path, "alpha", "alpha 1 0\nbeta 0 1,5\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {tmp_path / 'emb.txt'}:2: could not convert string to float: '1,5'\n"
+    )
 
 
 def test_cli_stage_command_requires_config(tmp_path, capsys):

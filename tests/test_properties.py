@@ -1,16 +1,34 @@
-"""Property tests: the C-level script scans against their per-character references.
+"""Property tests: fast paths against plain per-item references.
 
-Random text mixes arbitrary code points with the ones the scans must get
-right: every kind of Unicode whitespace, Basic-Latin and other letters,
+The C-level script scans run against their per-character references on
+random text that mixes arbitrary code points with the ones the scans must
+get right: every kind of Unicode whitespace, Basic-Latin and other letters,
 Devanagari letters, marks and digits, other decimal digits, and characters
-outside the Basic Multilingual Plane.
+outside the Basic Multilingual Plane. The evaluator runs against per-pair
+EM, F1 and BERTScore, and the embedding-table loader against ``float()``.
 """
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from transquad import script_tools
 from transquad.alignment import AlignmentCandidate
+from transquad.corpus import AnswerSpan, Corpus, QaRecord
+from transquad.evaluation import (
+    EmbeddingProvider,
+    EvalReport,
+    QuestionScore,
+    TableEmbeddingProvider,
+    bert_score,
+    evaluate_predictions,
+    exact_match,
+    normalize,
+    token_f1,
+)
 from transquad.filtering import non_latin_letter_ratio
 from transquad.pipeline import postprocess_candidates
 from transquad.script_tools import (
@@ -109,6 +127,16 @@ def test_transliterate_residuals_on_every_code_point_near_devanagari():
             assert_routed_like_reference(text)
 
 
+def test_evidence_table_stays_under_its_cap():
+    everything = "".join(map(chr, range(0x110000)))
+    classify_token(everything)
+    assert len(script_tools._EVIDENCE) <= script_tools.EVIDENCE_CAP
+    # Code points past the cap are still classified, each time they are seen.
+    for cp in range(0x10000, 0x110000, 997):
+        assert classify_token(chr(cp)) == reference.classify_token(chr(cp))
+        assert classify_token("a" + chr(cp)) == reference.classify_token("a" + chr(cp))
+
+
 @PROPERTY
 @given(TEXT)
 def test_localize_digits_keeps_length_and_is_idempotent(text):
@@ -145,3 +173,97 @@ def test_postprocess_dedup_equals_processing_every_field(data):
         (c.qid, c.title, c.translated_context, c.translated_question, c.translated_answer)
         for c in got
     ] == [(f"q{i}", "t", fix(c), fix(q), fix(a)) for i, (c, q, a) in enumerate(fields)]
+
+
+# -- evaluation --
+
+
+class HashEmbedder(EmbeddingProvider):
+    """A deterministic, never-zero vector for any token, from its SHA-256."""
+
+    def embed(self, tokens):
+        return np.array(
+            [np.frombuffer(hashlib.sha256(t.encode()).digest(), dtype=np.int8) + 0.5
+             for t in tokens],
+            dtype=np.float64,
+        )
+
+
+def reference_report(pairs, predictions, embedder) -> EvalReport:
+    """Per pair: exact_match, token_f1 and bert_score on separately embedded sides."""
+    report = EvalReport()
+    for qid, gold in pairs:
+        if qid not in predictions:
+            report.skipped.append(qid)
+            continue
+        pred = predictions[qid]
+        gold_tokens, pred_tokens = normalize(gold), normalize(pred)
+        if gold_tokens and pred_tokens:
+            bert_f = bert_score(embedder.embed(gold_tokens), embedder.embed(pred_tokens))[2]
+        else:
+            bert_f = float(gold_tokens == pred_tokens)
+        report.per_question[qid] = QuestionScore(
+            em=exact_match(gold, pred), f1=token_f1(gold, pred), bert_f=bert_f
+        )
+    scored = report.per_question.values()
+    if scored:
+        report.mean_em = sum(s.em for s in scored) / len(scored)
+        report.mean_f1 = sum(s.f1 for s in scored) / len(scored)
+        report.mean_bert_f = sum(s.bert_f for s in scored) / len(scored)
+    return report
+
+
+ANSWER = st.text(alphabet=st.sampled_from(" \taAbBक१.,!\"।"), max_size=8)
+
+
+@st.composite
+def answer_pairs(draw):
+    """(gold, prediction or None): copies, case/punctuation variants and free text."""
+    gold = draw(ANSWER)
+    variant = gold.upper().replace(".", "").replace("।", ",") + draw(st.sampled_from(["", ".", "।"]))
+    pred = draw(st.one_of(st.none(), st.just(gold), st.just(variant), ANSWER))
+    return gold, pred
+
+
+@PROPERTY
+@given(st.lists(answer_pairs(), max_size=8))
+def test_evaluate_predictions_equals_per_pair_reference(drawn):
+    pairs = [(f"q{i}", gold) for i, (gold, _) in enumerate(drawn)]
+    predictions = {f"q{i}": pred for i, (_, pred) in enumerate(drawn) if pred is not None}
+    gold = Corpus(
+        split="test",
+        records=tuple(
+            QaRecord(qid=qid, question="?", context=text, answers=(AnswerSpan(text, 0),), title="t")
+            for qid, text in pairs
+        ),
+    )
+    embedder = HashEmbedder()
+    got = evaluate_predictions(gold, predictions, embedder)
+    assert got.to_json() == reference_report(pairs, predictions, embedder).to_json()
+
+
+NUMBER = st.floats(allow_nan=True, allow_infinity=True).flatmap(
+    lambda x: st.sampled_from([repr(x), f"{x:.6g}", f"{x:e}", f"{x:+.3E}"])
+)
+GAP = st.sampled_from([" ", "\t", "  ", " \t ", "\u00a0", "\u3000"])
+
+
+@PROPERTY
+@given(st.lists(st.lists(NUMBER, min_size=3, max_size=3), min_size=1, max_size=5), GAP, st.data())
+def test_table_loader_gives_float_bits(tmp_path_factory, rows, first_gap, data):
+    lines = []
+    for i, row in enumerate(rows):
+        gaps = [first_gap] + [data.draw(GAP) for _ in row[1:]]
+        lines.append(f"t{i}" + "".join(g + x for g, x in zip(gaps, row)))
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        provider = TableEmbeddingProvider.from_file(path)
+    except ValueError as exc:
+        # The only row the table refuses is an all-zero one.
+        assert "all zeros" in str(exc)
+        assert any(not np.any([float(x) for x in row]) for row in rows)
+        return
+    for i, row in enumerate(rows):
+        want = np.array([float(x) for x in row], dtype=np.float64).tobytes()
+        assert provider.table[f"t{i}"].tobytes() == want

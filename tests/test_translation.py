@@ -260,6 +260,37 @@ def test_permanent_engine_error_not_retried():
     assert engine.calls == 1
 
 
+class FailingTextEngine(TranslationEngine):
+    """Uppercases, but every call that holds ``bad`` fails transiently."""
+
+    engine_id = "uppercase"
+
+    def __init__(self, bad: str):
+        self.bad = bad
+
+    def translate(self, texts, source_lang, target_lang):
+        if self.bad in texts:
+            raise TransientEngineError("this chunk keeps failing")
+        return [t.upper() for t in texts]
+
+
+@pytest.mark.parametrize("max_workers", [1, 3])
+def test_late_chunk_failure_keeps_earlier_chunks_cached(tmp_path, max_workers):
+    texts = [f"word{i}" for i in range(10)]  # chunks of 4: 0-3, 4-7, 8-9
+    req = request(texts, "uppercase")
+    path = tmp_path / "cache.jsonl"
+    with TranslationCache(path) as cache, pytest.raises(EngineUnavailableError):
+        translate_batch(req, FailingTextEngine("word9"), cache, batch_size=4,
+                        max_workers=max_workers, sleep=lambda s: None)
+
+    engine = CountingEngine(UppercaseEngine())
+    with TranslationCache(path) as cache:
+        assert len(cache) == 8
+        out = translate_batch(req, engine, cache, batch_size=4, max_workers=max_workers)
+    assert out == [t.upper() for t in texts]
+    assert (engine.calls, engine.texts_translated) == (1, 2)
+
+
 def test_request_validates_inputs():
     with pytest.raises(ValueError):
         TranslationRequest(texts=(), source_lang="en", target_lang="mr", engine_id="identity")
