@@ -1,13 +1,15 @@
 """Text helpers shared by filtering, script tools, translation, alignment and evaluation.
 
-Character-level predicates, plus the two-column table format that the mock
-translation engine and transliterator both read. All offsets and lengths in
-this package count Unicode code points, which is what Python string indexing
-gives us for free.
+Character-level predicates, the two-column table format that the mock
+translation engine and transliterator both read, and the atomic file write
+every output goes through. All offsets and lengths in this package count
+Unicode code points, which is what Python string indexing gives us for free.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 import unicodedata
 from pathlib import Path
 
@@ -60,3 +62,26 @@ def read_tsv_table(path: str | Path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
         table[parts[0]] = parts[1]
     return table
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
+
+    A failure at any point leaves the old file, if any, untouched and no
+    temp file behind.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        # mkstemp creates 0600; give the file the mode a plain open() would.
+        # The umask can only be read by setting it, so it is put back at once.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except OSError:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

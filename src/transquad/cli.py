@@ -24,6 +24,7 @@ import logging
 import sys
 from pathlib import Path
 
+from ._text import atomic_write
 from .alignment import align_corpus
 from .corpus import compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, PipelineError, TransquadError
@@ -128,7 +129,7 @@ def _cmd_stats(args) -> int:
     payload = json.dumps(compute_stats(corpus).to_dict(), indent=2)
     print(payload)
     if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+        atomic_write(args.output, (payload + "\n").encode("utf-8"))
     return 0
 
 
@@ -155,6 +156,8 @@ def _cmd_translate(args) -> int:
             target_lang=cfg.target_lang,
             cache=cache,
             parallelism=cfg.parallelism,
+            batch_size=cfg.batch_size,
+            max_batch_chars=cfg.max_batch_chars,
         )
     out = args.output or _derived(cfg, ".candidates.jsonl")
     write_candidates(candidates, out, split=cfg.split)
@@ -194,7 +197,7 @@ def _cmd_evaluate(args) -> int:
     payload = report.to_json()
     print(payload)
     if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+        atomic_write(args.output, (payload + "\n").encode("utf-8"))
     return 0
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from ._text import atomic_write
 from .errors import (
     EmptyAnswersError,
     EncodingError,
@@ -326,4 +327,4 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path, allow_invalid: bool = False) -> None:
-    Path(path).write_bytes(serialize_corpus(corpus, allow_invalid=allow_invalid))
+    atomic_write(path, serialize_corpus(corpus, allow_invalid=allow_invalid))

@@ -122,6 +122,8 @@ class TableEmbeddingProvider(EmbeddingProvider):
                 raise ValueError(f"vector for {token!r} breaks the fixed dimension {dim}")
             if not np.any(arr):
                 raise ValueError(f"vector for {token!r} is all zeros")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"vector for {token!r} has a non-finite component")
             self.table[token] = arr
         self.dim = dim
 
@@ -134,7 +136,8 @@ class TableEmbeddingProvider(EmbeddingProvider):
         ``np.loadtxt`` call, which parses the numbers in C to the same bits
         as ``float()``. If it refuses a row, the file is read again with
         ``float()``, which also takes ``1_0`` and non-ASCII digits, and a
-        malformed number or a row of another length raises ValueError naming
+        malformed number, a row of another length or a non-finite component
+        (``nan``, ``inf``, which ``float()`` accepts) raises ValueError naming
         ``path:lineno``.
         """
         rows = _table_rows(path)
@@ -152,6 +155,11 @@ class TableEmbeddingProvider(EmbeddingProvider):
             matrix = np.loadtxt(numbers(), dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             tokens, matrix = _parse_table(path)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            lineno = next(itertools.islice(_table_rows(path), row, None))[0]
+            raise ValueError(f"{path}:{lineno}: non-finite vector component")
         return cls(dict(zip(tokens, matrix)))
 
     def embed(self, tokens):
@@ -225,7 +233,8 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
+        # A non-finite score would be written as bare NaN, which is not JSON.
+        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, allow_nan=False)
 
 
 def _bert_f_for_pair(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ._text import atomic_write
 from .corpus import Corpus
 from .errors import ConfigError, ConfigValidationError
 
@@ -111,7 +112,7 @@ class RejectionLog:
         return "".join(json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in self.entries)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        atomic_write(path, self.to_jsonl().encode("utf-8"))
 
     @classmethod
     def read(cls, path: str | Path) -> RejectionLog:

@@ -1,18 +1,20 @@
 """End-to-end dataset construction: parse, collapse, filter, translate, fix scripts, realign.
 
 Stage order: parse -> prefilter (collapse_answers, then filter_corpus) ->
-translate_records (context, question, and answer as three independent
-batches) -> postprocess_candidates (transliterate_residuals, then
-localize_digits, once per distinct text) -> align_corpus -> write_dataset. Collapsing first means
-only one answer per record is ever translated; translating the three fields
-independently is what makes the answer-not-found rejection meaningful.
+translate_records (context, question and answer of every record through one
+request queue, each text translated on its own) -> postprocess_candidates
+(transliterate_residuals, then localize_digits, once per distinct text) ->
+align_corpus -> write_dataset. Collapsing first means only one answer per
+record is ever translated; translating each text on its own, never the
+answer as part of its context, is what makes the answer-not-found rejection
+meaningful.
 ``run_pipeline`` and the CLI's stage subcommands call the same stage
 functions, so both write the same corpus, rejection log and stats.
 
 Outputs are written atomically (temp file + rename), so an aborted run never
 leaves a truncated dataset behind. With deterministic engines a fixed config
 produces byte-identical corpus/log/stats across runs, whatever the
-parallelism.
+parallelism, batch size or character cap.
 
 Stage commands exchange intermediate state as "candidates" JSON Lines: one
 object per record with qid, title, question, context, answer, and the
@@ -23,13 +25,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from ._text import atomic_write
 from .alignment import AlignmentCandidate, align_corpus
 from .corpus import (
     Corpus,
@@ -57,6 +58,8 @@ from .script_tools import (
     warn_mixed_tokens,
 )
 from .translation import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_MAX_BATCH_CHARS,
     TranslationCache,
     TranslationEngine,
     TranslationRequest,
@@ -82,13 +85,17 @@ class PipelineConfig:
     cache_path: str
     filter: FilterConfig = field(default_factory=FilterConfig)
     parallelism: int = 4
+    batch_size: int = DEFAULT_BATCH_SIZE
+    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS
     split: str = "train"
 
     def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ConfigValidationError(
-                f"parallelism must be >= 1, got {self.parallelism}", field="parallelism"
-            )
+        for name in ("parallelism", "batch_size", "max_batch_chars"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigValidationError(
+                    f"{name} must be an integer >= 1, got {value!r}", field=name
+                )
         if self.split not in SPLITS:
             raise ConfigValidationError(
                 f"split must be one of {SPLITS}, got {self.split!r}", field="split"
@@ -214,28 +221,38 @@ def translate_records(
     target_lang: str,
     cache: TranslationCache | None = None,
     parallelism: int = 4,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS,
 ) -> list[AlignmentCandidate]:
-    """Translate context, question and answer as three independent batches.
+    """Translate every context, question and answer through one ``translate_batch`` call.
 
-    Each candidate carries its source record's relative answer position.
+    The queue is interleaved per record (context, question, answer), so the
+    character cap fills engine chunks evenly, and a text repeated across
+    fields or records is sent once. Each text is still translated on its
+    own, so the output is the same as three separate calls would give. Each
+    candidate carries its source record's relative answer position.
     """
     if not records:
         return []
 
-    def translate(texts: list[str]) -> list[str]:
-        request = TranslationRequest(
-            texts=tuple(texts),
-            source_lang=source_lang,
-            target_lang=target_lang,
-            engine_id=engine.engine_id,
-        )
-        return translate_batch(request, engine, cache, max_workers=parallelism)
-
-    contexts = translate([rec.context for rec in records])
-    questions = translate([rec.question for rec in records])
-    answers = translate([rec.answers[0].text for rec in records])
+    request = TranslationRequest(
+        texts=tuple(
+            text for rec in records for text in (rec.context, rec.question, rec.answers[0].text)
+        ),
+        source_lang=source_lang,
+        target_lang=target_lang,
+        engine_id=engine.engine_id,
+    )
+    out = translate_batch(
+        request,
+        engine,
+        cache,
+        batch_size=batch_size,
+        max_batch_chars=max_batch_chars,
+        max_workers=parallelism,
+    )
     candidates = []
-    for rec, ctx, question, answer in zip(records, contexts, questions, answers):
+    for rec, ctx, question, answer in zip(records, out[0::3], out[1::3], out[2::3]):
         # Clamp: the relative position is only a tie-break hint, so a source
         # span that is itself out of bounds must not abort the run.
         relative = rec.answers[0].start / len(rec.context) if rec.context else 0.0
@@ -313,6 +330,8 @@ def run_corpus_pipeline(
     target_lang: str,
     cache: TranslationCache | None = None,
     parallelism: int = 4,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS,
 ) -> PipelineResult:
     """The in-memory pipeline core: every stage between parse and serialize."""
     kept, log = prefilter(corpus, filter_cfg)
@@ -323,6 +342,8 @@ def run_corpus_pipeline(
         target_lang=target_lang,
         cache=cache,
         parallelism=parallelism,
+        batch_size=batch_size,
+        max_batch_chars=max_batch_chars,
     )
     aligned, alignment_log = align_corpus(
         postprocess_candidates(candidates, transliterator), split=corpus.split
@@ -336,24 +357,6 @@ def run_corpus_pipeline(
     )
 
 
-def _atomic_write(path: str | Path, data: bytes) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        # mkstemp creates 0600; give the file the mode a plain open() would.
-        # The umask can only be read by setting it, so it is put back at once.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _json_bytes(payload: dict[str, Any]) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
@@ -365,7 +368,7 @@ def write_dataset(
     rejection_log_path: str | Path,
     stats_path: str | Path,
 ) -> None:
-    """Check every span, then write the corpus (atomically), the rejection log and the stats.
+    """Check every span, then write the corpus, the rejection log and the stats, each atomically.
 
     Nothing is written when the check fails. The check here is the only
     one: serialization is told not to repeat it.
@@ -375,9 +378,9 @@ def write_dataset(
         raise InvalidCorpusError(
             f"pipeline produced {len(report.violations)} invalid span(s); this is a bug"
         )
-    _atomic_write(output_path, serialize_corpus(corpus, allow_invalid=True))
+    atomic_write(output_path, serialize_corpus(corpus, allow_invalid=True))
     log.write(rejection_log_path)
-    _atomic_write(stats_path, _json_bytes(compute_stats(corpus).to_dict()))
+    atomic_write(stats_path, _json_bytes(compute_stats(corpus).to_dict()))
 
 
 def run_pipeline(
@@ -416,6 +419,8 @@ def run_pipeline(
             target_lang=cfg.target_lang,
             cache=cache,
             parallelism=cfg.parallelism,
+            batch_size=cfg.batch_size,
+            max_batch_chars=cfg.max_batch_chars,
         )
 
         stage = "write"
@@ -433,7 +438,7 @@ def run_pipeline(
             rejected_by_reason=result.rejection_log.counts_by_reason(),
             wall_time=time.perf_counter() - started,
         )
-        _atomic_write(cfg.summary_path, _json_bytes(summary.to_dict()))
+        atomic_write(cfg.summary_path, _json_bytes(summary.to_dict()))
         return summary
     except PipelineError:
         raise
@@ -448,23 +453,25 @@ def run_pipeline(
 
 
 def write_candidates(candidates: list[AlignmentCandidate], path: str | Path, split: str) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for cand in candidates:
-            fh.write(
-                json.dumps(
-                    {
-                        "qid": cand.qid,
-                        "title": cand.title,
-                        "split": split,
-                        "question": cand.translated_question,
-                        "context": cand.translated_context,
-                        "answer": cand.translated_answer,
-                        "original_relative_position": cand.original_relative_position,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
+    atomic_write(
+        path,
+        "".join(
+            json.dumps(
+                {
+                    "qid": cand.qid,
+                    "title": cand.title,
+                    "split": split,
+                    "question": cand.translated_question,
+                    "context": cand.translated_context,
+                    "answer": cand.translated_answer,
+                    "original_relative_position": cand.original_relative_position,
+                },
+                ensure_ascii=False,
             )
+            + "\n"
+            for cand in candidates
+        ).encode("utf-8"),
+    )
 
 
 def read_candidates(path: str | Path) -> tuple[list[AlignmentCandidate], str]:

@@ -7,8 +7,13 @@ untouched, which conveniently mimics the untranslated-residue problem the
 script tools clean up afterwards.
 
 The cache is a JSON Lines file keyed by (engine_id, source_lang, target_lang,
-source_text); it is loaded into memory when opened and appended to on every
-store, so entries survive process restarts.
+source_text); it is loaded into memory when opened and appended to once per
+engine chunk, so entries survive process restarts.
+
+Engine requests are shaped like a commercial MT API's: a chunk closes at
+``DEFAULT_BATCH_SIZE`` texts or ``DEFAULT_MAX_BATCH_CHARS`` code points,
+whichever comes first. Google Cloud Translation, for one, accepts 128
+segments per request and recommends staying under 30k code points.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._text import read_tsv_table
 from .errors import (
@@ -37,7 +42,8 @@ CacheKey = tuple[str, str, str, str]  # engine_id, source_lang, target_lang, sou
 
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 1.0  # seconds; doubles per retry
-DEFAULT_BATCH_SIZE = 32
+DEFAULT_BATCH_SIZE = 128  # texts per engine call
+DEFAULT_MAX_BATCH_CHARS = 30_000  # code points per engine call
 DEFAULT_MAX_WORKERS = 4
 
 
@@ -120,9 +126,11 @@ class TranslationCache:
 
     Each line carries engine_id, source_lang, target_lang, source_text, value
     (plus a timestamp). The whole file is loaded on open; later lines win on
-    duplicate keys. A torn last line, left by a crash mid-append, is dropped
-    and cut off before the next append. Safe for concurrent lookup/store; values for a key are
-    deterministic per engine, so last-writer-wins is harmless.
+    duplicate keys. ``store_many`` appends its entries in one write and one
+    flush, so a crash mid-append leaves every earlier chunk whole and at most
+    one torn last line, which is dropped and cut off before the next append.
+    Safe for concurrent lookup/store; values for a key are deterministic per
+    engine, so last-writer-wins is harmless.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -184,9 +192,14 @@ class TranslationCache:
             return self._entries.get(key)
 
     def store(self, key: CacheKey, value: str) -> None:
+        self.store_many([(key, value)])
+
+    def store_many(self, items: Iterable[tuple[CacheKey, str]]) -> None:
+        """Store every (key, value) pair, appending them to the file in one write and one flush."""
+        items = list(items)
         with self._lock:
-            self._entries[key] = value
-            if self._path is None:
+            self._entries.update(items)
+            if self._path is None or not items:
                 return
             try:
                 if self._handle is None:
@@ -196,15 +209,24 @@ class TranslationCache:
                     elif self._needs_newline:
                         self._handle.write("\n")
                     self._torn_at, self._needs_newline = None, False
-                record = {
-                    "engine_id": key[0],
-                    "source_lang": key[1],
-                    "target_lang": key[2],
-                    "source_text": key[3],
-                    "value": value,
-                    "timestamp": time.time(),
-                }
-                self._handle.write(json.dumps(record, ensure_ascii=False) + "\n")
+                stamp = time.time()
+                self._handle.write(
+                    "".join(
+                        json.dumps(
+                            {
+                                "engine_id": key[0],
+                                "source_lang": key[1],
+                                "target_lang": key[2],
+                                "source_text": key[3],
+                                "value": value,
+                                "timestamp": stamp,
+                            },
+                            ensure_ascii=False,
+                        )
+                        + "\n"
+                        for key, value in items
+                    )
+                )
                 self._handle.flush()
             except OSError as exc:
                 raise CacheIOError(f"cannot write cache {self._path}: {exc}") from exc
@@ -250,12 +272,39 @@ def _call_with_retry(
     ) from last
 
 
+def chunk_texts(texts: Sequence[str], batch_size: int, max_batch_chars: int) -> list[list[str]]:
+    """Split texts, in input order, into the chunks one engine call each carries.
+
+    A chunk holds at most ``batch_size`` texts and ``max_batch_chars`` code
+    points; it closes when the next text would break either cap. A text longer
+    than ``max_batch_chars`` goes alone in a chunk of its own; no text is
+    ever split.
+    """
+    if batch_size < 1 or max_batch_chars < 1:
+        raise ValueError(
+            f"batch_size and max_batch_chars must be >= 1, got {batch_size} and {max_batch_chars}"
+        )
+    chunks: list[list[str]] = []
+    chunk: list[str] = []
+    chars = 0
+    for text in texts:
+        if chunk and (len(chunk) == batch_size or chars + len(text) > max_batch_chars):
+            chunks.append(chunk)
+            chunk, chars = [], 0
+        chunk.append(text)
+        chars += len(text)
+    if chunk:
+        chunks.append(chunk)
+    return chunks
+
+
 def translate_batch(
     request: TranslationRequest,
     engine: TranslationEngine,
     cache: TranslationCache | None = None,
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
+    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS,
     max_workers: int = DEFAULT_MAX_WORKERS,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff_base: float = DEFAULT_BACKOFF_BASE,
@@ -264,11 +313,12 @@ def translate_batch(
     """Translate a batch, consulting the cache per text before touching the engine.
 
     The output list is parallel to the input (same length, same order).
-    Duplicate texts are sent to the engine once. Cache misses are chunked into
-    engine calls of at most ``batch_size`` texts, with up to ``max_workers``
-    in flight; the merge preserves input order, so results are independent of
-    the parallelism degree. Transient engine failures are retried with
-    exponential backoff.
+    Duplicate texts are sent to the engine once. Cache misses are chunked by
+    ``chunk_texts`` into engine calls of at most ``batch_size`` texts and
+    ``max_batch_chars`` code points, with up to ``max_workers`` in flight;
+    the merge preserves input order, so results are independent of the
+    parallelism degree and of the chunking. Transient engine failures are
+    retried with exponential backoff.
     """
     texts = list(request.texts)
     results: list[str | None] = [None] * len(texts)
@@ -282,8 +332,7 @@ def translate_batch(
             pending.setdefault(text, []).append(i)
 
     if pending:
-        unique = list(pending)
-        chunks = [unique[j : j + batch_size] for j in range(0, len(unique), batch_size)]
+        chunks = chunk_texts(list(pending), batch_size, max_batch_chars)
 
         def run(chunk: list[str]) -> list[str]:
             return _call_with_retry(
@@ -297,12 +346,12 @@ def translate_batch(
             )
 
         def settle(chunk: list[str], out: list[str]) -> None:
+            if cache is not None:
+                cache.store_many(
+                    ((request.engine_id, request.source_lang, request.target_lang, source), value)
+                    for source, value in zip(chunk, out)
+                )
             for source, value in zip(chunk, out):
-                if cache is not None:
-                    cache.store(
-                        (request.engine_id, request.source_lang, request.target_lang, source),
-                        value,
-                    )
                 for i in pending[source]:
                     results[i] = value
 

@@ -29,17 +29,19 @@ DEVANAGARI_WORDS = (
 
 
 class CountingEngine(TranslationEngine):
-    """Wraps another engine and counts invocations; for cache/retry tests."""
+    """Wraps another engine, counts invocations and records each call's texts."""
 
     def __init__(self, inner: TranslationEngine):
         self.inner = inner
         self.engine_id = inner.engine_id
         self.calls = 0
         self.texts_translated = 0
+        self.sent: list[list[str]] = []
 
     def translate(self, texts, source_lang, target_lang):
         self.calls += 1
         self.texts_translated += len(texts)
+        self.sent.append(list(texts))
         return self.inner.translate(texts, source_lang, target_lang)
 
 

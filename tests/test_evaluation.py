@@ -11,6 +11,8 @@ import pytest
 
 from transquad.corpus import AnswerSpan, Corpus, QaRecord
 from transquad.evaluation import (
+    EvalReport,
+    QuestionScore,
     TableEmbeddingProvider,
     bert_score,
     evaluate_predictions,
@@ -251,8 +253,9 @@ def float_bits(fields):
 
 def test_table_provider_from_file_gives_float_bits(tmp_path):
     rows = {
-        "a": ["0.1", "-2.5e-3", "1E+05", "nan", "-nan", "inf", "-Infinity", "4.9e-324"],
-        "b": ["1.", ".5", "+3", "-0.0", "1e308", "1e400", "2.2250738585072011e-308", "7"],
+        "a": ["0.1", "-2.5e-3", "1E+05", "-0", "1e-310", "-1.7976931348623157e308", "2E-2",
+              "4.9e-324"],
+        "b": ["1.", ".5", "+3", "-0.0", "1e308", "1e-400", "2.2250738585072011e-308", "7"],
         # loadtxt refuses these two spellings; float() takes them
         "c": ["1_000", "\u0967.\u096b", "1", "2", "3", "4", "5", "6"],
     }
@@ -296,6 +299,36 @@ def test_table_provider_from_file_names_the_bad_line(tmp_path, text, message):
     with pytest.raises(ValueError) as info:
         TableEmbeddingProvider.from_file(path)
     assert str(info.value) == f"{tmp_path}/{message}"
+
+
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("a 1 2\nb nan 1\n", 2),
+        ("# c\na 1 2\n\nb 1 -inf\n", 4),
+        ("a 1 2\nb 1 1e400\n", 2),  # overflows to inf
+        ("a 1_0 2\nb 1 2\nc NaN 2\n", 3),  # the float() fallback path
+        ("a 1 2\na nan 2\n", 2),  # a duplicate token is refused too
+    ],
+)
+def test_table_provider_from_file_refuses_non_finite_components(tmp_path, text, lineno):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        TableEmbeddingProvider.from_file(path)
+    assert str(info.value) == f"{path}:{lineno}: non-finite vector component"
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+def test_table_provider_refuses_non_finite_components_built_in_code(bad):
+    with pytest.raises(ValueError, match="'b' has a non-finite component"):
+        TableEmbeddingProvider({"a": [1.0, 2.0], "b": [1.0, bad]})
+
+
+def test_report_json_refuses_nan():
+    report = EvalReport(per_question={"q": QuestionScore(em=0, f1=0.0, bert_f=math.nan)})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        report.to_json()
 
 
 def test_table_provider_from_file_rejects_an_empty_table(tmp_path):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from transquad.cli import main
+import transquad._text
 import transquad.corpus
 import transquad.pipeline
 from transquad.alignment import AlignmentCandidate
@@ -21,17 +22,25 @@ from transquad.errors import (
     InvalidCorpusError,
     PipelineError,
 )
-from transquad.filtering import FilterConfig, RejectionLog
+from transquad.filtering import STAGE_PRE_FILTER, FilterConfig, RejectionEntry, RejectionLog
 from transquad.pipeline import (
     load_config,
     postprocess_candidates,
     read_candidates,
     run_corpus_pipeline,
     run_pipeline,
+    translate_records,
+    write_candidates,
     write_dataset,
 )
 from transquad.script_tools import MIXED_SAMPLE_SIZE, IdentityTransliterator
-from transquad.translation import DictionaryEngine, IdentityEngine
+from transquad.translation import (
+    DEFAULT_BATCH_SIZE,
+    DEFAULT_MAX_BATCH_CHARS,
+    DictionaryEngine,
+    IdentityEngine,
+    UppercaseEngine,
+)
 
 from conftest import CountingEngine, build_english_corpus
 
@@ -75,6 +84,42 @@ def test_config_rejects_zero_parallelism(tmp_path):
     with pytest.raises(ConfigValidationError) as err:
         load_config(path)
     assert err.value.field == "parallelism"
+
+
+@pytest.mark.parametrize("key", ["batch_size", "max_batch_chars"])
+@pytest.mark.parametrize("value", [0, -3, 2.5, "64", True])
+def test_config_rejects_batch_caps_below_one_or_not_integers(tmp_path, key, value):
+    path, _ = write_config(tmp_path, **{key: value})
+    with pytest.raises(ConfigValidationError) as err:
+        load_config(path)
+    assert err.value.field == key
+    assert key in str(err.value)
+
+
+def test_config_batch_caps_default_to_the_gateway_defaults(tmp_path):
+    path, _ = write_config(tmp_path)
+    cfg = load_config(path)
+    assert (cfg.batch_size, cfg.max_batch_chars) == (DEFAULT_BATCH_SIZE, DEFAULT_MAX_BATCH_CHARS)
+    path, _ = write_config(tmp_path, batch_size=7, max_batch_chars=900)
+    cfg = load_config(path)
+    assert (cfg.batch_size, cfg.max_batch_chars) == (7, 900)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"batch_size": 0}, "error: batch_size must be an integer >= 1, got 0\n"),
+        ({"max_batch_chars": 0}, "error: max_batch_chars must be an integer >= 1, got 0\n"),
+        ({"max_batch_char": 30000}, "error: unknown config key 'max_batch_char'\n"),
+    ],
+)
+def test_cli_bad_batch_config_exits_2_with_one_line(tmp_path, capsys, overrides, message):
+    write_input(tmp_path, build_english_corpus(3))
+    path, _ = write_config(tmp_path, **overrides)
+    for command in ("pipeline", "translate"):
+        assert main(["--config", str(path), command]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -199,6 +244,43 @@ def test_warm_cache_skips_engine_and_reproduces_bytes(tmp_path):
         else:
             assert engine.calls > calls_before
     assert outputs[0] == outputs[1]
+
+
+def test_text_repeated_across_fields_reaches_the_engine_once():
+    corpus = build_english_corpus(4, seed=5)
+    a, b, c, d = corpus.records
+    # b asks a's answer as its question; c's question is its own context.
+    b = replace(b, question=a.answers[0].text)
+    c = replace(c, question=c.context)
+    engine = CountingEngine(UppercaseEngine())
+    candidates = translate_records(
+        [a, b, c, d], engine, source_lang="en", target_lang="mr", parallelism=1
+    )
+    texts = [t for r in (a, b, c, d) for t in (r.context, r.question, r.answers[0].text)]
+    # Each distinct text once, in the interleaved queue order.
+    assert engine.sent == [list(dict.fromkeys(texts))]
+    assert engine.texts_translated == len(texts) - 2
+    for rec, cand in zip((a, b, c, d), candidates):
+        assert cand.translated_context == rec.context.upper()
+        assert cand.translated_question == rec.question.upper()
+        assert cand.translated_answer == rec.answers[0].text.upper()
+    assert candidates[1].translated_question == candidates[0].translated_answer
+
+
+@pytest.mark.parametrize("command", ["pipeline", "translate"])
+def test_batch_caps_reach_the_gateway(tmp_path, monkeypatch, command):
+    seen = []
+    real = transquad.pipeline.translate_batch
+
+    def spy(*args, **kwargs):
+        seen.append((kwargs["batch_size"], kwargs["max_batch_chars"], kwargs["max_workers"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transquad.pipeline, "translate_batch", spy)
+    write_input(tmp_path, build_english_corpus(6))
+    path, _ = write_config(tmp_path, batch_size=3, max_batch_chars=250, parallelism=2)
+    assert main(["--config", str(path), command]) == 0
+    assert seen == [(3, 250, 2)]  # one queue for all three fields
 
 
 def test_pipeline_failure_leaves_no_output(tmp_path):
@@ -500,6 +582,49 @@ def test_cli_evaluate_malformed_embedding_number_exits_1(tmp_path, capsys):
     assert captured.err == (
         f"error: {tmp_path / 'emb.txt'}:2: could not convert string to float: '1,5'\n"
     )
+
+
+@pytest.mark.parametrize("component", ["nan", "-inf"])
+def test_cli_evaluate_non_finite_embedding_exits_1(tmp_path, capsys, component):
+    table = f"alpha {component} 1\nbeta 0 1\n"
+    assert run_evaluate_with_embeddings(tmp_path, "alpha", table) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'emb.txt'}:1: non-finite vector component\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def write_each_output(tmp_path, name):
+    """Write one output file the way its writer does; returns the path."""
+    path = tmp_path / name
+    corpus = build_english_corpus(3)
+    if name == "corpus.json":
+        transquad.corpus.save_corpus(corpus, path)
+    elif name == "rejections.jsonl":
+        RejectionLog([RejectionEntry("q1", STAGE_PRE_FILTER, "too-short")]).write(path)
+    else:
+        candidates = translate_records(
+            corpus.records, IdentityEngine(), source_lang="en", target_lang="mr"
+        )
+        write_candidates(candidates, path, split="train")
+    return path
+
+
+@pytest.mark.parametrize("name", ["corpus.json", "rejections.jsonl", "candidates.jsonl"])
+def test_failed_write_leaves_the_old_file_intact(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    path.write_bytes(b"old contents\n")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(transquad._text.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_each_output(tmp_path, name)
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == [name]  # no temp file left behind
+    monkeypatch.undo()
+    assert write_each_output(tmp_path, name).read_bytes() != b"old contents\n"
 
 
 def test_cli_stage_command_requires_config(tmp_path, capsys):

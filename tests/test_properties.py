@@ -6,18 +6,25 @@ get right: every kind of Unicode whitespace, Basic-Latin and other letters,
 Devanagari letters, marks and digits, other decimal digits, and characters
 outside the Basic Multilingual Plane. The evaluator runs against per-pair
 EM, F1 and BERTScore, and the embedding-table loader against ``float()``.
+The pipeline's outputs must not depend on how the translation gateway
+chunks its requests or how many run at once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import json
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from transquad import script_tools
 from transquad.alignment import AlignmentCandidate
-from transquad.corpus import AnswerSpan, Corpus, QaRecord
+from transquad.corpus import AnswerSpan, Corpus, QaRecord, serialize_corpus
 from transquad.evaluation import (
     EmbeddingProvider,
     EvalReport,
@@ -30,7 +37,7 @@ from transquad.evaluation import (
     token_f1,
 )
 from transquad.filtering import non_latin_letter_ratio
-from transquad.pipeline import postprocess_candidates
+from transquad.pipeline import config_from_dict, postprocess_candidates, run_pipeline
 from transquad.script_tools import (
     Script,
     Transliterator,
@@ -41,6 +48,7 @@ from transquad.script_tools import (
 )
 
 import reference_scripts as reference
+from conftest import DEVANAGARI_WORDS, ENGLISH_WORDS, build_english_corpus
 
 SPECIAL = (
     " \t\n\r\x0b\x0c\x1c\x1d\x85\u00a0\u1680\u2000\u2028\u2029\u202f\u3000"  # whitespace
@@ -260,10 +268,90 @@ def test_table_loader_gives_float_bits(tmp_path_factory, rows, first_gap, data):
     try:
         provider = TableEmbeddingProvider.from_file(path)
     except ValueError as exc:
-        # The only row the table refuses is an all-zero one.
-        assert "all zeros" in str(exc)
-        assert any(not np.any([float(x) for x in row]) for row in rows)
+        # The only rows the table refuses are an all-zero one and one with
+        # a non-finite component.
+        vectors = [[float(x) for x in row] for row in rows]
+        if "non-finite" in str(exc):
+            assert not np.isfinite(vectors).all()
+        else:
+            assert "all zeros" in str(exc)
+            assert any(not np.any(vec) for vec in vectors)
         return
     for i, row in enumerate(rows):
         want = np.array([float(x) for x in row], dtype=np.float64).tobytes()
         assert provider.table[f"t{i}"].tobytes() == want
+
+
+def pipeline_corpus(seed: int):
+    """A corpus that exercises every rejection and every kind of shared text."""
+    records = list(build_english_corpus(16, seed=seed).records)
+    for i in (2, 9):  # answer-not-found: the context fuses the answer with a suffix
+        answer = records[i].answers[0].text
+        records[i] = replace(records[i], context=records[i].context.replace(answer, answer + "tail"))
+    records[4] = replace(records[4], question=records[3].answers[0].text)  # across fields
+    records[6] = replace(records[6], question=records[6].context)  # within a record
+    records[8] = replace(records[8], context=records[7].context, answers=records[7].answers)
+    records[11] = replace(records[11], context="short " + records[11].answers[0].text,
+                          answers=(AnswerSpan(records[11].answers[0].text, 6),))
+    return replace(build_english_corpus(0), records=tuple(records))
+
+
+def run_with_caps(seed: int, batch_size: int, max_batch_chars: int, parallelism: int) -> bytes:
+    """Corpus, rejection log and stats of one cold pipeline run, concatenated."""
+    corpus = pipeline_corpus(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "input.json").write_bytes(serialize_corpus(corpus))
+        table = {w: d for w, d in zip(ENGLISH_WORDS, DEVANAGARI_WORDS)}
+        table.update({r.answers[0].text: f"उत्तर{i}" for i, r in enumerate(corpus.records)})
+        (root / "dict.tsv").write_text(
+            "".join(f"{k}\t{v}\n" for k, v in table.items()), encoding="utf-8"
+        )
+        (root / "excl.txt").write_text(corpus.records[0].qid + "\n", encoding="utf-8")
+        cfg = config_from_dict(
+            {
+                "input_path": str(root / "input.json"),
+                "output_path": str(root / "out.json"),
+                "rejection_log_path": str(root / "rej.jsonl"),
+                "stats_path": str(root / "stats.json"),
+                "source_lang": "en",
+                "target_lang": "mr",
+                "engine_id": f"dictionary:{root / 'dict.tsv'}",
+                "transliterator_id": "identity",
+                "cache_path": str(root / "cache.jsonl"),
+                "filter": {"exclusion_list_path": str(root / "excl.txt"), "min_context_length": 30},
+                "parallelism": parallelism,
+                "batch_size": batch_size,
+                "max_batch_chars": max_batch_chars,
+            }
+        )
+        run_pipeline(cfg)
+        return b"\0".join(
+            Path(path).read_bytes()
+            for path in (cfg.output_path, cfg.rejection_log_path, cfg.stats_path)
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def reference_run(seed: int) -> bytes:
+    return run_with_caps(seed, batch_size=10**6, max_batch_chars=10**9, parallelism=1)
+
+
+def test_pipeline_corpus_exercises_every_rejection():
+    out, log, _ = reference_run(0).split(b"\0")
+    reasons = sorted(json.loads(line)["reason"] for line in log.splitlines())
+    assert reasons == ["answer-not-found"] * 2 + ["manual-exclusion", "too-short"]
+    assert len(json.loads(out)["data"]) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(1, 12),
+    st.one_of(st.integers(1, 80), st.integers(81, 3000)),
+    st.integers(1, 4),
+)
+def test_pipeline_outputs_independent_of_batching_and_parallelism(
+    seed, batch_size, max_batch_chars, parallelism
+):
+    assert run_with_caps(seed, batch_size, max_batch_chars, parallelism) == reference_run(seed)

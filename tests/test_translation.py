@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from transquad.errors import (
@@ -19,6 +21,7 @@ from transquad.translation import (
     TranslationRequest,
     UppercaseEngine,
     build_engine,
+    chunk_texts,
     translate_batch,
 )
 
@@ -76,15 +79,15 @@ def test_build_engine_registry(tmp_path):
 
 
 def test_cache_lookup_before_store_is_absent(tmp_path):
-    cache = TranslationCache(tmp_path / "cache.jsonl")
-    assert cache.lookup(("identity", "en", "mr", "hello")) is None
+    with TranslationCache(tmp_path / "cache.jsonl") as cache:
+        assert cache.lookup(("identity", "en", "mr", "hello")) is None
 
 
 def test_cache_store_then_lookup(tmp_path):
-    cache = TranslationCache(tmp_path / "cache.jsonl")
     key = ("identity", "en", "mr", "hello")
-    cache.store(key, "नमस्कार")
-    assert cache.lookup(key) == "नमस्कार"
+    with TranslationCache(tmp_path / "cache.jsonl") as cache:
+        cache.store(key, "नमस्कार")
+        assert cache.lookup(key) == "नमस्कार"
 
 
 def test_cache_survives_reopen(tmp_path):
@@ -92,8 +95,8 @@ def test_cache_survives_reopen(tmp_path):
     key = ("identity", "en", "mr", "hello")
     with TranslationCache(path) as cache:
         cache.store(key, "नमस्कार")
-    reopened = TranslationCache(path)
-    assert reopened.lookup(key) == "नमस्कार"
+    with TranslationCache(path) as reopened:
+        assert reopened.lookup(key) == "नमस्कार"
 
 
 def _cache_with_two_entries(path):
@@ -109,8 +112,9 @@ def _reopen_and_store_twice(path):
     cache.close()  # the file is repaired once; a store after close appends
     cache.store(("identity", "en", "mr", "d"), "D")
     cache.close()
-    reopened = TranslationCache(path)
-    assert [reopened.lookup(("identity", "en", "mr", t)) for t in "abcd"] == ["A", "B", "C", "D"]
+    with TranslationCache(path) as reopened:
+        got = [reopened.lookup(("identity", "en", "mr", t)) for t in "abcd"]
+    assert got == ["A", "B", "C", "D"]
     assert path.read_bytes().endswith(b"\n") and path.read_bytes().count(b"\n") == 4
 
 
@@ -141,9 +145,55 @@ def test_cache_corrupt_middle_line_names_path_and_line(tmp_path):
 
 
 def test_cache_key_includes_engine_id(tmp_path):
-    cache = TranslationCache(tmp_path / "cache.jsonl")
-    cache.store(("engine-a", "en", "mr", "x"), "from-a")
-    assert cache.lookup(("engine-b", "en", "mr", "x")) is None
+    with TranslationCache(tmp_path / "cache.jsonl") as cache:
+        cache.store(("engine-a", "en", "mr", "x"), "from-a")
+        assert cache.lookup(("engine-b", "en", "mr", "x")) is None
+
+
+class CountingFile:
+    """A file proxy that counts write and flush calls."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+        self.flushes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return self.fh.write(data)
+
+    def flush(self):
+        self.flushes += 1
+        self.fh.flush()
+
+    def truncate(self, size):
+        return self.fh.truncate(size)
+
+    def close(self):
+        self.fh.close()
+
+
+def test_cache_writes_and_flushes_once_per_chunk(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(CountingFile(real_open(self, *args, **kwargs)))
+        return opened[-1]
+
+    texts = [f"word{i}" for i in range(10)]  # chunks of 4: 0-3, 4-7, 8-9
+    with TranslationCache(path) as cache:
+        monkeypatch.setattr(Path, "open", counting_open)
+        translate_batch(request(texts, "uppercase"), UppercaseEngine(), cache, batch_size=4)
+        cache.store_many([])
+        monkeypatch.undo()
+    assert len(opened) == 1
+    assert (opened[0].writes, opened[0].flushes) == (3, 3)
+    with TranslationCache(path) as reopened:
+        assert len(reopened) == 10
+        assert reopened.lookup(("uppercase", "en", "mr", "word9")) == "WORD9"
+    assert path.read_text(encoding="utf-8").count("\n") == 10
 
 
 def test_cache_in_memory_without_path():
@@ -167,11 +217,11 @@ def test_batch_dictionary():
 
 def test_same_request_twice_hits_cache(tmp_path):
     engine = CountingEngine(IdentityEngine())
-    cache = TranslationCache(tmp_path / "cache.jsonl")
     req = request(["a", "b", "c"])
-    first = translate_batch(req, engine, cache)
-    calls_after_first = engine.calls
-    second = translate_batch(req, engine, cache)
+    with TranslationCache(tmp_path / "cache.jsonl") as cache:
+        first = translate_batch(req, engine, cache)
+        calls_after_first = engine.calls
+        second = translate_batch(req, engine, cache)
     assert engine.calls == calls_after_first  # second call served wholly from cache
     assert first == second == ["a", "b", "c"]
 
@@ -184,11 +234,11 @@ def test_duplicate_texts_sent_once():
 
 
 def test_cache_coherence_after_batch(tmp_path):
-    cache = TranslationCache(tmp_path / "cache.jsonl")
     req = request(["p", "q"], "uppercase")
-    out = translate_batch(req, UppercaseEngine(), cache)
-    for text, value in zip(req.texts, out):
-        assert cache.lookup(("uppercase", "en", "mr", text)) == value
+    with TranslationCache(tmp_path / "cache.jsonl") as cache:
+        out = translate_batch(req, UppercaseEngine(), cache)
+        for text, value in zip(req.texts, out):
+            assert cache.lookup(("uppercase", "en", "mr", text)) == value
 
 
 def test_output_parallel_to_input_with_chunking():
@@ -198,6 +248,59 @@ def test_output_parallel_to_input_with_chunking():
     threaded = translate_batch(request(texts, "uppercase"), UppercaseEngine(), batch_size=4,
                                max_workers=4)
     assert serial == threaded == [t.upper() for t in texts]
+
+
+def test_chunk_texts_closes_at_either_cap_in_input_order():
+    texts = ["aaaa", "bb", "c", "dddddd", "e", "f", "g"]
+    assert chunk_texts(texts, batch_size=3, max_batch_chars=7) == [
+        ["aaaa", "bb", "c"],  # 7 code points: the cap is inclusive
+        ["dddddd", "e"],
+        ["f", "g"],
+    ]
+    assert chunk_texts(texts, batch_size=2, max_batch_chars=100) == [
+        ["aaaa", "bb"], ["c", "dddddd"], ["e", "f"], ["g"]
+    ]
+    assert chunk_texts([], batch_size=2, max_batch_chars=100) == []
+    # Code points, not bytes: each Devanagari letter counts one.
+    assert chunk_texts(["कख", "ग"], batch_size=8, max_batch_chars=3) == [["कख", "ग"]]
+
+
+def test_chunk_texts_sends_an_over_long_text_alone():
+    long = "x" * 50
+    assert chunk_texts(["a", long, "b", "c", long], batch_size=8, max_batch_chars=10) == [
+        ["a"], [long], ["b", "c"], [long]
+    ]
+
+
+@pytest.mark.parametrize("batch_size, max_batch_chars", [(0, 10), (3, 0), (-1, -1)])
+def test_chunk_caps_below_one_are_refused(batch_size, max_batch_chars):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        translate_batch(request(["a"]), IdentityEngine(), batch_size=batch_size,
+                        max_batch_chars=max_batch_chars)
+
+
+@pytest.mark.parametrize("max_workers", [1, 3])
+def test_engine_chunks_keep_input_order(max_workers):
+    texts = [("w" * (i % 7 + 1)) + str(i) for i in range(40)] + ["w1", "w3"]  # two repeats
+    engine = CountingEngine(UppercaseEngine())
+    out = translate_batch(request(texts, "uppercase"), engine, batch_size=5, max_batch_chars=20,
+                          max_workers=max_workers)
+    assert out == [t.upper() for t in texts]
+    unique = list(dict.fromkeys(texts))
+    assert sorted(engine.sent, key=lambda chunk: unique.index(chunk[0])) == chunk_texts(
+        unique, 5, 20
+    )
+    if max_workers == 1:
+        assert [t for chunk in engine.sent for t in chunk] == unique
+
+
+def test_over_long_text_reaches_the_engine_alone():
+    long = "y" * 500
+    engine = CountingEngine(UppercaseEngine())
+    out = translate_batch(request(["a", "b", long, "c"], "uppercase"), engine,
+                          max_batch_chars=100, max_workers=1)
+    assert out == ["A", "B", long.upper(), "C"]
+    assert engine.sent == [["a", "b"], [long], ["c"]]
 
 
 def test_wrong_length_from_engine_is_an_error():
