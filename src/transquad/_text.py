@@ -68,10 +68,15 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
 
     A failure at any point leaves the old file, if any, untouched and no
-    temp file behind.
+    temp file behind. A symlink is followed: the file it names is replaced
+    and the link kept. A target that exists but is not a regular file (a
+    FIFO, ``/dev/null``) cannot be renamed over and is written in place.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.")
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

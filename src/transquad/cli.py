@@ -24,7 +24,6 @@ import logging
 import sys
 from pathlib import Path
 
-from ._text import atomic_write
 from .alignment import align_corpus
 from .corpus import compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, PipelineError, TransquadError
@@ -129,7 +128,7 @@ def _cmd_stats(args) -> int:
     payload = json.dumps(compute_stats(corpus).to_dict(), indent=2)
     print(payload)
     if args.output:
-        atomic_write(args.output, (payload + "\n").encode("utf-8"))
+        Path(args.output).write_text(payload + "\n", encoding="utf-8")
     return 0
 
 
@@ -156,8 +155,6 @@ def _cmd_translate(args) -> int:
             target_lang=cfg.target_lang,
             cache=cache,
             parallelism=cfg.parallelism,
-            batch_size=cfg.batch_size,
-            max_batch_chars=cfg.max_batch_chars,
         )
     out = args.output or _derived(cfg, ".candidates.jsonl")
     write_candidates(candidates, out, split=cfg.split)
@@ -197,7 +194,7 @@ def _cmd_evaluate(args) -> int:
     payload = report.to_json()
     print(payload)
     if args.output:
-        atomic_write(args.output, (payload + "\n").encode("utf-8"))
+        Path(args.output).write_text(payload + "\n", encoding="utf-8")
     return 0
 
 

@@ -14,7 +14,7 @@ functions, so both write the same corpus, rejection log and stats.
 Outputs are written atomically (temp file + rename), so an aborted run never
 leaves a truncated dataset behind. With deterministic engines a fixed config
 produces byte-identical corpus/log/stats across runs, whatever the
-parallelism, batch size or character cap.
+parallelism.
 
 Stage commands exchange intermediate state as "candidates" JSON Lines: one
 object per record with qid, title, question, context, answer, and the
@@ -58,8 +58,6 @@ from .script_tools import (
     warn_mixed_tokens,
 )
 from .translation import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_MAX_BATCH_CHARS,
     TranslationCache,
     TranslationEngine,
     TranslationRequest,
@@ -85,17 +83,13 @@ class PipelineConfig:
     cache_path: str
     filter: FilterConfig = field(default_factory=FilterConfig)
     parallelism: int = 4
-    batch_size: int = DEFAULT_BATCH_SIZE
-    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS
     split: str = "train"
 
     def __post_init__(self) -> None:
-        for name in ("parallelism", "batch_size", "max_batch_chars"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigValidationError(
-                    f"{name} must be an integer >= 1, got {value!r}", field=name
-                )
+        if self.parallelism < 1:
+            raise ConfigValidationError(
+                f"parallelism must be >= 1, got {self.parallelism}", field="parallelism"
+            )
         if self.split not in SPLITS:
             raise ConfigValidationError(
                 f"split must be one of {SPLITS}, got {self.split!r}", field="split"
@@ -221,16 +215,14 @@ def translate_records(
     target_lang: str,
     cache: TranslationCache | None = None,
     parallelism: int = 4,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS,
 ) -> list[AlignmentCandidate]:
     """Translate every context, question and answer through one ``translate_batch`` call.
 
-    The queue is interleaved per record (context, question, answer), so the
-    character cap fills engine chunks evenly, and a text repeated across
-    fields or records is sent once. Each text is still translated on its
-    own, so the output is the same as three separate calls would give. Each
-    candidate carries its source record's relative answer position.
+    The queue is interleaved per record (context, question, answer), and a
+    text repeated across fields or records is sent once. Each text is still
+    translated on its own, so the output is the same as three separate calls
+    would give. Each candidate carries its source record's relative answer
+    position.
     """
     if not records:
         return []
@@ -243,14 +235,7 @@ def translate_records(
         target_lang=target_lang,
         engine_id=engine.engine_id,
     )
-    out = translate_batch(
-        request,
-        engine,
-        cache,
-        batch_size=batch_size,
-        max_batch_chars=max_batch_chars,
-        max_workers=parallelism,
-    )
+    out = translate_batch(request, engine, cache, max_workers=parallelism)
     candidates = []
     for rec, ctx, question, answer in zip(records, out[0::3], out[1::3], out[2::3]):
         # Clamp: the relative position is only a tie-break hint, so a source
@@ -330,8 +315,6 @@ def run_corpus_pipeline(
     target_lang: str,
     cache: TranslationCache | None = None,
     parallelism: int = 4,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS,
 ) -> PipelineResult:
     """The in-memory pipeline core: every stage between parse and serialize."""
     kept, log = prefilter(corpus, filter_cfg)
@@ -342,8 +325,6 @@ def run_corpus_pipeline(
         target_lang=target_lang,
         cache=cache,
         parallelism=parallelism,
-        batch_size=batch_size,
-        max_batch_chars=max_batch_chars,
     )
     aligned, alignment_log = align_corpus(
         postprocess_candidates(candidates, transliterator), split=corpus.split
@@ -419,8 +400,6 @@ def run_pipeline(
             target_lang=cfg.target_lang,
             cache=cache,
             parallelism=cfg.parallelism,
-            batch_size=cfg.batch_size,
-            max_batch_chars=cfg.max_batch_chars,
         )
 
         stage = "write"

@@ -9,11 +9,6 @@ script tools clean up afterwards.
 The cache is a JSON Lines file keyed by (engine_id, source_lang, target_lang,
 source_text); it is loaded into memory when opened and appended to once per
 engine chunk, so entries survive process restarts.
-
-Engine requests are shaped like a commercial MT API's: a chunk closes at
-``DEFAULT_BATCH_SIZE`` texts or ``DEFAULT_MAX_BATCH_CHARS`` code points,
-whichever comes first. Google Cloud Translation, for one, accepts 128
-segments per request and recommends staying under 30k code points.
 """
 
 from __future__ import annotations
@@ -43,7 +38,6 @@ CacheKey = tuple[str, str, str, str]  # engine_id, source_lang, target_lang, sou
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 1.0  # seconds; doubles per retry
 DEFAULT_BATCH_SIZE = 128  # texts per engine call
-DEFAULT_MAX_BATCH_CHARS = 30_000  # code points per engine call
 DEFAULT_MAX_WORKERS = 4
 
 
@@ -272,39 +266,12 @@ def _call_with_retry(
     ) from last
 
 
-def chunk_texts(texts: Sequence[str], batch_size: int, max_batch_chars: int) -> list[list[str]]:
-    """Split texts, in input order, into the chunks one engine call each carries.
-
-    A chunk holds at most ``batch_size`` texts and ``max_batch_chars`` code
-    points; it closes when the next text would break either cap. A text longer
-    than ``max_batch_chars`` goes alone in a chunk of its own; no text is
-    ever split.
-    """
-    if batch_size < 1 or max_batch_chars < 1:
-        raise ValueError(
-            f"batch_size and max_batch_chars must be >= 1, got {batch_size} and {max_batch_chars}"
-        )
-    chunks: list[list[str]] = []
-    chunk: list[str] = []
-    chars = 0
-    for text in texts:
-        if chunk and (len(chunk) == batch_size or chars + len(text) > max_batch_chars):
-            chunks.append(chunk)
-            chunk, chars = [], 0
-        chunk.append(text)
-        chars += len(text)
-    if chunk:
-        chunks.append(chunk)
-    return chunks
-
-
 def translate_batch(
     request: TranslationRequest,
     engine: TranslationEngine,
     cache: TranslationCache | None = None,
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    max_batch_chars: int = DEFAULT_MAX_BATCH_CHARS,
     max_workers: int = DEFAULT_MAX_WORKERS,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff_base: float = DEFAULT_BACKOFF_BASE,
@@ -313,12 +280,11 @@ def translate_batch(
     """Translate a batch, consulting the cache per text before touching the engine.
 
     The output list is parallel to the input (same length, same order).
-    Duplicate texts are sent to the engine once. Cache misses are chunked by
-    ``chunk_texts`` into engine calls of at most ``batch_size`` texts and
-    ``max_batch_chars`` code points, with up to ``max_workers`` in flight;
-    the merge preserves input order, so results are independent of the
-    parallelism degree and of the chunking. Transient engine failures are
-    retried with exponential backoff.
+    Duplicate texts are sent to the engine once. Cache misses are chunked into
+    engine calls of at most ``batch_size`` texts, in input order, with up to
+    ``max_workers`` in flight; the merge preserves input order, so results
+    are independent of the parallelism degree and of the chunking. Transient
+    engine failures are retried with exponential backoff.
     """
     texts = list(request.texts)
     results: list[str | None] = [None] * len(texts)
@@ -332,7 +298,8 @@ def translate_batch(
             pending.setdefault(text, []).append(i)
 
     if pending:
-        chunks = chunk_texts(list(pending), batch_size, max_batch_chars)
+        unique = list(pending)
+        chunks = [unique[j : j + batch_size] for j in range(0, len(unique), batch_size)]
 
         def run(chunk: list[str]) -> list[str]:
             return _call_with_retry(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,8 +36,6 @@ from transquad.pipeline import (
 )
 from transquad.script_tools import MIXED_SAMPLE_SIZE, IdentityTransliterator
 from transquad.translation import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_MAX_BATCH_CHARS,
     DictionaryEngine,
     IdentityEngine,
     UppercaseEngine,
@@ -84,42 +83,6 @@ def test_config_rejects_zero_parallelism(tmp_path):
     with pytest.raises(ConfigValidationError) as err:
         load_config(path)
     assert err.value.field == "parallelism"
-
-
-@pytest.mark.parametrize("key", ["batch_size", "max_batch_chars"])
-@pytest.mark.parametrize("value", [0, -3, 2.5, "64", True])
-def test_config_rejects_batch_caps_below_one_or_not_integers(tmp_path, key, value):
-    path, _ = write_config(tmp_path, **{key: value})
-    with pytest.raises(ConfigValidationError) as err:
-        load_config(path)
-    assert err.value.field == key
-    assert key in str(err.value)
-
-
-def test_config_batch_caps_default_to_the_gateway_defaults(tmp_path):
-    path, _ = write_config(tmp_path)
-    cfg = load_config(path)
-    assert (cfg.batch_size, cfg.max_batch_chars) == (DEFAULT_BATCH_SIZE, DEFAULT_MAX_BATCH_CHARS)
-    path, _ = write_config(tmp_path, batch_size=7, max_batch_chars=900)
-    cfg = load_config(path)
-    assert (cfg.batch_size, cfg.max_batch_chars) == (7, 900)
-
-
-@pytest.mark.parametrize(
-    "overrides, message",
-    [
-        ({"batch_size": 0}, "error: batch_size must be an integer >= 1, got 0\n"),
-        ({"max_batch_chars": 0}, "error: max_batch_chars must be an integer >= 1, got 0\n"),
-        ({"max_batch_char": 30000}, "error: unknown config key 'max_batch_char'\n"),
-    ],
-)
-def test_cli_bad_batch_config_exits_2_with_one_line(tmp_path, capsys, overrides, message):
-    write_input(tmp_path, build_english_corpus(3))
-    path, _ = write_config(tmp_path, **overrides)
-    for command in ("pipeline", "translate"):
-        assert main(["--config", str(path), command]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", message)
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -268,19 +231,19 @@ def test_text_repeated_across_fields_reaches_the_engine_once():
 
 
 @pytest.mark.parametrize("command", ["pipeline", "translate"])
-def test_batch_caps_reach_the_gateway(tmp_path, monkeypatch, command):
+def test_one_gateway_call_for_all_three_fields(tmp_path, monkeypatch, command):
     seen = []
     real = transquad.pipeline.translate_batch
 
-    def spy(*args, **kwargs):
-        seen.append((kwargs["batch_size"], kwargs["max_batch_chars"], kwargs["max_workers"]))
-        return real(*args, **kwargs)
+    def spy(request, *args, **kwargs):
+        seen.append((len(request.texts), kwargs["max_workers"]))
+        return real(request, *args, **kwargs)
 
     monkeypatch.setattr(transquad.pipeline, "translate_batch", spy)
     write_input(tmp_path, build_english_corpus(6))
-    path, _ = write_config(tmp_path, batch_size=3, max_batch_chars=250, parallelism=2)
+    path, _ = write_config(tmp_path, parallelism=2)
     assert main(["--config", str(path), command]) == 0
-    assert seen == [(3, 250, 2)]  # one queue for all three fields
+    assert seen == [(3 * 6, 2)]
 
 
 def test_pipeline_failure_leaves_no_output(tmp_path):
@@ -625,6 +588,32 @@ def test_failed_write_leaves_the_old_file_intact(tmp_path, monkeypatch, name):
     assert [p.name for p in tmp_path.iterdir()] == [name]  # no temp file left behind
     monkeypatch.undo()
     assert write_each_output(tmp_path, name).read_bytes() != b"old contents\n"
+
+
+def test_write_through_a_symlink_keeps_the_link(tmp_path):
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "corpus.json").write_bytes(b"old contents\n")
+    link = tmp_path / "corpus.json"
+    link.symlink_to(real / "corpus.json")
+    transquad.corpus.save_corpus(build_english_corpus(3), link)
+    assert link.is_symlink()
+    assert transquad.corpus.load_corpus(real / "corpus.json", "train") == build_english_corpus(3)
+    assert sorted(p.name for p in real.iterdir()) == ["corpus.json"]
+
+
+def test_write_to_a_fifo_writes_in_place(tmp_path):
+    fifo = tmp_path / "rejections.jsonl"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    log = RejectionLog([RejectionEntry("q1", STAGE_PRE_FILTER, "too-short")])
+    log.write(fifo)
+    reader.join(timeout=10)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert received == [log.to_jsonl().encode("utf-8")]
+    assert [p.name for p in tmp_path.iterdir()] == ["rejections.jsonl"]
 
 
 def test_cli_stage_command_requires_config(tmp_path, capsys):

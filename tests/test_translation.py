@@ -21,7 +21,6 @@ from transquad.translation import (
     TranslationRequest,
     UppercaseEngine,
     build_engine,
-    chunk_texts,
     translate_batch,
 )
 
@@ -250,57 +249,18 @@ def test_output_parallel_to_input_with_chunking():
     assert serial == threaded == [t.upper() for t in texts]
 
 
-def test_chunk_texts_closes_at_either_cap_in_input_order():
-    texts = ["aaaa", "bb", "c", "dddddd", "e", "f", "g"]
-    assert chunk_texts(texts, batch_size=3, max_batch_chars=7) == [
-        ["aaaa", "bb", "c"],  # 7 code points: the cap is inclusive
-        ["dddddd", "e"],
-        ["f", "g"],
-    ]
-    assert chunk_texts(texts, batch_size=2, max_batch_chars=100) == [
-        ["aaaa", "bb"], ["c", "dddddd"], ["e", "f"], ["g"]
-    ]
-    assert chunk_texts([], batch_size=2, max_batch_chars=100) == []
-    # Code points, not bytes: each Devanagari letter counts one.
-    assert chunk_texts(["कख", "ग"], batch_size=8, max_batch_chars=3) == [["कख", "ग"]]
-
-
-def test_chunk_texts_sends_an_over_long_text_alone():
-    long = "x" * 50
-    assert chunk_texts(["a", long, "b", "c", long], batch_size=8, max_batch_chars=10) == [
-        ["a"], [long], ["b", "c"], [long]
-    ]
-
-
-@pytest.mark.parametrize("batch_size, max_batch_chars", [(0, 10), (3, 0), (-1, -1)])
-def test_chunk_caps_below_one_are_refused(batch_size, max_batch_chars):
-    with pytest.raises(ValueError, match="must be >= 1"):
-        translate_batch(request(["a"]), IdentityEngine(), batch_size=batch_size,
-                        max_batch_chars=max_batch_chars)
-
-
 @pytest.mark.parametrize("max_workers", [1, 3])
 def test_engine_chunks_keep_input_order(max_workers):
-    texts = [("w" * (i % 7 + 1)) + str(i) for i in range(40)] + ["w1", "w3"]  # two repeats
+    texts = [f"w{i}" for i in range(12)] + ["w1", "w3"]  # two repeats
     engine = CountingEngine(UppercaseEngine())
-    out = translate_batch(request(texts, "uppercase"), engine, batch_size=5, max_batch_chars=20,
+    out = translate_batch(request(texts, "uppercase"), engine, batch_size=5,
                           max_workers=max_workers)
     assert out == [t.upper() for t in texts]
-    unique = list(dict.fromkeys(texts))
-    assert sorted(engine.sent, key=lambda chunk: unique.index(chunk[0])) == chunk_texts(
-        unique, 5, 20
-    )
+    unique = texts[:12]
+    want = [unique[0:5], unique[5:10], unique[10:12]]
+    assert sorted(engine.sent, key=lambda chunk: unique.index(chunk[0])) == want
     if max_workers == 1:
-        assert [t for chunk in engine.sent for t in chunk] == unique
-
-
-def test_over_long_text_reaches_the_engine_alone():
-    long = "y" * 500
-    engine = CountingEngine(UppercaseEngine())
-    out = translate_batch(request(["a", "b", long, "c"], "uppercase"), engine,
-                          max_batch_chars=100, max_workers=1)
-    assert out == ["A", "B", long.upper(), "C"]
-    assert engine.sent == [["a", "b"], [long], ["c"]]
+        assert engine.sent == want
 
 
 def test_wrong_length_from_engine_is_an_error():
