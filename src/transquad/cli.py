@@ -166,7 +166,8 @@ def _cmd_translate(args) -> int:
 def _cmd_postprocess(args) -> int:
     cfg = _require_config(args)
     candidates, split = read_candidates(args.input or _derived(cfg, ".candidates.jsonl"))
-    fixed = postprocess_candidates(candidates, build_transliterator(cfg.transliterator_id))
+    transliterator = build_transliterator(cfg.transliterator_id)
+    fixed = postprocess_candidates(candidates, transliterator, parallelism=cfg.parallelism)
     out = args.output or _derived(cfg, ".postprocessed.jsonl")
     write_candidates(fixed, out, split=split)
     print(f"postprocessed {len(fixed)} records -> {out}")

@@ -3,8 +3,9 @@
 Stage order: parse -> prefilter (collapse_answers, then filter_corpus) ->
 translate_records (context, question and answer of every record through one
 request queue, each text translated on its own) -> postprocess_candidates
-(transliterate_residuals, then localize_digits, once per distinct text) ->
-align_corpus -> write_dataset. Collapsing first means only one answer per
+(scan_residuals, one batched transliteration of the distinct Latin tokens,
+then transliterate_residuals and localize_digits, once per distinct text)
+-> align_corpus -> write_dataset. Collapsing first means only one answer per
 record is ever translated; translating each text on its own, never the
 answer as part of its context, is what makes the answer-not-found rejection
 meaningful.
@@ -24,7 +25,6 @@ answer's relative position in the source context.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
@@ -47,6 +47,7 @@ from .errors import (
     ConfigValidationError,
     InvalidCorpusError,
     PipelineError,
+    TransliterationError,
     TransquadError,
 )
 from .filtering import FilterConfig, RejectionLog, filter_corpus
@@ -54,20 +55,19 @@ from .script_tools import (
     Transliterator,
     build_transliterator,
     localize_digits,
+    scan_residuals,
     transliterate_residuals,
     warn_mixed_tokens,
 )
 from .translation import (
+    DEFAULT_MAX_WORKERS,
     TranslationCache,
     TranslationEngine,
     TranslationRequest,
     build_engine,
+    call_model,
     translate_batch,
 )
-
-logger = logging.getLogger(__name__)
-
-_FILTER_KEYS = {"non_latin_letter_ratio_threshold", "exclusion_list_path", "min_context_length"}
 
 
 @dataclass
@@ -82,7 +82,7 @@ class PipelineConfig:
     transliterator_id: str
     cache_path: str
     filter: FilterConfig = field(default_factory=FilterConfig)
-    parallelism: int = 4
+    parallelism: int = DEFAULT_MAX_WORKERS
     split: str = "train"
 
     def __post_init__(self) -> None:
@@ -123,6 +123,31 @@ _REQUIRED_KEYS = {
     "cache_path",
 }
 _CONFIG_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
+# The JSON type each config value must have, and how an error names it.
+_STRING = (str,), "a string"
+_INTEGER = (int,), "an integer"
+_CONFIG_TYPES = {
+    **dict.fromkeys(_REQUIRED_KEYS, _STRING),
+    "filter": ((Mapping,), "an object"),
+    "parallelism": _INTEGER,
+    "split": _STRING,
+}
+_FILTER_TYPES = {
+    "non_latin_letter_ratio_threshold": ((int, float), "a number"),
+    "exclusion_list_path": ((str, type(None)), "a string or null"),
+    "min_context_length": _INTEGER,
+}
+
+
+def _check_types(raw: Mapping[str, Any], types: Mapping[str, tuple], prefix: str = "") -> None:
+    """Refuse a value of the wrong JSON type; ``true``/``false`` never pass for a number."""
+    for key, value in raw.items():
+        allowed, name = types[key]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigValidationError(
+                f"config key {prefix + key!r} must be {name}, got {value!r}",
+                field=prefix + key,
+            )
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> PipelineConfig:
@@ -134,14 +159,14 @@ def config_from_dict(raw: Mapping[str, Any]) -> PipelineConfig:
     if missing:
         key = sorted(missing)[0]
         raise ConfigValidationError(f"missing required config key {key!r}", field=key)
+    _check_types(raw, _CONFIG_TYPES)
     kwargs = dict(raw)
     filter_raw = kwargs.pop("filter", {})
-    if not isinstance(filter_raw, Mapping):
-        raise ConfigValidationError("'filter' must be an object", field="filter")
-    unknown_filter = set(filter_raw) - _FILTER_KEYS
+    unknown_filter = set(filter_raw) - set(_FILTER_TYPES)
     if unknown_filter:
         key = sorted(unknown_filter)[0]
         raise ConfigValidationError(f"unknown filter key {key!r}", field=f"filter.{key}")
+    _check_types(filter_raw, _FILTER_TYPES, "filter.")
     kwargs["filter"] = FilterConfig(**filter_raw)
     return PipelineConfig(**kwargs)
 
@@ -214,7 +239,7 @@ def translate_records(
     source_lang: str,
     target_lang: str,
     cache: TranslationCache | None = None,
-    parallelism: int = 4,
+    parallelism: int = DEFAULT_MAX_WORKERS,
 ) -> list[AlignmentCandidate]:
     """Translate every context, question and answer through one ``translate_batch`` call.
 
@@ -255,54 +280,51 @@ def translate_records(
 
 
 def postprocess_candidates(
-    candidates: Sequence[AlignmentCandidate], transliterator: Transliterator
+    candidates: Sequence[AlignmentCandidate],
+    transliterator: Transliterator,
+    *,
+    parallelism: int = DEFAULT_MAX_WORKERS,
 ) -> list[AlignmentCandidate]:
     """Transliterate Latin residue and localize digits in all three translated fields.
 
-    Each distinct text is processed once and its result shared, like the
-    dedup in ``translate_batch``: a context asked about five times is fixed
-    once. The mixed-script tokens left alone are reported in one warning,
-    counted once per field that holds them, as if every field were processed.
+    Each distinct text is scanned once. The stage's distinct Latin tokens go
+    through ``call_model`` together, then each distinct text is substituted
+    and digit-localized once. Mixed-script tokens left alone are reported in
+    one warning, counted once per field that holds them.
     """
-    fixed: dict[str, str] = {}
-    mixed: dict[str, list[str]] = {}  # text -> its mixed tokens, when any
-
-    def fix(text: str) -> str:
-        out = fixed.get(text)
-        if out is None:
-            found: list[str] = []
-            # Transliteration first: digit localization only creates
-            # Devanagari evidence, never Latin tokens, so this order is the
-            # stable one.
-            out = localize_digits(transliterate_residuals(text, transliterator, found))
-            fixed[text] = out
-            if found:
-                mixed[text] = found
-        return out
-
-    result = [
-        replace(
-            cand,
-            translated_context=fix(cand.translated_context),
-            translated_question=fix(cand.translated_question),
-            translated_answer=fix(cand.translated_answer),
-        )
+    fields = [
+        (cand.translated_context, cand.translated_question, cand.translated_answer)
         for cand in candidates
     ]
-    if mixed:
-        warn_mixed_tokens(
-            [
-                token
-                for cand in candidates
-                for text in (
-                    cand.translated_context,
-                    cand.translated_question,
-                    cand.translated_answer,
-                )
-                for token in mixed.get(text, ())
-            ]
+    scans = {text: scan_residuals(text) for text in dict.fromkeys(t for f in fields for t in f)}
+    tokens = list(
+        dict.fromkeys(text[start:end] for text, (latin, _) in scans.items() for start, end in latin)
+    )
+    table: dict[str, str] = {}
+    call_model(
+        transliterator.transliterate,
+        tokens,
+        "transliterator",
+        lambda message, chunk: TransliterationError(message, tokens=tuple(chunk)),
+        lambda chunk, out: table.update(zip(chunk, out)),
+        max_workers=parallelism,
+    )
+    # Transliteration first: digit localization only creates Devanagari
+    # evidence, never Latin tokens, so this order is the stable one.
+    fixed = {
+        text: localize_digits(transliterate_residuals(text, latin, table))
+        for text, (latin, _) in scans.items()
+    }
+    warn_mixed_tokens([token for f in fields for text in f for token in scans[text][1]])
+    return [
+        replace(
+            cand,
+            translated_context=fixed[context],
+            translated_question=fixed[question],
+            translated_answer=fixed[answer],
         )
-    return result
+        for cand, (context, question, answer) in zip(candidates, fields)
+    ]
 
 
 def run_corpus_pipeline(
@@ -314,7 +336,7 @@ def run_corpus_pipeline(
     source_lang: str,
     target_lang: str,
     cache: TranslationCache | None = None,
-    parallelism: int = 4,
+    parallelism: int = DEFAULT_MAX_WORKERS,
 ) -> PipelineResult:
     """The in-memory pipeline core: every stage between parse and serialize."""
     kept, log = prefilter(corpus, filter_cfg)
@@ -327,7 +349,8 @@ def run_corpus_pipeline(
         parallelism=parallelism,
     )
     aligned, alignment_log = align_corpus(
-        postprocess_candidates(candidates, transliterator), split=corpus.split
+        postprocess_candidates(candidates, transliterator, parallelism=parallelism),
+        split=corpus.split,
     )
     log.extend(alignment_log)
     return PipelineResult(

@@ -4,21 +4,21 @@ Translation engines routinely leave two kinds of residue in Devanagari
 output: words still in Latin script, and ASCII digits. This module finds
 both. Tokens are whitespace-split (no punctuation splitting; attached
 punctuation never changes a token's letter-based class) and classified as
-Latin, Devanagari, Neutral, or Mixed. Latin tokens go to a pluggable
-transliterator; ASCII digits are mapped to their Devanagari counterparts.
+Latin, Devanagari, Neutral, or Mixed. The pipeline transliterates a stage's
+distinct Latin tokens in batches; ASCII digits become Devanagari digits.
 
 Classification runs in C string operations, not a Python loop per
-character. One ``str.translate`` pass maps a token to a string of evidence
-classes (Basic-Latin letter; Devanagari letter or digit; other letter; other
-decimal digit; no evidence), and a few ``in`` tests on that string give the
-script. The translate table is filled lazily, one entry per code point seen,
-up to ``EVIDENCE_CAP`` entries.
-Tokens are found with one regular-expression scan for runs of
-non-whitespace; the regex's whitespace is exactly ``str.isspace()``.
+character. One ``str.translate`` pass maps a text or token to a string of
+evidence classes (Basic-Latin letter; Devanagari letter or digit; other
+letter; other decimal digit; whitespace; no evidence), filled lazily, one
+entry per code point seen, up to ``EVIDENCE_CAP`` entries. Regular
+expressions over that string find mixed and Latin tokens, so
+``scan_residuals`` reads a whole text in one pass. The whitespace class is
+exactly ``str.isspace()``, as is the whitespace of the token regex.
 
 Mixed tokens (e.g. "abc123", "abcक") are deliberately left alone - splitting
 mid-token is riskier than leaving residue. ``warn_mixed_tokens`` reports them
-in one WARNING per call: the count and a sample of at most
+in one WARNING per postprocess stage: the count and a sample of at most
 ``MIXED_SAMPLE_SIZE`` distinct tokens, so log volume stays bounded.
 """
 
@@ -40,7 +40,6 @@ from ._text import (
     is_letter,
     read_tsv_table,
 )
-from .errors import TransliterationError
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +68,16 @@ _LATIN = "L"  # Basic-Latin letter A-Z, a-z
 _DEVANAGARI = "D"  # letter in the Devanagari block, or Devanagari digit
 _OTHER_LETTER = "O"  # any other letter (category L*)
 _OTHER_DIGIT = "N"  # any other decimal digit (category Nd), ASCII 0-9 included
-_NO_EVIDENCE = "."  # whitespace, punctuation, symbols, marks
+_NO_EVIDENCE = "."  # punctuation, symbols, marks
+_SPACE = " "  # whitespace (str.isspace), the token separator
 
 _TOKEN = re.compile(r"\S+")
+# Over evidence strings, in linear time. Latin: a token of Latin letters and
+# no-evidence characters. Mixed: another letter, or two evidence kinds
+# side by side in a token, ignoring no-evidence characters between them.
+_LATIN_TOKEN = re.compile(r"(?<![^ ])\.*L[L.]*(?![^ ])")
+_MIXED_EVIDENCE = re.compile(r"O|L\.*[DN]|D\.*[LN]|N\.*[LD]")
+_ASCII_DIGITS = re.compile("[0-9]+")
 
 MIXED_SAMPLE_SIZE = 10  # distinct tokens quoted in the mixed-script warning
 
@@ -100,7 +106,7 @@ class _EvidenceTable(dict):
         elif is_digit(ch):
             cls = _DEVANAGARI if is_devanagari_digit(ch) else _OTHER_DIGIT
         else:
-            cls = _NO_EVIDENCE
+            cls = _SPACE if ch.isspace() else _NO_EVIDENCE
         if len(self) < EVIDENCE_CAP:
             self[cp] = cls
         return cls
@@ -119,15 +125,13 @@ def classify_token(token: str) -> Script:
     Devanagari evidence, which keeps already-localized numbers from being
     re-flagged.
     """
-    classes = token.translate(_EVIDENCE)
-    if _OTHER_LETTER in classes:
+    # The whole argument is one token: whitespace in it is no evidence.
+    classes = token.translate(_EVIDENCE).replace(_SPACE, _NO_EVIDENCE)
+    if _MIXED_EVIDENCE.search(classes):
         return Script.MIXED
-    latin = _LATIN in classes
-    if latin == (_DEVANAGARI in classes):
-        return Script.MIXED if latin else Script.NEUTRAL
-    if _OTHER_DIGIT in classes:
-        return Script.MIXED
-    return Script.LATIN if latin else Script.DEVANAGARI
+    if _LATIN in classes:
+        return Script.LATIN
+    return Script.DEVANAGARI if _DEVANAGARI in classes else Script.NEUTRAL
 
 
 def classify_tokens(text: str) -> list[TokenScript]:
@@ -147,11 +151,16 @@ def localize_digits(text: str) -> str:
     Every other code point is untouched; output length equals input length;
     idempotent (Devanagari digits map to themselves by absence).
     """
-    return text.translate(_DIGIT_TABLE)
+    return _ASCII_DIGITS.sub(lambda m: m.group().translate(_DIGIT_TABLE), text)
 
 
 class Transliterator:
-    """Interface mirroring the translation engine: token list in, parallel list out."""
+    """Interface mirroring the translation engine: token list in, parallel list out.
+
+    Tokens are sent in batches, on several threads: an implementation must
+    be thread-safe and deterministic per token, whatever else shares the
+    call. It may raise ``TransientEngineError`` to have a call retried.
+    """
 
     def transliterate(self, tokens: Sequence[str]) -> list[str]:
         raise NotImplementedError
@@ -203,54 +212,32 @@ def warn_mixed_tokens(tokens: Sequence[str]) -> None:
         )
 
 
+def scan_residuals(text: str) -> tuple[list[tuple[int, int]], list[str]]:
+    """The spans of the Latin-classified tokens of ``text``, and its mixed-script tokens."""
+    classes = text.translate(_EVIDENCE) + _SPACE  # the space ends the last token
+    mixed = []
+    pos = 0
+    while (m := _MIXED_EVIDENCE.search(classes, pos)) is not None:
+        pos = classes.find(_SPACE, m.start())
+        mixed.append(text[classes.rfind(_SPACE, 0, m.start()) + 1 : pos])
+    return [m.span() for m in _LATIN_TOKEN.finditer(classes)], mixed
+
+
 def transliterate_residuals(
-    text: str, translit: Transliterator, mixed: list[str] | None = None
+    text: str, latin: Sequence[tuple[int, int]], table: Mapping[str, str]
 ) -> str:
-    """Send exactly the Latin-classified tokens through the transliterator.
+    """Replace each Latin token span (from ``scan_residuals``) by its token's entry in ``table``.
 
-    Replacements happen in place; Devanagari/Neutral/Mixed tokens and all
-    whitespace are byte-identical before and after. With the identity
-    transliterator this is the identity on any input.
-
-    Mixed tokens are appended to ``mixed`` when a list is given, so that a
-    caller fixing many texts (``pipeline.postprocess_candidates``) reports
-    them in one warning for the whole stage. Without a list, a direct call on
-    one text reports its own mixed tokens here, in one warning, so that they
-    are never left alone silently.
+    Everything outside the spans, whitespace included, is byte-identical
+    before and after, and a text without Latin tokens comes back as it is.
     """
-    latin: list[tuple[int, int]] = []
-    found_mixed = [] if mixed is None else mixed
-    for m in _TOKEN.finditer(text):
-        script = classify_token(m.group())
-        if script is Script.LATIN:
-            latin.append(m.span())
-        elif script is Script.MIXED:
-            found_mixed.append(m.group())
-    if mixed is None:
-        warn_mixed_tokens(found_mixed)
     if not latin:
         return text
-
-    sources = tuple(text[start:end] for start, end in latin)
-    try:
-        replacements = translit.transliterate(list(sources))
-    except TransliterationError:
-        raise
-    except Exception as exc:
-        raise TransliterationError(
-            f"transliterator failed on {len(sources)} token(s): {exc}", tokens=sources
-        ) from exc
-    if len(replacements) != len(latin):
-        raise TransliterationError(
-            f"transliterator returned {len(replacements)} tokens for {len(latin)} inputs",
-            tokens=sources,
-        )
-
     parts = []
     pos = 0
-    for (start, end), replacement in zip(latin, replacements):
+    for start, end in latin:
         parts.append(text[pos:start])
-        parts.append(replacement)
+        parts.append(table[text[start:end]])
         pos = end
     parts.append(text[pos:])
     return "".join(parts)

@@ -1,10 +1,11 @@
-"""Pluggable machine-translation gateway: engines, persistent cache, batching, retry.
+"""One gateway for both remote models, plus engines, cache and dedup for translation.
 
-No real MT model lives here. Engines are a one-method interface plus a set of
-deterministic mocks (identity, word-table dictionary, uppercase) so the whole
-pipeline runs offline. The dictionary engine passes unknown words through
-untouched, which conveniently mimics the untranslated-residue problem the
-script tools clean up afterwards.
+``call_model`` sends a list to a model (engine or transliterator) in
+chunks, with retries and a thread pool. No real MT model lives here: engines
+are a one-method interface plus deterministic mocks (identity, word-table
+dictionary, uppercase) so the whole pipeline runs offline. The dictionary
+engine passes unknown words through untouched, which mimics the
+untranslated residue the script tools clean up afterwards.
 
 The cache is a JSON Lines file keyed by (engine_id, source_lang, target_lang,
 source_text); it is loaded into memory when opened and appended to once per
@@ -20,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ._text import read_tsv_table
 from .errors import (
@@ -29,6 +30,7 @@ from .errors import (
     EngineError,
     EngineUnavailableError,
     TransientEngineError,
+    TransquadError,
 )
 
 logger = logging.getLogger(__name__)
@@ -56,7 +58,7 @@ class TranslationRequest:
 
 
 class TranslationEngine:
-    """Interface: a parallel string-list translator. Subclasses override translate()."""
+    """Interface: a parallel string-list translator; contract as ``script_tools.Transliterator``."""
 
     engine_id = "base"
 
@@ -238,53 +240,77 @@ class TranslationCache:
         self.close()
 
 
-def _call_with_retry(
-    engine: TranslationEngine,
+def call_model(
+    call: Callable[[list[str]], list[str]],
     texts: list[str],
-    source_lang: str,
-    target_lang: str,
-    max_attempts: int,
-    backoff_base: float,
-    sleep: Callable[[float], None],
-) -> list[str]:
-    last: TransientEngineError | None = None
-    for attempt in range(1, max_attempts + 1):
-        try:
-            out = engine.translate(texts, source_lang, target_lang)
-        except TransientEngineError as exc:
-            last = exc
-            if attempt < max_attempts:
-                sleep(backoff_base * 2 ** (attempt - 1))
-            continue
-        if len(out) != len(texts):
-            raise EngineError(
-                f"engine {engine.engine_id!r} returned {len(out)} texts for {len(texts)} inputs"
-            )
-        return out
-    raise EngineUnavailableError(
-        f"engine {engine.engine_id!r} still failing after {max_attempts} attempts"
-    ) from last
+    model: str,
+    error: Callable[[str, list[str]], TransquadError],
+    settle: Callable[[list[str], list[str]], None],
+    *,
+    batch_size: int = DEFAULT_BATCH_SIZE,
+    max_workers: int = DEFAULT_MAX_WORKERS,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    backoff_base: float = DEFAULT_BACKOFF_BASE,
+    sleep: Callable[[float], None] | None = None,
+) -> None:
+    """Send ``texts`` to a model in chunks; ``settle(chunk, outputs)`` receives each reply.
+
+    Chunks of at most ``batch_size`` texts go out in input order, up to
+    ``max_workers`` at once, and are settled in input order as they arrive:
+    results do not depend on the parallelism or the chunking, and a failure
+    on a later chunk leaves every earlier one settled.
+
+    Error policy: a TransientEngineError is retried with exponential backoff
+    (``sleep``, default ``time.sleep``) and ends in EngineUnavailableError
+    when the attempts run out. Any other TransquadError passes through. Any
+    other exception, or a reply of the wrong length, becomes
+    ``error(message, chunk)``; ``model`` names the model in the message.
+    """
+
+    def run(chunk: list[str]) -> list[str]:
+        last: TransientEngineError | None = None
+        for attempt in range(1, max_attempts + 1):
+            try:
+                out = list(call(chunk))
+            except TransientEngineError as exc:
+                last = exc
+                if attempt < max_attempts:
+                    (sleep or time.sleep)(backoff_base * 2 ** (attempt - 1))
+                continue
+            except TransquadError:
+                raise
+            except Exception as exc:
+                raise error(f"{model} failed on {len(chunk)} text(s): {exc}", chunk) from exc
+            if len(out) != len(chunk):
+                raise error(f"{model} returned {len(out)} texts for {len(chunk)} inputs", chunk)
+            return out
+        raise EngineUnavailableError(
+            f"{model} still failing after {max_attempts} attempts"
+        ) from last
+
+    chunks = [texts[j : j + batch_size] for j in range(0, len(texts), batch_size)]
+    if max_workers > 1 and len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
+            for chunk, out in zip(chunks, pool.map(run, chunks)):
+                settle(chunk, out)
+    else:
+        for chunk in chunks:
+            settle(chunk, run(chunk))
 
 
 def translate_batch(
     request: TranslationRequest,
     engine: TranslationEngine,
     cache: TranslationCache | None = None,
-    *,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_workers: int = DEFAULT_MAX_WORKERS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base: float = DEFAULT_BACKOFF_BASE,
-    sleep: Callable[[float], None] = time.sleep,
+    **gateway: Any,
 ) -> list[str]:
     """Translate a batch, consulting the cache per text before touching the engine.
 
     The output list is parallel to the input (same length, same order).
-    Duplicate texts are sent to the engine once. Cache misses are chunked into
-    engine calls of at most ``batch_size`` texts, in input order, with up to
-    ``max_workers`` in flight; the merge preserves input order, so results
-    are independent of the parallelism degree and of the chunking. Transient
-    engine failures are retried with exponential backoff.
+    Duplicate texts are sent to the engine once. Cache misses go through
+    ``call_model``, which takes the keyword arguments (``batch_size``,
+    ``max_workers``, ...), and each chunk is cached as it is settled, so an
+    engine failure on a later chunk keeps every earlier one cached.
     """
     texts = list(request.texts)
     results: list[str | None] = [None] * len(texts)
@@ -297,39 +323,22 @@ def translate_batch(
         else:
             pending.setdefault(text, []).append(i)
 
-    if pending:
-        unique = list(pending)
-        chunks = [unique[j : j + batch_size] for j in range(0, len(unique), batch_size)]
-
-        def run(chunk: list[str]) -> list[str]:
-            return _call_with_retry(
-                engine,
-                chunk,
-                request.source_lang,
-                request.target_lang,
-                max_attempts,
-                backoff_base,
-                sleep,
+    def settle(chunk: list[str], out: list[str]) -> None:
+        if cache is not None:
+            cache.store_many(
+                ((request.engine_id, request.source_lang, request.target_lang, source), value)
+                for source, value in zip(chunk, out)
             )
+        for source, value in zip(chunk, out):
+            for i in pending[source]:
+                results[i] = value
 
-        def settle(chunk: list[str], out: list[str]) -> None:
-            if cache is not None:
-                cache.store_many(
-                    ((request.engine_id, request.source_lang, request.target_lang, source), value)
-                    for source, value in zip(chunk, out)
-                )
-            for source, value in zip(chunk, out):
-                for i in pending[source]:
-                    results[i] = value
-
-        # Each chunk is stored as its result arrives, in input order, so an
-        # engine failure on a later chunk keeps every earlier one cached.
-        if max_workers > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                for chunk, out in zip(chunks, pool.map(run, chunks)):
-                    settle(chunk, out)
-        else:
-            for chunk in chunks:
-                settle(chunk, run(chunk))
-
+    call_model(
+        lambda chunk: engine.translate(chunk, request.source_lang, request.target_lang),
+        list(pending),
+        f"engine {engine.engine_id!r}",
+        lambda message, chunk: EngineError(message),
+        settle,
+        **gateway,
+    )
     return results  # type: ignore[return-value]  # every slot is filled above

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from pathlib import Path
 
 import pytest
@@ -46,16 +47,18 @@ class CountingEngine(TranslationEngine):
 
 
 class CountingTransliterator(Transliterator):
-    """Wraps another transliterator and records what it was asked to handle."""
+    """Wraps another transliterator and records what it was asked to handle; thread-safe."""
 
     def __init__(self, inner: Transliterator):
         self.inner = inner
         self.calls = 0
         self.tokens_seen: list[str] = []
+        self._lock = threading.Lock()
 
     def transliterate(self, tokens):
-        self.calls += 1
-        self.tokens_seen.extend(tokens)
+        with self._lock:
+            self.calls += 1
+            self.tokens_seen.extend(tokens)
         return self.inner.transliterate(tokens)
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from transquad.alignment import AlignmentCandidate
 from transquad.corpus import (
     AnswerSpan,
     Corpus,
@@ -26,13 +27,19 @@ from transquad.corpus import (
 )
 from transquad.evaluation import bert_score, evaluate_predictions, token_f1
 from transquad.filtering import FilterConfig
-from transquad.pipeline import load_config, run_corpus_pipeline, run_pipeline
+from transquad.pipeline import (
+    load_config,
+    postprocess_candidates,
+    run_corpus_pipeline,
+    run_pipeline,
+)
 from transquad.script_tools import (
     IdentityTransliterator,
     Script,
     TableTransliterator,
     classify_tokens,
     localize_digits,
+    scan_residuals,
     transliterate_residuals,
 )
 from transquad.translation import DictionaryEngine, IdentityEngine
@@ -121,16 +128,26 @@ def test_criterion_03_transliteration_routing():
         "Knowles-Carter": "नॉवल्स-कार्टर",
     }
     counting = CountingTransliterator(TableTransliterator(table))
-    out = transliterate_residuals(sentence, counting)
+    candidate = AlignmentCandidate(
+        qid="q",
+        translated_context=sentence,
+        translated_question=sentence,
+        translated_answer=sentence,
+        original_relative_position=0.0,
+    )
+    (fixed,) = postprocess_candidates([candidate], counting)
 
     latin_tokens = [t.token for t in classify_tokens(sentence) if t.script is Script.LATIN]
-    assert counting.tokens_seen == latin_tokens == list(table)
+    assert counting.tokens_seen == latin_tokens == list(table)  # once, for all three fields
 
+    latin, _ = scan_residuals(sentence)
+    out = transliterate_residuals(sentence, latin, table)
     before = {t.token for t in classify_tokens(sentence) if t.script is not Script.LATIN}
     after_tokens = [t.token for t in classify_tokens(out)]
     for token in before:
         assert token in after_tokens  # byte-identical survivors
 
+    assert fixed.translated_context == fixed.translated_answer == localize_digits(out)
     assert localize_digits(out) == "बियॉन्से गिसेले नॉवल्स-कार्टर (जन्म ४ सप्टेंबर १९८१)"
 
 

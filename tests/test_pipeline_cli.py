@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import transquad.cli
 from transquad.cli import main
 import transquad._text
 import transquad.corpus
@@ -115,6 +116,37 @@ def test_config_rejects_missing_key_and_bad_json(tmp_path):
         load_config(path)
     with pytest.raises(ConfigParseError):
         load_config(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ({"parallelism": "2"}, "parallelism"),
+        ({"parallelism": 2.5}, "parallelism"),
+        ({"parallelism": True}, "parallelism"),
+        ({"cache_path": ["a"]}, "cache_path"),
+        ({"split": None}, "split"),
+        ({"filter": ["a"]}, "filter"),
+        ({"filter": {"min_context_length": "3"}}, "filter.min_context_length"),
+        ({"filter": {"min_context_length": False}}, "filter.min_context_length"),
+        ({"filter": {"non_latin_letter_ratio_threshold": None}},
+         "filter.non_latin_letter_ratio_threshold"),
+        ({"filter": {"exclusion_list_path": 3}}, "filter.exclusion_list_path"),
+    ],
+)
+def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, override, field):
+    path, _ = write_config(tmp_path, **override)
+    with pytest.raises(ConfigValidationError) as err:
+        load_config(path)
+    assert err.value.field == field
+    assert main(["--config", str(path), "pipeline"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: config key '{field}' must be ")
+
+
+def test_config_accepts_whole_numbers_for_the_ratio(tmp_path):
+    path, _ = write_config(tmp_path, filter={"non_latin_letter_ratio_threshold": 1})
+    assert load_config(path).filter.non_latin_letter_ratio_threshold == 1
 
 
 # -- run_pipeline --
@@ -454,6 +486,25 @@ def test_cli_stage_chain_matches_pipeline(tmp_path, capsys):
     written = [raw2[key] for key in ("output_path", "rejection_log_path", "stats_path")]
     for written_path in written + [pipeline_out / "output.summary.json", raw["output_path"]]:
         assert stat.S_IMODE(os.stat(written_path).st_mode) == 0o666 & ~umask, written_path
+
+
+def test_cli_postprocess_exits_1_on_a_permanent_transliterator_failure(
+    tmp_path, capsys, monkeypatch
+):
+    class BrokenTransliterator(IdentityTransliterator):
+        def transliterate(self, tokens):
+            raise RuntimeError("service refused the request")
+
+    write_input(tmp_path, build_english_corpus(4, seed=5))
+    path, _ = write_config(tmp_path)
+    assert main(["--config", str(path), "translate"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(transquad.cli, "build_transliterator", lambda tid: BrokenTransliterator())
+    assert main(["--config", str(path), "postprocess"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: transliterator failed on ")
+    assert "service refused the request" in line
+    assert not (tmp_path / "output.postprocessed.jsonl").exists()
 
 
 def test_cli_filter_subcommand(tmp_path, capsys):

@@ -47,12 +47,13 @@ from transquad.script_tools import (
     classify_token,
     classify_tokens,
     localize_digits,
+    scan_residuals,
     transliterate_residuals,
 )
 from transquad.translation import translate_batch
 
 import reference_scripts as reference
-from conftest import DEVANAGARI_WORDS, ENGLISH_WORDS, build_english_corpus
+from conftest import DEVANAGARI_WORDS, ENGLISH_WORDS, alpha_suffix, build_english_corpus
 
 SPECIAL = (
     " \t\n\r\x0b\x0c\x1c\x1d\x85\u00a0\u1680\u2000\u2028\u2029\u202f\u3000"  # whitespace
@@ -105,8 +106,9 @@ def test_non_latin_letter_ratio_matches_reference(text):
 
 
 def assert_routed_like_reference(text: str) -> None:
-    mixed: list[str] = []
-    out = transliterate_residuals(text, StubTransliterator(), mixed)
+    latin, mixed = scan_residuals(text)
+    table = {text[start:end]: stub(text[start:end]) for start, end in latin}
+    out = transliterate_residuals(text, latin, table)
     assert out == reference.transliterate_residuals(text, stub)
     assert mixed == [
         token
@@ -115,14 +117,15 @@ def assert_routed_like_reference(text: str) -> None:
     ]
     # The stub keeps lengths, so every whitespace character and every
     # character of a non-Latin token must sit unchanged at its offset.
-    latin = {
-        i
+    reference_latin = [
+        (start, start + len(token))
         for start, token in reference.iter_raw_tokens(text)
         if reference.classify_token(token) is Script.LATIN
-        for i in range(start, start + len(token))
-    }
+    ]
+    assert latin == reference_latin
+    inside = {i for start, end in latin for i in range(start, end)}
     assert len(out) == len(text)
-    assert all(out[i] == ch for i, ch in enumerate(text) if i not in latin)
+    assert all(out[i] == ch for i, ch in enumerate(text) if i not in inside)
 
 
 @PROPERTY
@@ -164,6 +167,7 @@ def test_postprocess_dedup_equals_processing_every_field(data):
     pool = data.draw(st.lists(TEXT, min_size=1, max_size=4))
     pick = st.sampled_from(pool)
     fields = data.draw(st.lists(st.tuples(pick, pick, pick), max_size=8))
+    parallelism = data.draw(st.sampled_from([1, 3]))
     candidates = [
         AlignmentCandidate(
             qid=f"q{i}",
@@ -175,16 +179,43 @@ def test_postprocess_dedup_equals_processing_every_field(data):
         )
         for i, (context, question, answer) in enumerate(fields)
     ]
-    translit = StubTransliterator()
 
     def fix(text: str) -> str:
-        return localize_digits(transliterate_residuals(text, translit, []))
+        return localize_digits(reference.transliterate_residuals(text, stub))
 
-    got = postprocess_candidates(candidates, translit)
+    got = postprocess_candidates(candidates, StubTransliterator(), parallelism=parallelism)
     assert [
         (c.qid, c.title, c.translated_context, c.translated_question, c.translated_answer)
         for c in got
     ] == [(f"q{i}", "t", fix(c), fix(q), fix(a)) for i, (c, q, a) in enumerate(fields)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.text(alphabet="abकख1 .", min_size=1, max_size=6), min_size=130, max_size=300))
+def test_postprocess_over_several_chunks_matches_reference(words):
+    # A distinct Latin token per word: more than one chunk of
+    # DEFAULT_BATCH_SIZE, at both parallelism degrees.
+    words = [f"{alpha_suffix(i)} {w}" for i, w in enumerate(words)]
+    texts = [" ".join(words[i : i + 5]) for i in range(0, len(words), 5)]
+    candidates = [
+        AlignmentCandidate(
+            qid=f"q{i}",
+            translated_context=text,
+            translated_question=texts[-1 - i],
+            translated_answer=text,
+            original_relative_position=0.5,
+        )
+        for i, text in enumerate(texts)
+    ]
+    for parallelism in (1, 3):
+        got = postprocess_candidates(candidates, StubTransliterator(), parallelism=parallelism)
+        assert [
+            (c.translated_context, c.translated_question, c.translated_answer) for c in got
+        ] == [
+            tuple(localize_digits(reference.transliterate_residuals(t, stub)) for t in fields)
+            for fields in ((c.translated_context, c.translated_question, c.translated_answer)
+                           for c in candidates)
+        ]
 
 
 # -- evaluation --

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
-from transquad.errors import TransliterationError
+from transquad import translation
+from transquad.alignment import AlignmentCandidate
+from transquad.errors import EngineUnavailableError, TransientEngineError, TransliterationError
+from transquad.pipeline import postprocess_candidates
 from transquad.script_tools import (
     IdentityTransliterator,
     Script,
@@ -16,10 +20,12 @@ from transquad.script_tools import (
     classify_token,
     classify_tokens,
     localize_digits,
+    scan_residuals,
     transliterate_residuals,
 )
 
-from conftest import CountingTransliterator
+import reference_scripts as reference
+from conftest import CountingTransliterator, alpha_suffix
 
 # Pieces of a real translated sentence: Latin residue, Devanagari words,
 # ASCII digits inside Devanagari parentheses.
@@ -30,6 +36,11 @@ TRANSLIT_TABLE = {
     "Giselle": "गिसेले",
     "Knowles-Carter": "नॉवल्स-कार्टर",
 }
+
+
+class UppercaseTransliterator(Transliterator):
+    def transliterate(self, tokens):
+        return [t.upper() for t in tokens]
 
 
 # -- classify_tokens --
@@ -108,57 +119,86 @@ def test_localize_digits_properties():
                 assert after == before
 
 
-# -- transliterate_residuals --
+# -- transliteration: scan_residuals, transliterate_residuals, postprocess_candidates --
+
+
+def transliterate(text: str, translit: Transliterator) -> str:
+    """``text`` with its Latin tokens sent through ``translit``, digits left as they are."""
+    latin, _ = scan_residuals(text)
+    tokens = [text[start:end] for start, end in latin]
+    return transliterate_residuals(text, latin, dict(zip(tokens, translit.transliterate(tokens))))
+
+
+def postprocess(*texts: str, translit: Transliterator, parallelism: int = 1) -> list[str]:
+    """Each text as the context of one candidate through ``postprocess_candidates``."""
+    candidates = [
+        AlignmentCandidate(
+            qid=f"q{i}",
+            translated_context=text,
+            translated_question="प्रश्न",
+            translated_answer="उत्तर",
+            original_relative_position=0.0,
+        )
+        for i, text in enumerate(texts)
+    ]
+    fixed = postprocess_candidates(candidates, translit, parallelism=parallelism)
+    return [cand.translated_context for cand in fixed]
 
 
 def test_transliterates_only_latin_tokens():
     translit = TableTransliterator({"Beyonce": "बियॉन्से"})
-    assert transliterate_residuals("Beyonce जन्म", translit) == "बियॉन्से जन्म"
+    assert transliterate("Beyonce जन्म", translit) == "बियॉन्से जन्म"
+    assert postprocess("Beyonce जन्म", translit=translit) == ["बियॉन्से जन्म"]
 
 
 def test_identity_transliterator_is_identity():
     rng = random.Random(2)
     alphabet = "abc कखग 12 ,."
-    for _ in range(100):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        assert transliterate_residuals(text, IdentityTransliterator()) == text
+    texts = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30))) for _ in range(100)]
+    for text in texts:
+        assert transliterate(text, IdentityTransliterator()) == text
+    assert postprocess(*texts, translit=IdentityTransliterator()) == [
+        localize_digits(text) for text in texts
+    ]
 
 
 def test_counting_transliterator_sees_exactly_latin_tokens():
     counting = CountingTransliterator(IdentityTransliterator())
-    transliterate_residuals("abc कखग def", counting)
-    assert counting.tokens_seen == ["abc", "def"]
+    postprocess("abc कखग def", "def abc", translit=counting)
+    assert counting.tokens_seen == ["abc", "def"]  # each distinct token once
     assert counting.calls == 1
 
 
 def test_no_latin_tokens_means_no_invocation():
     counting = CountingTransliterator(IdentityTransliterator())
-    out = transliterate_residuals("कखग १९८१ ,.", counting)
-    assert out == "कखग १९८१ ,."
+    assert postprocess("कखग १९८१ ,.", translit=counting) == ["कखग १९८१ ,."]
     assert counting.calls == 0
 
 
 def test_whitespace_preserved_exactly():
     translit = TableTransliterator({"aa": "क"})
-    assert transliterate_residuals("aa\t aa\n कखग  aa", translit) == "क\t क\n कखग  क"
+    assert transliterate("aa\t aa\n कखग  aa", translit) == "क\t क\n कखग  क"
+    assert postprocess("aa\t aa\u2028 कखग  aa\n", translit=translit) == ["क\t क\u2028 कखग  क\n"]
 
 
 def test_mixed_tokens_left_untouched_and_logged(caplog):
     counting = CountingTransliterator(IdentityTransliterator())
+    assert scan_residuals("abc123 जन्म ok") == ([(12, 14)], ["abc123"])
     with caplog.at_level("WARNING", logger="transquad.script_tools"):
-        out = transliterate_residuals("abc123 जन्म ok", counting)
-    assert out == "abc123 जन्म ok"
+        out = postprocess("abc123 जन्म ok", translit=counting)
+    assert out == ["abc१२३ जन्म ok"]  # digits are localized, the letters left alone
     assert counting.tokens_seen == ["ok"]
-    assert "abc123" in caplog.text
+    (record,) = caplog.records
+    assert "left 1 mixed-script token(s)" in record.getMessage()
+    assert "abc123" in record.getMessage()
 
 
 def test_figure_line_routing_and_digits():
     counting = CountingTransliterator(TableTransliterator(TRANSLIT_TABLE))
-    transliterated = transliterate_residuals(MIXED_LINE, counting)
-    assert counting.tokens_seen == ["Beyonce", "Giselle", "Knowles-Carter"]
-    assert localize_digits(transliterated) == (
+    assert postprocess(MIXED_LINE, translit=counting) == [
         "बियॉन्से गिसेले नॉवल्स-कार्टर (जन्म ४ सप्टेंबर १९८१)"
-    )
+    ]
+    assert counting.tokens_seen == ["Beyonce", "Giselle", "Knowles-Carter"]
 
 
 def test_transliterator_errors_carry_token_context():
@@ -166,8 +206,8 @@ def test_transliterator_errors_carry_token_context():
         def transliterate(self, tokens):
             raise RuntimeError("model crashed")
 
-    with pytest.raises(TransliterationError) as err:
-        transliterate_residuals("abc कखग", ExplodingTransliterator())
+    with pytest.raises(TransliterationError, match="model crashed") as err:
+        postprocess("abc कखग", translit=ExplodingTransliterator())
     assert err.value.tokens == ("abc",)
 
 
@@ -176,8 +216,64 @@ def test_parallel_list_violation_is_an_error():
         def transliterate(self, tokens):
             return []
 
-    with pytest.raises(TransliterationError):
-        transliterate_residuals("abc def", ShortTransliterator())
+    with pytest.raises(TransliterationError, match="returned 0 texts for 2 inputs") as err:
+        postprocess("abc def", translit=ShortTransliterator())
+    assert err.value.tokens == ("abc", "def")
+
+
+def tokens_for(n: int) -> list[str]:
+    """``n`` distinct Latin tokens."""
+    return [f"w{alpha_suffix(i)}" for i in range(n)]
+
+
+def test_more_latin_tokens_than_one_chunk_holds():
+    # 300 distinct tokens: three chunks of at most DEFAULT_BATCH_SIZE (128).
+    words = tokens_for(300)
+    texts = [" ".join(words[i : i + 7]) + " जन्म 12" for i in range(0, 300, 7)]
+    expected = [localize_digits(reference.transliterate_residuals(t, str.upper)) for t in texts]
+    for parallelism in (1, 3):
+        counting = CountingTransliterator(UppercaseTransliterator())
+        assert postprocess(*texts, translit=counting, parallelism=parallelism) == expected
+        assert counting.calls == 3
+        assert sorted(counting.tokens_seen) == sorted(words)
+
+
+def test_transient_failure_once_per_chunk_is_retried(monkeypatch):
+    sleeps: list[float] = []
+    monkeypatch.setattr(translation.time, "sleep", sleeps.append)
+
+    class FlakyTransliterator(UppercaseTransliterator):
+        def __init__(self):
+            self.failed: set[str] = set()
+            self.lock = threading.Lock()
+
+        def transliterate(self, tokens):
+            with self.lock:
+                first_try = tokens[0] not in self.failed
+                self.failed.add(tokens[0])
+            if first_try:
+                raise TransientEngineError("busy")
+            return super().transliterate(tokens)
+
+    words = tokens_for(300)
+    texts = [" ".join(words[i : i + 10]) for i in range(0, 300, 10)]
+    expected = postprocess(*texts, translit=UppercaseTransliterator())
+    for parallelism in (1, 3):
+        flaky = FlakyTransliterator()
+        assert postprocess(*texts, translit=flaky, parallelism=parallelism) == expected
+        assert len(flaky.failed) == 3
+    assert sleeps == [translation.DEFAULT_BACKOFF_BASE] * 6
+
+
+def test_transient_failures_past_the_retry_budget_make_the_model_unavailable(monkeypatch):
+    monkeypatch.setattr(translation.time, "sleep", lambda seconds: None)
+
+    class DownTransliterator(Transliterator):
+        def transliterate(self, tokens):
+            raise TransientEngineError("down")
+
+    with pytest.raises(EngineUnavailableError, match="transliterator still failing"):
+        postprocess("abc", translit=DownTransliterator())
 
 
 def test_table_transliterator_from_file_and_registry(tmp_path):

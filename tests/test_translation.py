@@ -270,8 +270,20 @@ def test_wrong_length_from_engine_is_an_error():
         def translate(self, texts, source_lang, target_lang):
             return ["only one"]
 
-    with pytest.raises(EngineError):
+    with pytest.raises(EngineError, match="engine 'broken' returned 1 texts for 2 inputs"):
         translate_batch(request(["a", "b"], "broken"), BrokenEngine())
+
+
+def test_unexpected_engine_exception_becomes_an_engine_error():
+    class CrashingEngine(TranslationEngine):
+        engine_id = "crashing"
+
+        def translate(self, texts, source_lang, target_lang):
+            raise KeyError("no such model")
+
+    with pytest.raises(EngineError, match="engine 'crashing' failed on 2 text") as err:
+        translate_batch(request(["a", "b"], "crashing"), CrashingEngine())
+    assert isinstance(err.value.__cause__, KeyError)
 
 
 class FlakyEngine(TranslationEngine):
