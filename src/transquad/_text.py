@@ -1,9 +1,11 @@
 """Text helpers shared by filtering, script tools, translation, alignment and evaluation.
 
-Character-level predicates, the two-column table format that the mock
-translation engine and transliterator both read, and the atomic file write
-every output goes through. All offsets and lengths in this package count
-Unicode code points, which is what Python string indexing gives us for free.
+Character-level predicates, the lazily filled ``str.translate`` table of
+the script scans and of answer normalization, the two-column table format
+that the mock translation engine and transliterator both read, and the
+atomic file write every output goes through. All offsets and lengths in
+this package count Unicode code points, which is what Python string
+indexing gives us for free.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import os
 import tempfile
 import unicodedata
 from pathlib import Path
+from typing import Callable
 
 DEVANAGARI_FIRST = 0x0900
 DEVANAGARI_LAST = 0x097F
@@ -45,6 +48,29 @@ def is_devanagari_digit(ch: str) -> bool:
 def ascii_casefold(text: str) -> str:
     """Lower-case Basic-Latin letters only; leave every other code point alone."""
     return text.translate(_ASCII_LOWER_TABLE)
+
+
+class LazyTable(dict):
+    """``str.translate`` table that maps a code point on first sight, up to ``cap`` entries.
+
+    ``rule(ch)`` gives a character's mapping: a string, or None to delete it.
+    Only code points that occur get an entry, so building costs nothing and
+    the table stays as small as the alphabet of the text seen. Every code
+    point maps to something, so ``str.translate`` never meets a missing key.
+    Past ``cap`` entries a code point is mapped again on every sight, so a
+    long-lived process fed arbitrary Unicode stays bounded.
+    """
+
+    def __init__(self, rule: Callable[[str], str | None], cap: int):
+        super().__init__()
+        self.rule = rule
+        self.cap = cap
+
+    def __missing__(self, cp: int) -> str | None:
+        value = self.rule(chr(cp))
+        if len(self) < self.cap:
+            self[cp] = value
+        return value
 
 
 def read_tsv_table(path: str | Path) -> dict[str, str]:

@@ -24,6 +24,7 @@ import logging
 import sys
 from pathlib import Path
 
+from ._text import atomic_write
 from .alignment import align_corpus
 from .corpus import compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, PipelineError, TransquadError
@@ -128,7 +129,7 @@ def _cmd_stats(args) -> int:
     payload = json.dumps(compute_stats(corpus).to_dict(), indent=2)
     print(payload)
     if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+        atomic_write(args.output, (payload + "\n").encode("utf-8"))
     return 0
 
 
@@ -195,7 +196,7 @@ def _cmd_evaluate(args) -> int:
     payload = report.to_json()
     print(payload)
     if args.output:
-        Path(args.output).write_text(payload + "\n", encoding="utf-8")
+        atomic_write(args.output, (payload + "\n").encode("utf-8"))
     return 0
 
 

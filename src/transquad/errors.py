@@ -70,7 +70,11 @@ class TransliterationError(TransquadError):
         self.tokens = tokens
 
 
-class MissingEmbeddingError(TransquadError, LookupError):
+class EmbeddingError(TransquadError):
+    """The embedding provider failed, or returned vectors that cannot be scored."""
+
+
+class MissingEmbeddingError(EmbeddingError, LookupError):
     """A token to be scored has no vector in the embedding table."""
 
 

@@ -10,7 +10,9 @@ definition.
 The BERTScore core is model-free: it takes precomputed per-token embedding
 vectors and does greedy max-cosine matching with uniform token weights (no
 idf, no baseline rescaling). Embeddings come from any EmbeddingProvider; a
-table-backed provider is included for offline use.
+table-backed provider is included for offline use. ``evaluate_predictions``
+sends the pairs to the provider through the model gateway
+(``translation.call_model``), so the waits of different pairs overlap.
 """
 
 from __future__ import annotations
@@ -26,16 +28,26 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ._kernels import greedy_match
-from ._text import ascii_casefold
+from ._text import LazyTable, ascii_casefold
 from .corpus import Corpus
-from .errors import MissingEmbeddingError
+from .errors import EmbeddingError, MissingEmbeddingError
+from .translation import DEFAULT_MAX_WORKERS, call_model
+
+# Entries the normalization table keeps, as ``script_tools.EVIDENCE_CAP``.
+NORMALIZE_CAP = 4096
+
+
+def _normalized_char(ch: str) -> str | None:
+    return None if unicodedata.category(ch).startswith("P") else ascii_casefold(ch)
+
+
+# Code point -> itself, its lower case (A-Z) or None (punctuation, deleted).
+_NORMALIZE = LazyTable(_normalized_char, NORMALIZE_CAP)
 
 
 def normalize(text: str) -> list[str]:
     """Case-fold Basic-Latin letters, drop punctuation, split on whitespace."""
-    folded = ascii_casefold(text)
-    cleaned = "".join(ch for ch in folded if not unicodedata.category(ch).startswith("P"))
-    return cleaned.split()
+    return text.translate(_NORMALIZE).split()
 
 
 def exact_match(gold: str, pred: str) -> int:
@@ -100,14 +112,31 @@ class EmbeddingProvider:
     It must be deterministic per token sequence: ``evaluate_predictions``
     embeds each pair's distinct normalized answer once, and when prediction
     and gold normalize to the same tokens one array serves both sides.
+
+    Calls for different pairs run on up to ``max_workers`` threads at once,
+    so ``embed`` must be thread-safe. It may raise ``TransientEngineError``
+    to have the pairs of its chunk scored again, with backoff. Another
+    ``TransquadError`` (``MissingEmbeddingError``, say) passes through; any
+    other exception ends the evaluation in ``EmbeddingError``.
     """
+
+    #: How many ``embed`` calls may be in flight at once. A remote model
+    #: overlaps its waits; a provider that computes in-process and holds the
+    #: GIL is fastest at 1.
+    max_workers: int = DEFAULT_MAX_WORKERS
 
     def embed(self, tokens: Sequence[str]) -> np.ndarray:
         raise NotImplementedError
 
 
 class TableEmbeddingProvider(EmbeddingProvider):
-    """Embeddings from a fixed token -> vector table (for tests and offline runs)."""
+    """Embeddings from a fixed token -> vector table (for tests and offline runs).
+
+    A lookup runs in-process and holds the GIL, so threads have no wait to
+    overlap and only contend: ``max_workers`` is 1.
+    """
+
+    max_workers = 1
 
     def __init__(self, table: Mapping[str, Sequence[float]]):
         if not table:
@@ -132,27 +161,25 @@ class TableEmbeddingProvider(EmbeddingProvider):
         """One line per token: the token, then its whitespace-separated components.
 
         Blank lines and lines starting with ``#`` are skipped; a later line
-        wins on a duplicate token. The lines stream through one
-        ``np.loadtxt`` call, which parses the numbers in C to the same bits
-        as ``float()``. If it refuses a row, the file is read again with
-        ``float()``, which also takes ``1_0`` and non-ASCII digits, and a
-        malformed number, a row of another length or a non-finite component
-        (``nan``, ``inf``, which ``float()`` accepts) raises ValueError naming
-        ``path:lineno``.
+        wins on a duplicate token. A first pass reads the tokens; then the
+        lines stream through one ``np.loadtxt`` call, which parses the
+        numbers in C to the same bits as ``float()``. Given the row count,
+        it allocates the matrix once; grown block by block, the matrix
+        leaves heap holes that the next table loaded in the same process may
+        not fit in, and peak memory grows by a table. If loadtxt refuses a
+        row, the file is read again with ``float()``, which also takes
+        ``1_0`` and non-ASCII digits, and a malformed number, a row of
+        another length or a non-finite component (``nan``, ``inf``, which
+        ``float()`` accepts) raises ValueError naming ``path:lineno``.
         """
-        rows = _table_rows(path)
-        first = next(rows, None)
-        if first is None:  # loadtxt would warn; __init__ refuses the empty table
+        tokens = [token for _, token, _ in _table_rows(path)]
+        if not tokens:  # loadtxt would warn; __init__ refuses the empty table
             return cls({})
-        tokens = []
-
-        def numbers():
-            for _, token, text in itertools.chain([first], rows):
-                tokens.append(token)
-                yield text
-
+        numbers = (text for _, _, text in _table_rows(path))
         try:
-            matrix = np.loadtxt(numbers(), dtype=np.float64, comments=None, ndmin=2)
+            matrix = np.loadtxt(
+                numbers, dtype=np.float64, comments=None, ndmin=2, max_rows=len(tokens)
+            )
         except ValueError:
             tokens, matrix = _parse_table(path)
         finite = np.isfinite(matrix).all(axis=1)
@@ -266,8 +293,14 @@ def evaluate_predictions(
     BERTScore is omitted entirely when no embedder is supplied. Each side of
     a pair is normalized once, and each distinct normalized answer of a pair
     is embedded once.
+
+    Every pair is checked and normalized before any ``embed`` call. The pairs
+    then go through ``call_model`` in chunks, up to ``embedder.max_workers``
+    at once, and are reported in input order, so the report does not depend
+    on the parallelism.
     """
     report = EvalReport()
+    pairs: list[tuple[str, list[str], list[str]]] = []
     for rec in gold.records:
         if len(rec.answers) != 1:
             raise ValueError(
@@ -277,16 +310,26 @@ def evaluate_predictions(
         if rec.qid not in predictions:
             report.skipped.append(rec.qid)
             continue
-        gold_tokens = normalize(rec.answers[0].text)
-        pred_tokens = normalize(predictions[rec.qid])
-        report.per_question[rec.qid] = QuestionScore(
-            em=int(gold_tokens == pred_tokens),
-            f1=_tokens_f1(gold_tokens, pred_tokens),
-            bert_f=(
-                _bert_f_for_pair(gold_tokens, pred_tokens, embedder)
-                if embedder is not None
-                else None
-            ),
+        pairs.append((rec.qid, normalize(rec.answers[0].text), normalize(predictions[rec.qid])))
+
+    def settle(chunk, bert_fs) -> None:
+        for (qid, gold_tokens, pred_tokens), bert_f in zip(chunk, bert_fs):
+            report.per_question[qid] = QuestionScore(
+                em=int(gold_tokens == pred_tokens),
+                f1=_tokens_f1(gold_tokens, pred_tokens),
+                bert_f=bert_f,
+            )
+
+    if embedder is None:
+        settle(pairs, [None] * len(pairs))
+    else:
+        call_model(
+            lambda chunk: [_bert_f_for_pair(g, p, embedder) for _, g, p in chunk],
+            pairs,
+            "embedding provider",
+            lambda message, chunk: EmbeddingError(message),
+            settle,
+            max_workers=embedder.max_workers,
         )
     scored = report.per_question.values()
     if scored:

@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 from ._text import (
     DEVANAGARI_DIGIT_ZERO,
+    LazyTable,
     is_basic_latin_letter,
     is_devanagari,
     is_devanagari_digit,
@@ -61,7 +62,7 @@ class TokenScript:
     start: int  # code-point offset of the token in the source text
 
 
-# Evidence classes: one character per code point, as ``_EvidenceTable`` maps
+# Evidence classes: one character per code point, as ``_EVIDENCE`` maps
 # them. Devanagari letters and digits share a class because classify_token
 # treats them alike.
 _LATIN = "L"  # Basic-Latin letter A-Z, a-z
@@ -83,36 +84,22 @@ MIXED_SAMPLE_SIZE = 10  # distinct tokens quoted in the mixed-script warning
 
 
 # Entries the evidence table keeps. Real text touches a few hundred code
-# points; past the cap a code point is classified on every sight, so a
-# long-lived process fed arbitrary Unicode stays bounded.
+# points; past the cap a code point is classified on every sight.
 EVIDENCE_CAP = 4096
 
 
-class _EvidenceTable(dict):
-    """``str.translate`` table from code point to evidence class, filled on first sight.
-
-    Only code points that occur get an entry, so import builds nothing and
-    the table stays as small as the alphabet of the tokens seen, and never
-    larger than ``EVIDENCE_CAP``.
-    """
-
-    def __missing__(self, cp: int) -> str:
-        ch = chr(cp)
-        if is_letter(ch):
-            if is_basic_latin_letter(ch):
-                cls = _LATIN
-            else:
-                cls = _DEVANAGARI if is_devanagari(ch) else _OTHER_LETTER
-        elif is_digit(ch):
-            cls = _DEVANAGARI if is_devanagari_digit(ch) else _OTHER_DIGIT
-        else:
-            cls = _SPACE if ch.isspace() else _NO_EVIDENCE
-        if len(self) < EVIDENCE_CAP:
-            self[cp] = cls
-        return cls
+def _evidence_class(ch: str) -> str:
+    if is_letter(ch):
+        if is_basic_latin_letter(ch):
+            return _LATIN
+        return _DEVANAGARI if is_devanagari(ch) else _OTHER_LETTER
+    if is_digit(ch):
+        return _DEVANAGARI if is_devanagari_digit(ch) else _OTHER_DIGIT
+    return _SPACE if ch.isspace() else _NO_EVIDENCE
 
 
-_EVIDENCE = _EvidenceTable()
+# Code point -> evidence class, filled on first sight.
+_EVIDENCE = LazyTable(_evidence_class, EVIDENCE_CAP)
 
 
 def classify_token(token: str) -> Script:

@@ -1,7 +1,9 @@
-"""One gateway for both remote models, plus engines, cache and dedup for translation.
+"""One gateway for the remote models, plus engines, cache and dedup for translation.
 
-``call_model`` sends a list to a model (engine or transliterator) in
-chunks, with retries and a thread pool. No real MT model lives here: engines
+``call_model`` sends a list to a model in chunks, with retries and a thread
+pool. It serves all three remote models: the translation engine, the
+transliterator and the embedding model behind BERTScore
+(``evaluation.evaluate_predictions``). No real MT model lives here: engines
 are a one-method interface plus deterministic mocks (identity, word-table
 dictionary, uppercase) so the whole pipeline runs offline. The dictionary
 engine passes unknown words through untouched, which mimics the
@@ -21,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from ._text import read_tsv_table
 from .errors import (
@@ -36,6 +38,8 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 CacheKey = tuple[str, str, str, str]  # engine_id, source_lang, target_lang, source_text
+Item = TypeVar("Item")  # what call_model sends to a model
+Reply = TypeVar("Reply")  # what the model returns per item
 
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE = 1.0  # seconds; doubles per retry
@@ -241,11 +245,11 @@ class TranslationCache:
 
 
 def call_model(
-    call: Callable[[list[str]], list[str]],
-    texts: list[str],
+    call: Callable[[list[Item]], Sequence[Reply]],
+    items: list[Item],
     model: str,
-    error: Callable[[str, list[str]], TransquadError],
-    settle: Callable[[list[str], list[str]], None],
+    error: Callable[[str, list[Item]], TransquadError],
+    settle: Callable[[list[Item], list[Reply]], None],
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_workers: int = DEFAULT_MAX_WORKERS,
@@ -253,9 +257,9 @@ def call_model(
     backoff_base: float = DEFAULT_BACKOFF_BASE,
     sleep: Callable[[float], None] | None = None,
 ) -> None:
-    """Send ``texts`` to a model in chunks; ``settle(chunk, outputs)`` receives each reply.
+    """Send ``items`` to a model in chunks; ``settle(chunk, outputs)`` receives each reply.
 
-    Chunks of at most ``batch_size`` texts go out in input order, up to
+    Chunks of at most ``batch_size`` items go out in input order, up to
     ``max_workers`` at once, and are settled in input order as they arrive:
     results do not depend on the parallelism or the chunking, and a failure
     on a later chunk leaves every earlier one settled.
@@ -267,7 +271,7 @@ def call_model(
     ``error(message, chunk)``; ``model`` names the model in the message.
     """
 
-    def run(chunk: list[str]) -> list[str]:
+    def run(chunk: list[Item]) -> list[Reply]:
         last: TransientEngineError | None = None
         for attempt in range(1, max_attempts + 1):
             try:
@@ -288,7 +292,7 @@ def call_model(
             f"{model} still failing after {max_attempts} attempts"
         ) from last
 
-    chunks = [texts[j : j + batch_size] for j in range(0, len(texts), batch_size)]
+    chunks = [items[j : j + batch_size] for j in range(0, len(items), batch_size)]
     if max_workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             for chunk, out in zip(chunks, pool.map(run, chunks)):

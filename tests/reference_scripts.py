@@ -1,17 +1,19 @@
-"""Per-character reference implementations of the script scans, for differential tests.
+"""Per-character reference implementations of the text scans, for differential tests.
 
-These are the straightforward loops that ``script_tools`` and ``filtering``
-replaced with C-level string operations (a ``str.translate`` evidence table,
-``re`` token matching, ``str.isalpha`` counting). They call the ``_text``
-predicates once per character and must agree with the fast versions on every
-input.
+These are the straightforward loops that ``script_tools``, ``filtering`` and
+``evaluation.normalize`` replaced with C-level string operations (lazily
+filled ``str.translate`` tables, ``re`` token matching, ``str.isalpha``
+counting). They look at one character at a time and must agree with the
+fast versions on every input.
 """
 
 from __future__ import annotations
 
+import unicodedata
 from typing import Iterator
 
 from transquad._text import (
+    ascii_casefold,
     is_basic_latin_letter,
     is_devanagari,
     is_devanagari_digit,
@@ -83,3 +85,10 @@ def transliterate_residuals(text: str, transliterate) -> str:
             pos = start + len(token)
     parts.append(text[pos:])
     return "".join(parts)
+
+
+def normalize(text: str) -> list[str]:
+    """Case-fold Basic-Latin letters, drop punctuation, split on whitespace."""
+    folded = ascii_casefold(text)
+    cleaned = "".join(ch for ch in folded if not unicodedata.category(ch).startswith("P"))
+    return cleaned.split()

@@ -4,13 +4,23 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
+import transquad.translation
 from transquad.corpus import AnswerSpan, Corpus, QaRecord
+from transquad.errors import (
+    EmbeddingError,
+    EngineUnavailableError,
+    MissingEmbeddingError,
+    TransientEngineError,
+)
 from transquad.evaluation import (
+    EmbeddingProvider,
     EvalReport,
     QuestionScore,
     TableEmbeddingProvider,
@@ -20,6 +30,7 @@ from transquad.evaluation import (
     normalize,
     token_f1,
 )
+from transquad.translation import DEFAULT_BATCH_SIZE, DEFAULT_MAX_WORKERS
 
 from conftest import CountingEmbedder
 
@@ -281,6 +292,24 @@ def test_table_provider_from_file_later_duplicate_wins(tmp_path):
     assert provider.embed(["a", "b"]).tolist() == [[5.0, 6.0], [3.0, 4.0]]
 
 
+def test_table_provider_from_file_sizes_the_matrix_once(tmp_path, monkeypatch):
+    # Grown block by block, the matrix leaves heap holes that the next table
+    # may not fit in; given max_rows, loadtxt allocates it once.
+    sizes = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        sizes.append(kwargs.get("max_rows"))
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = tmp_path / "emb.txt"
+    path.write_text("# c\nalpha 1 0\n\nbeta 0 1\ngamma 1 1\n", encoding="utf-8")
+    provider = TableEmbeddingProvider.from_file(path)
+    assert sizes == [3]
+    assert provider.embed(["gamma", "alpha"]).tolist() == [[1.0, 1.0], [1.0, 0.0]]
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -455,15 +484,186 @@ def test_evaluate_normalizes_each_side_once(monkeypatch):
 
 
 def test_evaluate_requires_collapsed_gold():
+    # The two-answer record comes after three chunks of good pairs, and is
+    # refused before any of them is embedded.
+    pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
     rec = QaRecord(
-        qid="q1",
+        qid="q-two",
         question="?",
         context="a b",
         answers=(AnswerSpan("a", 0), AnswerSpan("b", 2)),
         title="t",
     )
-    with pytest.raises(ValueError):
-        evaluate_predictions(Corpus(split="test", records=(rec,)), {"q1": "a"})
+    gold = Corpus(split="test", records=gold_corpus(pairs).records + (rec,))
+    embedder = CountingEmbedder(TableEmbeddingProvider(TABLE))
+    with pytest.raises(ValueError, match="'q-two' has 2 answers"):
+        evaluate_predictions(gold, {**predictions, "q-two": "a"}, embedder)
+    assert embedder.calls == []
+
+
+# -- evaluate_predictions through the model gateway --
+
+TABLE = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.0, 0.0, 1.0], "d": [1.0, 1.0, 0.0]}
+
+
+def many_pairs(n, seed=3):
+    """n (qid, gold) pairs over the TABLE tokens, and a prediction per qid.
+
+    Each gold is the five base-4 digits of its index, so no two are alike.
+    Predictions are copies, case and punctuation variants, two-token
+    answers and empty strings, so every edge of the per-pair scoring occurs.
+    """
+    assert n <= 4**5
+    rng = random.Random(seed)
+    pairs, predictions = [], {}
+    for i in range(n):
+        gold = " ".join("abcd"[i // 4**k % 4] for k in range(5))
+        pred = rng.choice(
+            [gold, gold.upper() + ".", " ".join(rng.choices("abcd", k=2)), "", "।"]
+        )
+        pairs.append((f"q{i}", gold))
+        predictions[f"q{i}"] = pred
+    return pairs, predictions
+
+
+def expected_calls(pairs, predictions):
+    """One call per distinct normalized answer of each pair with two non-empty sides."""
+    calls = []
+    for qid, gold in pairs:
+        g, p = normalize(gold), normalize(predictions[qid])
+        if g and p:
+            calls += [g] if g == p else [g, p]
+    return calls
+
+
+class InFlightTable(TableEmbeddingProvider):
+    """A table provider that waits like a model, records each call and the most calls at once."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.calls: list[list[str]] = []
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def embed(self, tokens):
+        with self._lock:
+            self.calls.append(list(tokens))
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            time.sleep(0.0005)
+            return super().embed(tokens)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def test_provider_workers_default_to_the_gateway_and_table_provider_to_one():
+    assert EmbeddingProvider.max_workers == DEFAULT_MAX_WORKERS == 4
+    assert TableEmbeddingProvider.max_workers == 1
+
+
+@pytest.mark.parametrize("max_workers, overlaps", [(None, False), (4, True)])
+def test_embed_calls_overlap_only_when_the_provider_allows(max_workers, overlaps):
+    pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
+    embedder = InFlightTable(TABLE)
+    if max_workers is not None:
+        embedder.max_workers = max_workers
+    report = evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+    assert (embedder.peak > 1) is overlaps
+    # Each call carries one answer's tokens, and none is memoized across pairs.
+    want = expected_calls(pairs, predictions)
+    assert sorted(embedder.calls) == sorted(want)
+    if not overlaps:
+        assert embedder.calls == want
+    assert list(report.per_question) == [qid for qid, _ in pairs]
+
+
+class FailingEmbedder(EmbeddingProvider):
+    def __init__(self, exc):
+        self.exc = exc
+
+    def embed(self, tokens):
+        raise self.exc
+
+
+class ShapelessEmbedder(EmbeddingProvider):
+    """Returns one flat array for the whole answer, which bert_score cannot score."""
+
+    def embed(self, tokens):
+        return np.ones(len(tokens))
+
+
+@pytest.mark.parametrize(
+    "embedder, message",
+    [
+        (FailingEmbedder(RuntimeError("model crashed")), "model crashed"),
+        (FailingEmbedder(NotImplementedError()), "embedding provider failed"),
+        (ShapelessEmbedder(), "must be rectangular"),
+    ],
+)
+def test_provider_failure_becomes_embedding_error(embedder, message):
+    pairs, predictions = many_pairs(2 * DEFAULT_BATCH_SIZE)
+    with pytest.raises(EmbeddingError, match=message):
+        evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+
+
+def test_missing_embedding_is_an_embedding_error_and_a_lookup_error():
+    assert issubclass(MissingEmbeddingError, EmbeddingError)
+    assert issubclass(MissingEmbeddingError, LookupError)
+    pairs, predictions = many_pairs(2 * DEFAULT_BATCH_SIZE)
+    predictions["q200"] = "a zzz"
+    embedder = TableEmbeddingProvider(TABLE)
+    embedder.max_workers = 4
+    with pytest.raises(MissingEmbeddingError, match="'zzz'"):
+        evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+
+
+class FlakyTable(TableEmbeddingProvider):
+    """Fails once, transiently, on the first call for each token list in ``flaky``."""
+
+    def __init__(self, table, flaky):
+        super().__init__(table)
+        self.flaky = {tuple(tokens) for tokens in flaky}
+        self.max_workers = 4
+        self._lock = threading.Lock()
+
+    def embed(self, tokens):
+        with self._lock:
+            failing = tuple(tokens) in self.flaky
+            self.flaky.discard(tuple(tokens))
+        if failing:
+            raise TransientEngineError(f"model busy on {' '.join(tokens)}")
+        return super().embed(tokens)
+
+
+def test_transient_failure_once_per_chunk_gives_the_same_report(monkeypatch):
+    slept = []
+    monkeypatch.setattr(transquad.translation.time, "sleep", slept.append)
+    pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
+    # The first pair of each chunk has a gold answer of its own, which is
+    # embedded because the prediction is not empty.
+    firsts = [normalize(gold) for _, gold in pairs[::DEFAULT_BATCH_SIZE]]
+    for qid, _ in pairs[::DEFAULT_BATCH_SIZE]:
+        predictions[qid] = "a"
+    gold = gold_corpus(pairs)
+    flaky = evaluate_predictions(gold, predictions, FlakyTable(TABLE, firsts))
+    clean = evaluate_predictions(gold, predictions, TableEmbeddingProvider(TABLE))
+    assert flaky.to_json() == clean.to_json()
+    assert slept == [1.0] * 3
+
+
+def test_transient_failures_past_the_retry_budget_end_in_engine_unavailable(monkeypatch):
+    slept = []
+    monkeypatch.setattr(transquad.translation.time, "sleep", slept.append)
+    pairs, predictions = many_pairs(2 * DEFAULT_BATCH_SIZE)
+    embedder = FailingEmbedder(TransientEngineError("model busy"))
+    with pytest.raises(EngineUnavailableError, match="embedding provider still failing after 3"):
+        evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+    # A chunk is tried three times, with the gateway's backoff between. The
+    # second chunk is cancelled if it has not started when the first fails.
+    assert sorted(slept) in ([1.0, 2.0], [1.0, 1.0, 2.0, 2.0])
 
 
 def test_report_serialization_shape():

@@ -17,13 +17,15 @@ import transquad._text
 import transquad.corpus
 import transquad.pipeline
 from transquad.alignment import AlignmentCandidate
-from transquad.corpus import AnswerSpan, collapse_answers, load_corpus, serialize_corpus
+from transquad.corpus import AnswerSpan, Corpus, collapse_answers, load_corpus, serialize_corpus
 from transquad.errors import (
     ConfigParseError,
     ConfigValidationError,
     InvalidCorpusError,
+    MissingEmbeddingError,
     PipelineError,
 )
+from transquad.evaluation import TableEmbeddingProvider
 from transquad.filtering import STAGE_PRE_FILTER, FilterConfig, RejectionEntry, RejectionLog
 from transquad.pipeline import (
     load_config,
@@ -42,7 +44,7 @@ from transquad.translation import (
     UppercaseEngine,
 )
 
-from conftest import CountingEngine, build_english_corpus
+from conftest import CountingEngine, build_english_corpus, make_record
 
 
 def write_config(tmp_path, **overrides):
@@ -606,6 +608,74 @@ def test_cli_evaluate_non_finite_embedding_exits_1(tmp_path, capsys, component):
     assert captured.out == ""
     assert captured.err == f"error: {tmp_path / 'emb.txt'}:1: non-finite vector component\n"
     assert not (tmp_path / "report.json").exists()
+
+
+def test_cli_evaluate_missing_embedding_on_a_pool_thread_exits_1(tmp_path, monkeypatch, capsys):
+    # 300 questions are three gateway chunks; the unknown token is in the last.
+    records = [
+        make_record(f"q{i}", f"alpha beta {i}", "alpha beta", start=0) for i in range(300)
+    ]
+    gold_path = tmp_path / "gold.json"
+    gold_path.write_bytes(serialize_corpus(Corpus(split="test", records=tuple(records))))
+    predictions = {rec.qid: "beta" for rec in records}
+    predictions["q290"] = "alpha gamma"
+    (tmp_path / "pred.json").write_text(json.dumps(predictions), encoding="utf-8")
+    (tmp_path / "emb.txt").write_text("alpha 1 0\nbeta 0 1\n", encoding="utf-8")
+
+    failed_on = []
+    embed = TableEmbeddingProvider.embed
+
+    def recording_embed(self, tokens):
+        try:
+            return embed(self, tokens)
+        except MissingEmbeddingError:
+            failed_on.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(TableEmbeddingProvider, "embed", recording_embed)
+    monkeypatch.setattr(TableEmbeddingProvider, "max_workers", 4)
+    code = main(
+        [
+            "evaluate",
+            "--gold", str(gold_path),
+            "--predictions", str(tmp_path / "pred.json"),
+            "--embeddings", str(tmp_path / "emb.txt"),
+        ]
+    )
+    assert code == 1
+    assert failed_on and threading.main_thread() not in failed_on
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no embedding for token 'gamma'\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "evaluate"])
+def test_cli_failed_report_write_leaves_the_old_file(tmp_path, monkeypatch, capsys, command):
+    corpus = build_english_corpus(3)
+    gold_path = tmp_path / "gold.json"
+    gold_path.write_bytes(serialize_corpus(replace(corpus, split="test")))
+    pred_path = tmp_path / "pred.json"
+    pred_path.write_text(json.dumps({r.qid: r.answers[0].text for r in corpus.records}))
+    out = tmp_path / "reports" / "report.json"
+    out.parent.mkdir()
+    out.write_bytes(b"old contents\n")
+    if command == "stats":
+        argv = ["stats", str(gold_path), "--split", "test", "--output", str(out)]
+    else:
+        argv = ["evaluate", "--gold", str(gold_path), "--predictions", str(pred_path),
+                "--output", str(out)]
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(transquad._text.os, "replace", fail)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert out.read_bytes() == b"old contents\n"
+    assert [p.name for p in out.parent.iterdir()] == ["report.json"]  # no temp file left
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 def write_each_output(tmp_path, name):

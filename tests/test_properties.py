@@ -4,8 +4,10 @@ The C-level script scans run against their per-character references on
 random text that mixes arbitrary code points with the ones the scans must
 get right: every kind of Unicode whitespace, Basic-Latin and other letters,
 Devanagari letters, marks and digits, other decimal digits, and characters
-outside the Basic Multilingual Plane. The evaluator runs against per-pair
-EM, F1 and BERTScore, and the embedding-table loader against ``float()``.
+outside the Basic Multilingual Plane. Answer normalization runs against its
+per-character reference on the same text, the evaluator against per-pair
+EM, F1 and BERTScore at any number of workers, and the embedding-table
+loader against ``float()``.
 The pipeline's outputs must not depend on how the translation gateway
 chunks its requests or how many run at once.
 """
@@ -23,9 +25,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from transquad import pipeline, script_tools
+from transquad import evaluation, pipeline, script_tools
 from transquad.alignment import AlignmentCandidate
 from transquad.corpus import AnswerSpan, Corpus, QaRecord, serialize_corpus
 from transquad.evaluation import (
@@ -269,8 +271,27 @@ def answer_pairs(draw):
 
 
 @PROPERTY
-@given(st.lists(answer_pairs(), max_size=8))
-def test_evaluate_predictions_equals_per_pair_reference(drawn):
+@given(TEXT)
+def test_normalize_matches_reference(text):
+    assert normalize(text) == reference.normalize(text)
+
+
+def test_normalize_table_stays_under_its_cap():
+    everything = "".join(map(chr, range(0x110000)))
+    assert normalize(everything) == reference.normalize(everything)
+    assert len(evaluation._NORMALIZE) <= evaluation.NORMALIZE_CAP
+    # Code points past the cap are still mapped, each time they are seen.
+    for cp in range(0x10000, 0x110000, 997):
+        for text in (chr(cp), "A" + chr(cp) + ".", "x" + chr(cp) + " ।"):
+            assert normalize(text) == reference.normalize(text)
+
+
+@PROPERTY
+@given(st.lists(answer_pairs(), max_size=8), st.sampled_from([1, 50]), st.integers(1, 4))
+# Several chunks of the gateway for sure: 8 x 40 = 320 pairs.
+@example([("a b", "A b."), ("", "a"), ("क", None), ("a", "b")] * 2, 40, 4)
+def test_evaluate_predictions_equals_per_pair_reference(drawn, copies, max_workers):
+    drawn = drawn * copies
     pairs = [(f"q{i}", gold) for i, (gold, _) in enumerate(drawn)]
     predictions = {f"q{i}": pred for i, (_, pred) in enumerate(drawn) if pred is not None}
     gold = Corpus(
@@ -281,6 +302,7 @@ def test_evaluate_predictions_equals_per_pair_reference(drawn):
         ),
     )
     embedder = HashEmbedder()
+    embedder.max_workers = max_workers
     got = evaluate_predictions(gold, predictions, embedder)
     assert got.to_json() == reference_report(pairs, predictions, embedder).to_json()
 
