@@ -9,6 +9,12 @@ then transliterate_residuals and localize_digits, once per distinct text)
 record is ever translated; translating each text on its own, never the
 answer as part of its context, is what makes the answer-not-found rejection
 meaningful.
+
+In ``run_corpus_pipeline`` the scan of each engine output runs as soon as its
+chunk settles, while later chunks are still at the engine, and
+postprocess_candidates scans only the rest: the cache hits, or every text
+when the ``postprocess`` subcommand runs on its own.
+
 ``run_pipeline`` and the CLI's stage subcommands call the same stage
 functions, so both write the same corpus, rejection log and stats.
 
@@ -52,6 +58,7 @@ from .errors import (
 )
 from .filtering import FilterConfig, RejectionLog, filter_corpus
 from .script_tools import (
+    Residuals,
     Transliterator,
     build_transliterator,
     localize_digits,
@@ -240,6 +247,7 @@ def translate_records(
     target_lang: str,
     cache: TranslationCache | None = None,
     parallelism: int = DEFAULT_MAX_WORKERS,
+    scanned: dict[str, Residuals] | None = None,
 ) -> list[AlignmentCandidate]:
     """Translate every context, question and answer through one ``translate_batch`` call.
 
@@ -248,9 +256,18 @@ def translate_records(
     translated on its own, so the output is the same as three separate calls
     would give. Each candidate carries its source record's relative answer
     position.
+
+    Given ``scanned``, each distinct engine output is scanned into it
+    (``scan_residuals``) as soon as its chunk settles, so the scans overlap
+    the engine calls still in flight; ``postprocess_candidates`` reads them.
     """
     if not records:
         return []
+
+    def scan_settled(outputs: list[str]) -> None:
+        for text in outputs:
+            if text not in scanned:
+                scanned[text] = scan_residuals(text)
 
     request = TranslationRequest(
         texts=tuple(
@@ -260,7 +277,13 @@ def translate_records(
         target_lang=target_lang,
         engine_id=engine.engine_id,
     )
-    out = translate_batch(request, engine, cache, max_workers=parallelism)
+    out = translate_batch(
+        request,
+        engine,
+        cache,
+        max_workers=parallelism,
+        on_settled=None if scanned is None else scan_settled,
+    )
     candidates = []
     for rec, ctx, question, answer in zip(records, out[0::3], out[1::3], out[2::3]):
         # Clamp: the relative position is only a tie-break hint, so a source
@@ -284,19 +307,26 @@ def postprocess_candidates(
     transliterator: Transliterator,
     *,
     parallelism: int = DEFAULT_MAX_WORKERS,
+    scanned: Mapping[str, Residuals] | None = None,
 ) -> list[AlignmentCandidate]:
     """Transliterate Latin residue and localize digits in all three translated fields.
 
-    Each distinct text is scanned once. The stage's distinct Latin tokens go
-    through ``call_model`` together, then each distinct text is substituted
-    and digit-localized once. Mixed-script tokens left alone are reported in
-    one warning, counted once per field that holds them.
+    Each distinct text is scanned once: texts in ``scanned`` (filled by
+    ``translate_records``) are not scanned again, the rest are scanned here.
+    The stage's distinct Latin tokens go through ``call_model`` together,
+    then each distinct text is substituted and digit-localized once.
+    Mixed-script tokens left alone are reported in one warning, counted once
+    per field that holds them.
     """
     fields = [
         (cand.translated_context, cand.translated_question, cand.translated_answer)
         for cand in candidates
     ]
-    scans = {text: scan_residuals(text) for text in dict.fromkeys(t for f in fields for t in f)}
+    scanned = scanned or {}
+    scans = {
+        text: scanned[text] if text in scanned else scan_residuals(text)
+        for text in dict.fromkeys(t for f in fields for t in f)
+    }
     tokens = list(
         dict.fromkeys(text[start:end] for text, (latin, _) in scans.items() for start, end in latin)
     )
@@ -340,6 +370,7 @@ def run_corpus_pipeline(
 ) -> PipelineResult:
     """The in-memory pipeline core: every stage between parse and serialize."""
     kept, log = prefilter(corpus, filter_cfg)
+    scanned: dict[str, Residuals] = {}  # filled while translating, read by postprocess
     candidates = translate_records(
         kept.records,
         engine,
@@ -347,9 +378,12 @@ def run_corpus_pipeline(
         target_lang=target_lang,
         cache=cache,
         parallelism=parallelism,
+        scanned=scanned,
     )
     aligned, alignment_log = align_corpus(
-        postprocess_candidates(candidates, transliterator, parallelism=parallelism),
+        postprocess_candidates(
+            candidates, transliterator, parallelism=parallelism, scanned=scanned
+        ),
         split=corpus.split,
     )
     log.extend(alignment_log)
@@ -476,23 +510,60 @@ def write_candidates(candidates: list[AlignmentCandidate], path: str | Path, spl
     )
 
 
+# Candidate keys and the JSON type each must have; title and split may be missing.
+_CANDIDATE_TYPES = {
+    "qid": _STRING,
+    "title": _STRING,
+    "split": _STRING,
+    "question": _STRING,
+    "context": _STRING,
+    "answer": _STRING,
+    "original_relative_position": ((int, float), "a number"),
+}
+_CANDIDATE_REQUIRED = ("qid", "question", "context", "answer", "original_relative_position")
+
+
+def _candidate(line: str) -> tuple[AlignmentCandidate, str | None]:
+    """One candidates line as a candidate and its split; ValueError says what is wrong."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc.msg}") from exc
+    if not isinstance(rec, dict):
+        raise ValueError(f"a candidate must be a JSON object, got {type(rec).__name__}")
+    for key in _CANDIDATE_REQUIRED:
+        if key not in rec:
+            raise ValueError(f"missing key {key!r}")
+    for key, (allowed, name) in _CANDIDATE_TYPES.items():
+        value = rec.get(key, "")
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"{key!r} must be {name}, got {value!r}")
+    split = rec.get("split")
+    if split is not None and split not in SPLITS:
+        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
+    candidate = AlignmentCandidate(
+        qid=rec["qid"],
+        translated_context=rec["context"],
+        translated_question=rec["question"],
+        translated_answer=rec["answer"],
+        original_relative_position=rec["original_relative_position"],
+        title=rec.get("title", ""),
+    )
+    return candidate, split
+
+
 def read_candidates(path: str | Path) -> tuple[list[AlignmentCandidate], str]:
+    """Read a candidates file; a malformed line raises ValueError naming ``path:lineno``."""
     candidates = []
     split = "train"
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            split = rec.get("split", split)
-            candidates.append(
-                AlignmentCandidate(
-                    qid=rec["qid"],
-                    translated_context=rec["context"],
-                    translated_question=rec["question"],
-                    translated_answer=rec["answer"],
-                    original_relative_position=rec["original_relative_position"],
-                    title=rec.get("title", ""),
-                )
-            )
+            try:
+                candidate, line_split = _candidate(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            candidates.append(candidate)
+            split = line_split or split
     return candidates, split

@@ -199,7 +199,11 @@ def warn_mixed_tokens(tokens: Sequence[str]) -> None:
         )
 
 
-def scan_residuals(text: str) -> tuple[list[tuple[int, int]], list[str]]:
+# What ``scan_residuals`` finds in a text: Latin token spans, mixed tokens.
+Residuals = tuple[list[tuple[int, int]], list[str]]
+
+
+def scan_residuals(text: str) -> Residuals:
     """The spans of the Latin-classified tokens of ``text``, and its mixed-script tokens."""
     classes = text.translate(_EVIDENCE) + _SPACE  # the space ends the last token
     mixed = []

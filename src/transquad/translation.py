@@ -284,9 +284,9 @@ def call_model(
             except TransquadError:
                 raise
             except Exception as exc:
-                raise error(f"{model} failed on {len(chunk)} text(s): {exc}", chunk) from exc
+                raise error(f"{model} failed on a chunk of {len(chunk)}: {exc}", chunk) from exc
             if len(out) != len(chunk):
-                raise error(f"{model} returned {len(out)} texts for {len(chunk)} inputs", chunk)
+                raise error(f"{model} returned {len(out)} replies for {len(chunk)} inputs", chunk)
             return out
         raise EngineUnavailableError(
             f"{model} still failing after {max_attempts} attempts"
@@ -306,6 +306,8 @@ def translate_batch(
     request: TranslationRequest,
     engine: TranslationEngine,
     cache: TranslationCache | None = None,
+    *,
+    on_settled: Callable[[list[str]], None] | None = None,
     **gateway: Any,
 ) -> list[str]:
     """Translate a batch, consulting the cache per text before touching the engine.
@@ -315,6 +317,9 @@ def translate_batch(
     ``call_model``, which takes the keyword arguments (``batch_size``,
     ``max_workers``, ...), and each chunk is cached as it is settled, so an
     engine failure on a later chunk keeps every earlier one cached.
+    ``on_settled(outputs)`` then receives the chunk's engine outputs, on the
+    calling thread, while later chunks may still be in flight; cache hits
+    never reach it.
     """
     texts = list(request.texts)
     results: list[str | None] = [None] * len(texts)
@@ -336,6 +341,8 @@ def translate_batch(
         for source, value in zip(chunk, out):
             for i in pending[source]:
                 results[i] = value
+        if on_settled is not None:
+            on_settled(out)
 
     call_model(
         lambda chunk: engine.translate(chunk, request.source_lang, request.target_lang),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import collections
+import functools
 import json
 import os
 import stat
@@ -21,6 +23,7 @@ from transquad.corpus import AnswerSpan, Corpus, collapse_answers, load_corpus, 
 from transquad.errors import (
     ConfigParseError,
     ConfigValidationError,
+    EngineError,
     InvalidCorpusError,
     MissingEmbeddingError,
     PipelineError,
@@ -41,7 +44,9 @@ from transquad.script_tools import MIXED_SAMPLE_SIZE, IdentityTransliterator
 from transquad.translation import (
     DictionaryEngine,
     IdentityEngine,
+    TranslationEngine,
     UppercaseEngine,
+    translate_batch,
 )
 
 from conftest import CountingEngine, build_english_corpus, make_record
@@ -296,6 +301,123 @@ def test_pipeline_error_names_parse_stage(tmp_path):
     assert err.value.stage == "parse"
 
 
+CHUNK = 8  # texts per engine call in the tests below
+
+
+def engine_chunks(corpus: Corpus) -> list[list[str]]:
+    """The engine calls a cold run makes on ``corpus``: its distinct texts, ``CHUNK`` at a time.
+
+    Records of ``build_english_corpus`` pass the default filter, and every
+    text of theirs is distinct.
+    """
+    texts = [t for r in corpus.records for t in (r.context, r.question, r.answers[0].text)]
+    assert len(set(texts)) == len(texts)
+    return [texts[i : i + CHUNK] for i in range(0, len(texts), CHUNK)]
+
+
+def run_outputs(tmp_path, name, engine, parallelism):
+    """Run the pipeline into ``tmp_path/name`` (cache in ``tmp_path``); returns corpus, log, stats."""
+    out = tmp_path / name
+    out.mkdir(exist_ok=True)
+    path, raw = write_config(
+        tmp_path,
+        output_path=str(out / "output.json"),
+        rejection_log_path=str(out / "rej.jsonl"),
+        stats_path=str(out / "stats.json"),
+        parallelism=parallelism,
+    )
+    run_pipeline(load_config(path), engine=engine)
+    return [Path(raw[key]).read_bytes() for key in ("output_path", "rejection_log_path",
+                                                    "stats_path")]
+
+
+class RefusingChunkEngine(UppercaseEngine):
+    """Uppercases, but refuses for good every call that holds ``bad``."""
+
+    def __init__(self, bad: str):
+        self.bad = bad
+
+    def translate(self, texts, source_lang, target_lang):
+        if self.bad in texts:
+            raise EngineError("the model refused this chunk")
+        return super().translate(texts, source_lang, target_lang)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_crash_on_chunk_k_then_rerun_matches_an_uninterrupted_run(
+    tmp_path, monkeypatch, parallelism, k
+):
+    corpus = build_english_corpus(12, seed=13)
+    chunks = engine_chunks(corpus)
+    assert len(chunks) == 5
+    write_input(tmp_path, corpus)
+    monkeypatch.setattr(
+        transquad.pipeline, "translate_batch", functools.partial(translate_batch, batch_size=CHUNK)
+    )
+    crashed = tmp_path / "crashed"
+    with pytest.raises(PipelineError) as err:
+        run_outputs(tmp_path, "crashed", RefusingChunkEngine(chunks[k][0]), parallelism)
+    assert err.value.stage == "translate"
+    assert list(crashed.iterdir()) == []  # no corpus, log, stats or summary
+    cache_path = tmp_path / "cache.jsonl"
+    stored = cache_path.read_text(encoding="utf-8").splitlines() if cache_path.exists() else []
+    # Exactly the chunks settled before the failure, in order.
+    assert [json.loads(line)["source_text"] for line in stored] == sum(chunks[:k], [])
+
+    engine = CountingEngine(UppercaseEngine())
+    rerun = run_outputs(tmp_path, "crashed", engine, parallelism)
+    assert sorted(sum(engine.sent, [])) == sorted(sum(chunks[k:], []))
+    cache_path.unlink()
+    assert rerun == run_outputs(tmp_path, "uninterrupted", UppercaseEngine(), parallelism)
+
+
+def test_each_text_is_scanned_once_and_while_the_engine_runs(tmp_path, monkeypatch):
+    corpus = build_english_corpus(12, seed=14)
+    chunks = engine_chunks(corpus)
+    assert len(chunks) >= 3
+    first = {t.upper() for t in chunks[0]}
+    write_input(tmp_path, corpus)
+    monkeypatch.setattr(
+        transquad.pipeline, "translate_batch", functools.partial(translate_batch, batch_size=CHUNK)
+    )
+    events = []
+    lock = threading.Lock()
+    first_scanned = threading.Event()
+    real_scan = transquad.pipeline.scan_residuals
+
+    def scan(text):
+        with lock:
+            events.append(("scan", text))
+            if first <= {t for kind, t in events if kind == "scan"}:
+                first_scanned.set()
+        return real_scan(text)
+
+    class GatedEngine(UppercaseEngine):
+        """Holds the last chunk back until the first chunk's texts are scanned (or 5 s)."""
+
+        def translate(self, texts, source_lang, target_lang):
+            if list(texts) == chunks[-1]:
+                first_scanned.wait(timeout=5)
+            out = super().translate(texts, source_lang, target_lang)
+            with lock:
+                events.append(("returned", texts[0]))
+            return out
+
+    monkeypatch.setattr(transquad.pipeline, "scan_residuals", scan)
+    outputs = {t.upper() for chunk in chunks for t in chunk}
+    for run in ("cold", "warm"):
+        events.clear()
+        run_outputs(tmp_path, run, GatedEngine(), parallelism=2)
+        scans = collections.Counter(t for kind, t in events if kind == "scan")
+        assert scans == collections.Counter(outputs), run
+        if run == "cold":
+            last_return = events.index(("returned", chunks[-1][0]))
+            assert all(events.index(("scan", t)) < last_return for t in first)
+        else:
+            assert not any(kind == "returned" for kind, _ in events)
+
+
 def test_pipeline_validates_spans_once(tmp_path, monkeypatch):
     write_input(tmp_path, build_english_corpus(5))
     path, _ = write_config(tmp_path)
@@ -507,6 +629,52 @@ def test_cli_postprocess_exits_1_on_a_permanent_transliterator_failure(
     assert line.startswith("error: transliterator failed on ")
     assert "service refused the request" in line
     assert not (tmp_path / "output.postprocessed.jsonl").exists()
+
+
+GOOD_CANDIDATE = {
+    "qid": "q1",
+    "title": "t",
+    "split": "train",
+    "question": "काय?",
+    "context": "मराठी जन्म",
+    "answer": "जन्म",
+    "original_relative_position": 0.5,
+}
+
+
+@pytest.mark.parametrize("command", ["postprocess", "realign"])
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ({k: v for k, v in GOOD_CANDIDATE.items() if k != "original_relative_position"},
+         "missing key 'original_relative_position'"),
+        ([1, 2], "a candidate must be a JSON object, got list"),
+        ({**GOOD_CANDIDATE, "context": 5}, "'context' must be a string, got 5"),
+        ({**GOOD_CANDIDATE, "title": None}, "'title' must be a string, got None"),
+        ({**GOOD_CANDIDATE, "original_relative_position": "0.5"},
+         "'original_relative_position' must be a number, got '0.5'"),
+        ({**GOOD_CANDIDATE, "original_relative_position": 1.5},
+         "original_relative_position must be in [0, 1], got 1.5"),
+        ({**GOOD_CANDIDATE, "split": "dev"}, "split must be one of ('train', 'test'), got 'dev'"),
+        ('{"qid": "q1", ', "not valid JSON: "),
+    ],
+)
+def test_cli_malformed_candidates_line_exits_1_naming_it(tmp_path, capsys, command, line, message):
+    path, _ = write_config(tmp_path)
+    candidates = tmp_path / "candidates.jsonl"
+    bad = line if isinstance(line, str) else json.dumps(line, ensure_ascii=False)
+    # A blank line between the good line and the bad one still counts.
+    candidates.write_text(
+        json.dumps(GOOD_CANDIDATE, ensure_ascii=False) + "\n\n" + bad + "\n", encoding="utf-8"
+    )
+    out = tmp_path / "out.jsonl"
+    assert main(["--config", str(path), command, "--input", str(candidates),
+                 "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (err,) = captured.err.splitlines()
+    assert err.startswith(f"error: {candidates}:3: {message}")
+    assert not out.exists()
 
 
 def test_cli_filter_subcommand(tmp_path, capsys):

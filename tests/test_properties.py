@@ -27,9 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from transquad import evaluation, pipeline, script_tools
+from transquad import cli, evaluation, pipeline, script_tools
 from transquad.alignment import AlignmentCandidate
-from transquad.corpus import AnswerSpan, Corpus, QaRecord, serialize_corpus
+from transquad.corpus import AnswerSpan, Corpus, QaRecord, parse_corpus, serialize_corpus
 from transquad.evaluation import (
     EmbeddingProvider,
     EvalReport,
@@ -52,7 +52,7 @@ from transquad.script_tools import (
     scan_residuals,
     transliterate_residuals,
 )
-from transquad.translation import translate_batch
+from transquad.translation import DEFAULT_BATCH_SIZE, translate_batch
 
 import reference_scripts as reference
 from conftest import DEVANAGARI_WORDS, ENGLISH_WORDS, alpha_suffix, build_english_corpus
@@ -377,44 +377,46 @@ def pipeline_corpus(seed: int):
     return replace(build_english_corpus(0), records=tuple(records))
 
 
+OUTPUTS = ("output_path", "rejection_log_path", "stats_path")
+
+
+def pipeline_config(root: Path, seed: int, parallelism: int) -> dict:
+    """Write the inputs of a run on ``pipeline_corpus(seed)`` under ``root``; returns its config."""
+    corpus = pipeline_corpus(seed)
+    (root / "input.json").write_bytes(serialize_corpus(corpus))
+    table = {w: d for w, d in zip(ENGLISH_WORDS, DEVANAGARI_WORDS)}
+    table.update({r.answers[0].text: f"उत्तर{i}" for i, r in enumerate(corpus.records)})
+    (root / "dict.tsv").write_text(
+        "".join(f"{k}\t{v}\n" for k, v in table.items()), encoding="utf-8"
+    )
+    (root / "excl.txt").write_text(corpus.records[0].qid + "\n", encoding="utf-8")
+    return {
+        "input_path": str(root / "input.json"),
+        "output_path": str(root / "out.json"),
+        "rejection_log_path": str(root / "rej.jsonl"),
+        "stats_path": str(root / "stats.json"),
+        "source_lang": "en",
+        "target_lang": "mr",
+        "engine_id": f"dictionary:{root / 'dict.tsv'}",
+        "transliterator_id": "identity",
+        "cache_path": str(root / "cache.jsonl"),
+        "filter": {"exclusion_list_path": str(root / "excl.txt"), "min_context_length": 30},
+        "parallelism": parallelism,
+    }
+
+
 def run_with_batching(seed: int, batch_size: int, parallelism: int) -> bytes:
     """Corpus, rejection log and stats of one cold pipeline run, concatenated.
 
     The gateway's chunk size is a function parameter, not a config key, so
     it is bound into the ``translate_batch`` the pipeline calls.
     """
-    corpus = pipeline_corpus(seed)
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        (root / "input.json").write_bytes(serialize_corpus(corpus))
-        table = {w: d for w, d in zip(ENGLISH_WORDS, DEVANAGARI_WORDS)}
-        table.update({r.answers[0].text: f"उत्तर{i}" for i, r in enumerate(corpus.records)})
-        (root / "dict.tsv").write_text(
-            "".join(f"{k}\t{v}\n" for k, v in table.items()), encoding="utf-8"
-        )
-        (root / "excl.txt").write_text(corpus.records[0].qid + "\n", encoding="utf-8")
-        cfg = config_from_dict(
-            {
-                "input_path": str(root / "input.json"),
-                "output_path": str(root / "out.json"),
-                "rejection_log_path": str(root / "rej.jsonl"),
-                "stats_path": str(root / "stats.json"),
-                "source_lang": "en",
-                "target_lang": "mr",
-                "engine_id": f"dictionary:{root / 'dict.tsv'}",
-                "transliterator_id": "identity",
-                "cache_path": str(root / "cache.jsonl"),
-                "filter": {"exclusion_list_path": str(root / "excl.txt"), "min_context_length": 30},
-                "parallelism": parallelism,
-            }
-        )
+        raw = pipeline_config(Path(tmp), seed, parallelism)
         chunked = functools.partial(translate_batch, batch_size=batch_size)
         with mock.patch.object(pipeline, "translate_batch", chunked):
-            run_pipeline(cfg)
-        return b"\0".join(
-            Path(path).read_bytes()
-            for path in (cfg.output_path, cfg.rejection_log_path, cfg.stats_path)
-        )
+            run_pipeline(config_from_dict(raw))
+        return b"\0".join(Path(raw[key]).read_bytes() for key in OUTPUTS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -433,3 +435,31 @@ def test_pipeline_corpus_exercises_every_rejection():
 @given(st.integers(0, 2), st.integers(1, 50), st.integers(1, 4))
 def test_pipeline_outputs_independent_of_batching_and_parallelism(seed, batch_size, parallelism):
     assert run_with_batching(seed, batch_size, parallelism) == reference_run(seed)
+
+
+def assert_kept_plus_rejected_is_input(seed: int, corpus: bytes, log: bytes) -> None:
+    """Every input record is either in the corpus or in the log, and only once."""
+    kept = [rec.qid for rec in parse_corpus(corpus, "train").records]
+    rejected = [json.loads(line)["qid"] for line in log.splitlines()]
+    assert sorted(kept + rejected) == sorted(rec.qid for rec in pipeline_corpus(seed).records)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 4))
+def test_kept_plus_rejected_is_input_for_pipeline_and_stage_chain(seed, parallelism):
+    direct = run_with_batching(seed, batch_size=DEFAULT_BATCH_SIZE, parallelism=parallelism)
+    out, log, _ = direct.split(b"\0")
+    assert_kept_plus_rejected_is_input(seed, out, log)
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = pipeline_config(Path(tmp), seed, parallelism)
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert cli.main(["--config", str(config), "filter"]) == 0
+        filtered = Path(raw["output_path"]).with_suffix(".filtered.json").read_bytes()
+        assert_kept_plus_rejected_is_input(
+            seed, filtered, Path(raw["rejection_log_path"]).read_bytes()
+        )
+        for command in ("translate", "postprocess", "realign"):
+            assert cli.main(["--config", str(config), command]) == 0
+        chain = b"\0".join(Path(raw[key]).read_bytes() for key in OUTPUTS)
+    assert chain == direct

@@ -216,7 +216,8 @@ def test_parallel_list_violation_is_an_error():
         def transliterate(self, tokens):
             return []
 
-    with pytest.raises(TransliterationError, match="returned 0 texts for 2 inputs") as err:
+    message = "transliterator returned 0 replies for 2 inputs"
+    with pytest.raises(TransliterationError, match=message) as err:
         postprocess("abc def", translit=ShortTransliterator())
     assert err.value.tokens == ("abc", "def")
 
