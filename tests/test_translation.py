@@ -263,6 +263,23 @@ def test_engine_chunks_keep_input_order(max_workers):
         assert engine.sent == want
 
 
+@pytest.mark.parametrize("max_workers", [1, 3])
+def test_on_settled_gets_each_chunk_after_it_is_cached(max_workers):
+    texts = [f"w{i}" for i in range(9)] + ["w2"]
+    cache = TranslationCache()
+    cache.store(("uppercase", "en", "mr", "w4"), "W4")  # a hit never reaches the hook
+    settled = []
+
+    def on_settled(outputs):
+        assert all(cache.lookup(("uppercase", "en", "mr", t.lower())) == t for t in outputs)
+        settled.append(outputs)
+
+    out = translate_batch(request(texts, "uppercase"), UppercaseEngine(), cache, batch_size=3,
+                          max_workers=max_workers, on_settled=on_settled)
+    assert out == [t.upper() for t in texts]
+    assert settled == [["W0", "W1", "W2"], ["W3", "W5", "W6"], ["W7", "W8"]]
+
+
 def test_wrong_length_from_engine_is_an_error():
     class BrokenEngine(TranslationEngine):
         engine_id = "broken"
