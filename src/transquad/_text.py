@@ -2,19 +2,23 @@
 
 Character-level predicates, the lazily filled ``str.translate`` table of
 the script scans and of answer normalization, the two-column table format
-that the mock translation engine and transliterator both read, and the
-atomic file write every output goes through. All offsets and lengths in
+that the mock translation engine and transliterator both read, the one
+reader of every JSON and JSON Lines input with its field-type check, and
+the atomic file write every output goes through. All offsets and lengths in
 this package count Unicode code points, which is what Python string
 indexing gives us for free.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import unicodedata
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable, Collection, Iterator, Mapping
+
+from .errors import FieldError
 
 DEVANAGARI_FIRST = 0x0900
 DEVANAGARI_LAST = 0x097F
@@ -88,6 +92,68 @@ def read_tsv_table(path: str | Path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
         table[parts[0]] = parts[1]
     return table
+
+
+def parse_json(data: bytes | str, where: str) -> Any:
+    """Decode UTF-8 ``data`` and parse it as one JSON value.
+
+    Bytes that are not UTF-8, text that is not JSON, and JSON nested deeper
+    than the parser's recursion limit each raise one ValueError whose
+    message starts ``where:``; its ``__cause__`` is the original error.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: not valid JSON: {exc.msg} at char {exc.pos}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{where}: JSON nested too deeply") from exc
+
+
+def json_lines(path: str | Path) -> Iterator[tuple[str, Any]]:
+    """``("path:lineno", value)`` for each non-blank line of a JSON Lines file.
+
+    Lines end at ``\\n`` only, so a value may hold any other line separator
+    (U+2028, U+0085, ...) unescaped, as ``json.dumps(ensure_ascii=False)``
+    writes them. A line that does not parse raises ``parse_json``'s error.
+    """
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                where = f"{path}:{lineno}"
+                yield where, parse_json(line, where)
+
+
+# The JSON types a field may have, and how an error names them.
+STRING = (str,), "a string"
+INTEGER = (int,), "an integer"
+NUMBER = (int, float), "a number"
+STRING_OR_NULL = (str, type(None)), "a string or null"
+
+
+def check_fields(
+    record: Any,
+    what: str,
+    types: Mapping[str, tuple[tuple[type, ...], str]],
+    optional: Collection[str] = (),
+    prefix: str = "",
+) -> None:
+    """Refuse ``record`` unless it is a JSON object whose fields have the listed types.
+
+    Every key of ``types`` must be present, unless it is ``optional``, and
+    hold a value of its type; ``true``/``false`` never pass for a number.
+    Keys outside ``types`` are not looked at. Raises FieldError: ``what``
+    names the record in it, and ``prefix`` goes before each key it names.
+    """
+    if not isinstance(record, dict):
+        raise FieldError(f"{what} must be a JSON object, got {type(record).__name__}")
+    for key, (allowed, name) in types.items():
+        if key not in record:
+            if key not in optional:
+                raise FieldError(f"missing key {prefix + key!r}", prefix + key)
+        elif isinstance(record[key], bool) or not isinstance(record[key], allowed):
+            raise FieldError(f"{prefix + key!r} must be {name}, got {record[key]!r}", prefix + key)
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:

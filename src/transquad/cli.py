@@ -27,7 +27,7 @@ from pathlib import Path
 from ._text import atomic_write
 from .alignment import align_corpus
 from .corpus import compute_stats, load_corpus, save_corpus, validate_spans
-from .errors import ConfigError, ConfigValidationError, PipelineError, TransquadError
+from .errors import ConfigError, ConfigValidationError, TransquadError
 from .evaluation import TableEmbeddingProvider, evaluate_predictions, load_predictions
 from .filtering import STAGE_PRE_FILTER, RejectionLog
 from .pipeline import (
@@ -220,14 +220,12 @@ _COMMANDS = {
 }
 
 
-def _exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, PipelineError):
-        cause = exc.__cause__
-        if isinstance(cause, (ConfigError, OSError)):
+def _exit_code_for(exc: BaseException | None) -> int:
+    """2 when a configuration or I/O error is anywhere on the ``__cause__`` chain, else 1."""
+    while exc is not None:
+        if isinstance(exc, (ConfigError, OSError)):
             return 2
-        return 1
-    if isinstance(exc, (ConfigError, OSError)):
-        return 2
+        exc = exc.__cause__
     return 1
 
 

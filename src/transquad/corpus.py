@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from ._text import atomic_write
+from ._text import atomic_write, parse_json
 from .errors import (
     EmptyAnswersError,
     EncodingError,
@@ -40,7 +40,6 @@ VIOLATION_OUT_OF_BOUNDS = "start-out-of-bounds"
 VIOLATION_SUBSTRING_MISMATCH = "substring-mismatch"
 
 _QA_CORE_KEYS = ("id", "question", "answers")
-_ANSWER_CORE_KEYS = ("text", "answer_start")
 
 
 @dataclass(frozen=True)
@@ -127,35 +126,30 @@ class StatsReport:
         }
 
 
-def _require(condition: bool, message: str, path: str) -> None:
-    if not condition:
-        raise MalformedDocumentError(message, path)
-
-
-def parse_corpus(raw: bytes | str, split: str) -> Corpus:
+def parse_corpus(raw: bytes | str, split: str, where: str = "input") -> Corpus:
     """Parse SQuAD v1.1 JSON bytes into a Corpus, preserving document order.
 
     Raises MalformedDocumentError (with the path to the offending node) on
-    schema violations and EncodingError on non-UTF-8 input.
+    schema violations and EncodingError on non-UTF-8 input; each message
+    starts with ``where``, the file the bytes came from.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"input is not valid UTF-8: {exc}") from exc
-    else:
-        text = raw
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(f"input is not valid JSON: {exc.msg}", "$") from exc
+        doc = parse_json(raw, where)
+    except ValueError as exc:
+        if isinstance(exc.__cause__, UnicodeDecodeError):
+            raise EncodingError(str(exc)) from exc
+        raise MalformedDocumentError(str(exc)) from exc
 
-    _require(isinstance(doc, dict), "document root must be an object", "$")
-    _require("data" in doc, "document is missing 'data'", "$")
+    def require(condition: bool, message: str, path: str) -> None:
+        if not condition:
+            raise MalformedDocumentError(f"{where}: {message}", path)
+
+    require(isinstance(doc, dict), "document root must be an object", "$")
+    require("data" in doc, "document is missing 'data'", "$")
     data = doc["data"]
-    _require(isinstance(data, list), "'data' must be an array", "$.data")
+    require(isinstance(data, list), "'data' must be an array", "$.data")
     version = str(doc.get("version", "1.1"))
     for key in doc.keys() - {"data", "version"}:
         logger.warning("dropping unknown document-level field %r", key)
@@ -164,52 +158,52 @@ def parse_corpus(raw: bytes | str, split: str) -> Corpus:
     seen_qids: set[str] = set()
     for ai, article in enumerate(data):
         apath = f"data[{ai}]"
-        _require(isinstance(article, dict), "article must be an object", apath)
+        require(isinstance(article, dict), "article must be an object", apath)
         title = article.get("title", "")
-        _require(isinstance(title, str), "'title' must be a string", apath)
-        _require("paragraphs" in article, "article is missing 'paragraphs'", apath)
+        require(isinstance(title, str), "'title' must be a string", apath)
+        require("paragraphs" in article, "article is missing 'paragraphs'", apath)
         paragraphs = article["paragraphs"]
-        _require(isinstance(paragraphs, list), "'paragraphs' must be an array", apath)
+        require(isinstance(paragraphs, list), "'paragraphs' must be an array", apath)
         for key in article.keys() - {"title", "paragraphs"}:
             logger.warning("dropping unknown article-level field %r at %s", key, apath)
 
         for pi, para in enumerate(paragraphs):
             ppath = f"{apath}.paragraphs[{pi}]"
-            _require(isinstance(para, dict), "paragraph must be an object", ppath)
+            require(isinstance(para, dict), "paragraph must be an object", ppath)
             context = para.get("context")
-            _require(isinstance(context, str), "paragraph is missing string 'context'", ppath)
-            _require(len(context) > 0, "context must be non-empty", ppath)
+            require(isinstance(context, str), "paragraph is missing string 'context'", ppath)
+            require(len(context) > 0, "context must be non-empty", ppath)
             qas = para.get("qas")
-            _require(isinstance(qas, list), "paragraph is missing 'qas' array", ppath)
+            require(isinstance(qas, list), "paragraph is missing 'qas' array", ppath)
             for key in para.keys() - {"context", "qas"}:
                 logger.warning("dropping unknown paragraph-level field %r at %s", key, ppath)
 
             for qi, qa in enumerate(qas):
                 qpath = f"{ppath}.qas[{qi}]"
-                _require(isinstance(qa, dict), "qa must be an object", qpath)
+                require(isinstance(qa, dict), "qa must be an object", qpath)
                 qid = qa.get("id")
-                _require(isinstance(qid, str) and qid != "", "qa is missing string 'id'", qpath)
+                require(isinstance(qid, str) and qid != "", "qa is missing string 'id'", qpath)
                 question = qa.get("question")
-                _require(
+                require(
                     isinstance(question, str) and question != "",
                     "qa is missing non-empty 'question'",
                     qpath,
                 )
-                _require("answers" in qa, "qa is missing its 'answers' array", qpath)
+                require("answers" in qa, "qa is missing its 'answers' array", qpath)
                 answers_raw = qa["answers"]
-                _require(isinstance(answers_raw, list), "'answers' must be an array", qpath)
-                _require(len(answers_raw) > 0, "'answers' must not be empty", qpath)
-                _require(qid not in seen_qids, f"duplicate question id {qid!r}", qpath)
+                require(isinstance(answers_raw, list), "'answers' must be an array", qpath)
+                require(len(answers_raw) > 0, "'answers' must not be empty", qpath)
+                require(qid not in seen_qids, f"duplicate question id {qid!r}", qpath)
                 seen_qids.add(qid)
 
                 spans: list[AnswerSpan] = []
                 for xi, ans in enumerate(answers_raw):
                     xpath = f"{qpath}.answers[{xi}]"
-                    _require(isinstance(ans, dict), "answer must be an object", xpath)
+                    require(isinstance(ans, dict), "answer must be an object", xpath)
                     atext = ans.get("text")
-                    _require(isinstance(atext, str), "answer is missing string 'text'", xpath)
+                    require(isinstance(atext, str), "answer is missing string 'text'", xpath)
                     start = ans.get("answer_start")
-                    _require(
+                    require(
                         isinstance(start, int) and not isinstance(start, bool),
                         "answer is missing integer 'answer_start'",
                         xpath,
@@ -323,7 +317,7 @@ def compute_stats(corpus: Corpus) -> StatsReport:
 
 
 def load_corpus(path: str | Path, split: str) -> Corpus:
-    return parse_corpus(Path(path).read_bytes(), split)
+    return parse_corpus(Path(path).read_bytes(), split, str(path))
 
 
 def save_corpus(corpus: Corpus, path: str | Path, allow_invalid: bool = False) -> None:

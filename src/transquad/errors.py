@@ -22,6 +22,17 @@ class EncodingError(TransquadError):
     """Input bytes are not valid UTF-8."""
 
 
+class FieldError(TransquadError, ValueError):
+    """A JSON record is not an object, lacks a key, or holds a value of the wrong type.
+
+    ``field`` names the key, when there is one.
+    """
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
+
+
 class InvalidCorpusError(TransquadError):
     """Corpus has span violations and the caller did not allow them."""
 
@@ -38,12 +49,8 @@ class ConfigParseError(ConfigError):
     """Config file could not be read or decoded."""
 
 
-class ConfigValidationError(ConfigError):
-    """Config parsed but a field is missing, unknown, or out of range."""
-
-    def __init__(self, message: str, field: str = ""):
-        super().__init__(message)
-        self.field = field
+class ConfigValidationError(ConfigError, FieldError):
+    """Config parsed but a field is missing, unknown, of the wrong type, or out of range."""
 
 
 class EngineError(TransquadError):

@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ._kernels import greedy_match
-from ._text import LazyTable, ascii_casefold
+from ._text import LazyTable, ascii_casefold, parse_json
 from .corpus import Corpus
 from .errors import EmbeddingError, MissingEmbeddingError
 from .translation import DEFAULT_MAX_WORKERS, call_model
@@ -197,18 +197,25 @@ class TableEmbeddingProvider(EmbeddingProvider):
 
 
 def _table_rows(path: str | Path) -> Iterator[tuple[int, str, str]]:
-    """(lineno, token, text of its numbers) for each data line of an embedding table."""
+    """(lineno, token, text of its numbers) for each data line of an embedding table.
+
+    Bytes that are not UTF-8 raise ValueError naming ``path``: the file is
+    decoded in blocks, so the line they are on is not known.
+    """
     with Path(path).open(encoding="utf-8") as fh:
         # splitlines on each line the file yields: the same lines, and line
         # numbers, as splitlines on the whole text.
         lines = (line for physical in fh for line in physical.splitlines())
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected a token and at least one number")
-            yield lineno, parts[0], parts[1]
+        try:
+            for lineno, line in enumerate(lines, 1):
+                if not line.strip() or line.startswith("#"):
+                    continue
+                parts = line.split(None, 1)
+                if len(parts) < 2:
+                    raise ValueError(f"{path}:{lineno}: expected a token and at least one number")
+                yield lineno, parts[0], parts[1]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from exc
 
 
 def _parse_table(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -342,9 +349,7 @@ def evaluate_predictions(
 
 def load_predictions(path: str | Path) -> dict[str, str]:
     """Standard SQuAD prediction format: one JSON object mapping qid -> answer."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in data.items()
-    ):
+    data = parse_json(Path(path).read_bytes(), str(path))
+    if not isinstance(data, dict) or not all(isinstance(v, str) for v in data.values()):
         raise ValueError(f"{path}: predictions must be a JSON object mapping qid to string")
     return data

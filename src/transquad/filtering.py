@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ._text import atomic_write
+from ._text import STRING, STRING_OR_NULL, atomic_write, check_fields, json_lines
 from .corpus import Corpus
 from .errors import ConfigError, ConfigValidationError
 
@@ -85,6 +85,9 @@ class RejectionEntry:
         return {"qid": self.qid, "stage": self.stage, "reason": self.reason, "detail": self.detail}
 
 
+_ENTRY_TYPES = {"qid": STRING, "stage": STRING, "reason": STRING, "detail": STRING_OR_NULL}
+
+
 @dataclass
 class RejectionLog:
     entries: list[RejectionEntry] = field(default_factory=list)
@@ -122,18 +125,16 @@ class RejectionLog:
         valid entry, including an unknown stage or reason.
         """
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            lines = list(json_lines(path))
         except FileNotFoundError:
             return cls()
         log = cls()
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
+        for where, rec in lines:
             try:
-                rec = json.loads(line)
+                check_fields(rec, "an entry", _ENTRY_TYPES)
                 log.append(RejectionEntry(rec["qid"], rec["stage"], rec["reason"], rec["detail"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: not a rejection entry: {exc}") from exc
+            except ValueError as exc:
+                raise ValueError(f"{where}: not a rejection entry: {exc}") from exc
         return log
 
 
@@ -157,7 +158,9 @@ def load_exclusion_list(path: str | Path) -> set[str]:
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read exclusion list {path}: {exc}") from exc
+        raise ConfigError(f"cannot read exclusion list {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read exclusion list {path}: not valid UTF-8") from exc
     out: set[str] = set()
     for line in lines:
         stripped = line.strip()

@@ -36,7 +36,9 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from ._text import atomic_write
+from ._text import (
+    INTEGER, NUMBER, STRING, STRING_OR_NULL, atomic_write, check_fields, json_lines, parse_json
+)
 from .alignment import AlignmentCandidate, align_corpus
 from .corpus import (
     Corpus,
@@ -51,6 +53,7 @@ from .corpus import (
 from .errors import (
     ConfigParseError,
     ConfigValidationError,
+    FieldError,
     InvalidCorpusError,
     PipelineError,
     TransliterationError,
@@ -118,7 +121,7 @@ class PipelineConfig:
         return str(Path(self.output_path).with_suffix(".summary.json"))
 
 
-_REQUIRED_KEYS = {
+_REQUIRED_KEYS = (
     "input_path",
     "output_path",
     "rejection_log_path",
@@ -128,69 +131,48 @@ _REQUIRED_KEYS = {
     "engine_id",
     "transliterator_id",
     "cache_path",
-}
+)
 _CONFIG_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
-# The JSON type each config value must have, and how an error names it.
-_STRING = (str,), "a string"
-_INTEGER = (int,), "an integer"
 _CONFIG_TYPES = {
-    **dict.fromkeys(_REQUIRED_KEYS, _STRING),
-    "filter": ((Mapping,), "an object"),
-    "parallelism": _INTEGER,
-    "split": _STRING,
+    **dict.fromkeys(_REQUIRED_KEYS, STRING),
+    "filter": ((dict,), "an object"),
+    "parallelism": INTEGER,
+    "split": STRING,
 }
 _FILTER_TYPES = {
-    "non_latin_letter_ratio_threshold": ((int, float), "a number"),
-    "exclusion_list_path": ((str, type(None)), "a string or null"),
-    "min_context_length": _INTEGER,
+    "non_latin_letter_ratio_threshold": NUMBER,
+    "exclusion_list_path": STRING_OR_NULL,
+    "min_context_length": INTEGER,
 }
-
-
-def _check_types(raw: Mapping[str, Any], types: Mapping[str, tuple], prefix: str = "") -> None:
-    """Refuse a value of the wrong JSON type; ``true``/``false`` never pass for a number."""
-    for key, value in raw.items():
-        allowed, name = types[key]
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ConfigValidationError(
-                f"config key {prefix + key!r} must be {name}, got {value!r}",
-                field=prefix + key,
-            )
 
 
 def config_from_dict(raw: Mapping[str, Any]) -> PipelineConfig:
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigValidationError(f"unknown config key {key!r}", field=key)
-    missing = _REQUIRED_KEYS - set(raw)
-    if missing:
-        key = sorted(missing)[0]
-        raise ConfigValidationError(f"missing required config key {key!r}", field=key)
-    _check_types(raw, _CONFIG_TYPES)
-    kwargs = dict(raw)
-    filter_raw = kwargs.pop("filter", {})
-    unknown_filter = set(filter_raw) - set(_FILTER_TYPES)
-    if unknown_filter:
-        key = sorted(unknown_filter)[0]
-        raise ConfigValidationError(f"unknown filter key {key!r}", field=f"filter.{key}")
-    _check_types(filter_raw, _FILTER_TYPES, "filter.")
-    kwargs["filter"] = FilterConfig(**filter_raw)
-    return PipelineConfig(**kwargs)
+    try:
+        check_fields(raw, "a config", _CONFIG_TYPES, optional=("filter", "parallelism", "split"))
+        filter_raw = raw.get("filter", {})
+        check_fields(filter_raw, "filter", _FILTER_TYPES, optional=_FILTER_TYPES, prefix="filter.")
+    except FieldError as exc:
+        raise ConfigValidationError(str(exc), field=exc.field) from exc
+    for keys, known, prefix in ((raw, _CONFIG_KEYS, ""), (filter_raw, _FILTER_TYPES, "filter.")):
+        unknown = set(keys) - set(known)
+        if unknown:
+            key = prefix + sorted(unknown)[0]
+            raise ConfigValidationError(f"unknown config key {key!r}", field=key)
+    return PipelineConfig(**{**raw, "filter": FilterConfig(**filter_raw)})
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Read a JSON config file, apply defaults, and validate every key."""
+    """Read a JSON config file, apply defaults, and validate every key; errors name ``path``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = parse_json(Path(path).read_bytes(), str(path))
     except OSError as exc:
-        raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigParseError(f"cannot read config {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigParseError(str(exc)) from exc
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"config {path} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigParseError(f"config {path} must hold a JSON object")
-    return config_from_dict(raw)
+        return config_from_dict(raw)
+    except ConfigValidationError as exc:
+        raise ConfigValidationError(f"{path}: {exc}", field=exc.field) from exc
 
 
 @dataclass
@@ -444,7 +426,7 @@ def run_pipeline(
 
         stage = "parse"
         raw = Path(cfg.input_path).read_bytes()
-        corpus = parse_corpus(raw, cfg.split)
+        corpus = parse_corpus(raw, cfg.split, cfg.input_path)
 
         stage = "translate"
         cache = TranslationCache(cfg.cache_path)
@@ -512,32 +494,19 @@ def write_candidates(candidates: list[AlignmentCandidate], path: str | Path, spl
 
 # Candidate keys and the JSON type each must have; title and split may be missing.
 _CANDIDATE_TYPES = {
-    "qid": _STRING,
-    "title": _STRING,
-    "split": _STRING,
-    "question": _STRING,
-    "context": _STRING,
-    "answer": _STRING,
-    "original_relative_position": ((int, float), "a number"),
+    "qid": STRING,
+    "title": STRING,
+    "split": STRING,
+    "question": STRING,
+    "context": STRING,
+    "answer": STRING,
+    "original_relative_position": NUMBER,
 }
-_CANDIDATE_REQUIRED = ("qid", "question", "context", "answer", "original_relative_position")
 
 
-def _candidate(line: str) -> tuple[AlignmentCandidate, str | None]:
-    """One candidates line as a candidate and its split; ValueError says what is wrong."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc.msg}") from exc
-    if not isinstance(rec, dict):
-        raise ValueError(f"a candidate must be a JSON object, got {type(rec).__name__}")
-    for key in _CANDIDATE_REQUIRED:
-        if key not in rec:
-            raise ValueError(f"missing key {key!r}")
-    for key, (allowed, name) in _CANDIDATE_TYPES.items():
-        value = rec.get(key, "")
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ValueError(f"{key!r} must be {name}, got {value!r}")
+def _candidate(rec: Any) -> tuple[AlignmentCandidate, str | None]:
+    """One parsed candidates line as a candidate and its split; ValueError says what is wrong."""
+    check_fields(rec, "a candidate", _CANDIDATE_TYPES, optional=("title", "split"))
     split = rec.get("split")
     if split is not None and split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -556,14 +525,11 @@ def read_candidates(path: str | Path) -> tuple[list[AlignmentCandidate], str]:
     """Read a candidates file; a malformed line raises ValueError naming ``path:lineno``."""
     candidates = []
     split = "train"
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                candidate, line_split = _candidate(line)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            candidates.append(candidate)
-            split = line_split or split
+    for where, rec in json_lines(path):
+        try:
+            candidate, line_split = _candidate(rec)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        candidates.append(candidate)
+        split = line_split or split
     return candidates, split

@@ -22,15 +22,17 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from ._text import read_tsv_table
+from ._text import STRING, check_fields, parse_json, read_tsv_table
 from .errors import (
     CacheIOError,
     ConfigValidationError,
     EngineError,
     EngineUnavailableError,
+    FieldError,
     TransientEngineError,
     TransquadError,
 )
@@ -121,6 +123,12 @@ def build_engine(engine_id: str) -> TranslationEngine:
     raise ConfigValidationError(f"unknown engine id {engine_id!r}", field="engine_id")
 
 
+# A cache line holds the key fields, in CacheKey order, then "value" and "timestamp".
+_KEY_FIELDS = ("engine_id", "source_lang", "target_lang", "source_text")
+_CACHE_LINE_TYPES = dict.fromkeys((*_KEY_FIELDS, "value"), STRING)
+_cache_key = itemgetter(*_KEY_FIELDS)
+
+
 class TranslationCache:
     """Persistent translation store backed by an append-only JSON Lines file.
 
@@ -149,8 +157,8 @@ class TranslationCache:
     def _load(self) -> None:
         """Read every line; a torn last line (a crash mid-append) is dropped.
 
-        A line that does not parse anywhere else raises CacheIOError naming
-        ``path:lineno``.
+        Anywhere else, a line that does not parse, or whose key fields or
+        value are not strings, raises CacheIOError naming ``path:lineno``.
         """
         end = 0
         try:
@@ -160,29 +168,22 @@ class TranslationCache:
                     terminated = line.endswith(b"\n")
                     if not line.strip():
                         continue
+                    where = f"{self._path}:{lineno}"
                     try:
-                        rec = json.loads(line.decode("utf-8"))
-                        key = (
-                            rec["engine_id"],
-                            rec["source_lang"],
-                            rec["target_lang"],
-                            rec["source_text"],
-                        )
-                        value = rec["value"]
-                    except (ValueError, KeyError, TypeError) as exc:
+                        rec = parse_json(line, where)
+                        check_fields(rec, "a cache line", _CACHE_LINE_TYPES)
+                    except ValueError as exc:
                         if terminated:
-                            raise CacheIOError(
-                                f"cannot load cache {self._path}:{lineno}: {exc}"
-                            ) from exc
-                        logger.warning(
-                            "dropping torn last line %s:%d (%d bytes)", self._path, lineno, len(line)
-                        )
+                            # parse_json names the line; check_fields does not.
+                            message = f"{where}: {exc}" if isinstance(exc, FieldError) else exc
+                            raise CacheIOError(f"cannot load cache {message}") from exc
+                        logger.warning("dropping torn last line %s (%d bytes)", where, len(line))
                         self._torn_at = start
                         return
-                    self._entries[key] = value
+                    self._entries[_cache_key(rec)] = rec["value"]
                     self._needs_newline = not terminated
         except OSError as exc:
-            raise CacheIOError(f"cannot load cache {self._path}: {exc}") from exc
+            raise CacheIOError(f"cannot load cache {self._path}: {exc.strerror}") from exc
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -213,14 +214,7 @@ class TranslationCache:
                 self._handle.write(
                     "".join(
                         json.dumps(
-                            {
-                                "engine_id": key[0],
-                                "source_lang": key[1],
-                                "target_lang": key[2],
-                                "source_text": key[3],
-                                "value": value,
-                                "timestamp": stamp,
-                            },
+                            {**dict(zip(_KEY_FIELDS, key)), "value": value, "timestamp": stamp},
                             ensure_ascii=False,
                         )
                         + "\n"

@@ -148,7 +148,7 @@ def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, override, fi
     assert err.value.field == field
     assert main(["--config", str(path), "pipeline"]) == 2
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(f"error: config key '{field}' must be ")
+    assert line.startswith(f"error: {path}: '{field}' must be ")
 
 
 def test_config_accepts_whole_numbers_for_the_ratio(tmp_path):

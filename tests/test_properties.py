@@ -6,8 +6,9 @@ get right: every kind of Unicode whitespace, Basic-Latin and other letters,
 Devanagari letters, marks and digits, other decimal digits, and characters
 outside the Basic Multilingual Plane. Answer normalization runs against its
 per-character reference on the same text, the evaluator against per-pair
-EM, F1 and BERTScore at any number of workers, and the embedding-table
-loader against ``float()``.
+EM, F1 and BERTScore at any number of workers, the embedding-table loader
+against ``float()``, and the rejection log reader against its writer on
+any qid text.
 The pipeline's outputs must not depend on how the translation gateway
 chunks its requests or how many run at once.
 """
@@ -41,7 +42,13 @@ from transquad.evaluation import (
     normalize,
     token_f1,
 )
-from transquad.filtering import non_latin_letter_ratio
+from transquad.filtering import (
+    REASON_CATALOG,
+    STAGES,
+    RejectionEntry,
+    RejectionLog,
+    non_latin_letter_ratio,
+)
 from transquad.pipeline import config_from_dict, postprocess_candidates, run_pipeline
 from transquad.script_tools import (
     Script,
@@ -361,6 +368,27 @@ def test_table_loader_names_the_first_non_finite_line(tmp_path_factory, rows, da
     with pytest.raises(ValueError) as info:
         TableEmbeddingProvider.from_file(path)
     assert str(info.value) == f"{path}:{linenos[min(bad_rows)]}: non-finite vector component"
+
+
+ENTRY = st.tuples(
+    TEXT, st.sampled_from(STAGES), st.sampled_from(sorted(REASON_CATALOG)), st.none() | TEXT
+)
+
+
+@PROPERTY
+@given(st.lists(ENTRY, max_size=4))
+@example(
+    [
+        ("q\u2028a", "pre-filter", "too-short", "b\x85c"),
+        ("q\x85", "alignment", "answer-not-found", None),
+    ]
+)
+def test_rejection_log_reads_back_what_it_writes(tmp_path_factory, entries):
+    """Any qid and detail text round-trips, line separators that JSON leaves unescaped included."""
+    log = RejectionLog([RejectionEntry(*entry) for entry in entries])
+    path = tmp_path_factory.mktemp("log") / "rej.jsonl"
+    log.write(path)
+    assert RejectionLog.read(path).entries == log.entries
 
 
 def pipeline_corpus(seed: int):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
@@ -134,12 +135,25 @@ def test_cache_ends_unterminated_last_line_before_appending(tmp_path):
     _reopen_and_store_twice(path)
 
 
-def test_cache_corrupt_middle_line_names_path_and_line(tmp_path):
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ('{"engine_id": "iden', "not valid JSON: "),
+        ('{"engine_id": "identity", "source_lang": "en", "target_lang": "mr", '
+         '"source_text": "c", "value": 5}', "'value' must be a string, got 5"),
+        ('{"engine_id": "identity", "source_lang": "en", "target_lang": "mr", '
+         '"source_text": null, "value": "C"}', "'source_text' must be a string, got None"),
+        ('{"engine_id": "identity", "source_lang": "en", "target_lang": "mr", "source_text": "c"}',
+         "missing key 'value'"),
+    ],
+    ids=["not-json", "value-not-a-string", "key-field-null", "value-missing"],
+)
+def test_cache_corrupt_middle_line_names_path_and_line(tmp_path, bad, message):
     path = tmp_path / "cache.jsonl"
     _cache_with_two_entries(path)
     first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text(first + '{"engine_id": "iden\n' + second, encoding="utf-8")
-    with pytest.raises(CacheIOError, match=f"{path}:2"):
+    path.write_text(first + bad + "\n" + second, encoding="utf-8")
+    with pytest.raises(CacheIOError, match=re.escape(f"cannot load cache {path}:2: {message}")):
         TranslationCache(path)
 
 
