@@ -102,7 +102,10 @@ def parse_json(data: bytes | str, where: str) -> Any:
     message starts ``where:``; its ``__cause__`` is the original error.
     """
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        if isinstance(data, bytes):
+            # Rebound, so that bytes nobody else holds are freed before parsing.
+            data = data.decode("utf-8")
+        return json.loads(data)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:

@@ -370,8 +370,15 @@ def test_table_loader_names_the_first_non_finite_line(tmp_path_factory, rows, da
     assert str(info.value) == f"{path}:{linenos[min(bad_rows)]}: non-finite vector component"
 
 
+# Any text a UTF-8 file can hold: TEXT without lone surrogates.
+UTF8_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from(SPECIAL), st.characters(codec="utf-8")), max_size=60
+)
 ENTRY = st.tuples(
-    TEXT, st.sampled_from(STAGES), st.sampled_from(sorted(REASON_CATALOG)), st.none() | TEXT
+    UTF8_TEXT,
+    st.sampled_from(STAGES),
+    st.sampled_from(sorted(REASON_CATALOG)),
+    st.none() | UTF8_TEXT,
 )
 
 
