@@ -1,12 +1,13 @@
 """Text helpers shared by filtering, script tools, translation, alignment and evaluation.
 
 Character-level predicates, the lazily filled ``str.translate`` table of
-the script scans and of answer normalization, the two-column table format
-that the mock translation engine and transliterator both read, the one
-reader of every JSON and JSON Lines input with its field-type check, and
-the atomic file write every output goes through. All offsets and lengths in
-this package count Unicode code points, which is what Python string
-indexing gives us for free.
+the script scans and of answer normalization, the one line reader of every
+plain-text input with the two-column table format that the mock
+translation engine and transliterator both read, the one reader of every
+JSON and JSON Lines input with its field-type check, and the atomic file
+write every output goes through. All offsets and lengths in this package
+count Unicode code points, which is what Python string indexing gives us
+for free.
 """
 
 from __future__ import annotations
@@ -77,16 +78,34 @@ class LazyTable(dict):
         return value
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for each data line of a plain-text UTF-8 input.
+
+    Lines and their numbers are those ``str.splitlines`` gives on the whole
+    text; blank lines and lines starting with ``#`` are skipped. Bytes that
+    are not UTF-8 raise ValueError naming ``path``: the file is decoded in
+    blocks, so the line they are on is not known.
+    """
+    with Path(path).open(encoding="utf-8") as fh:
+        # splitlines on each line the file yields: the same lines, and line
+        # numbers, as splitlines on the whole text.
+        lines = (line for physical in fh for line in physical.splitlines())
+        try:
+            for lineno, line in enumerate(lines, 1):
+                if line.strip() and not line.startswith("#"):
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+
+
 def read_tsv_table(path: str | Path) -> dict[str, str]:
-    """Two tab-separated columns per line (source, target); blank and ``#`` lines skipped.
+    """Two tab-separated columns per ``text_lines`` line (source, target).
 
     Later lines win on duplicate sources. A line without exactly two columns
     raises ValueError naming ``path:lineno``.
     """
     table = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         parts = line.split("\t")
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")

@@ -137,7 +137,8 @@ def _cmd_filter(args) -> int:
     cfg = _require_config(args)
     corpus = load_corpus(args.input or cfg.input_path, cfg.split)
     kept, log = prefilter(corpus, cfg.filter)
-    save_corpus(kept, args.output or _derived(cfg, ".filtered.json"))
+    # Spans pass through unchecked, as translate takes them; validate audits them.
+    save_corpus(kept, args.output or _derived(cfg, ".filtered.json"), allow_invalid=True)
     log.write(args.rejection_log or cfg.rejection_log_path)
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
     return 0

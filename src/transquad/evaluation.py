@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ._kernels import greedy_match
-from ._text import LazyTable, ascii_casefold, parse_json
+from ._text import LazyTable, ascii_casefold, parse_json, text_lines
 from .corpus import Corpus
 from .errors import EmbeddingError, MissingEmbeddingError
 from .translation import DEFAULT_MAX_WORKERS, call_model
@@ -197,25 +197,12 @@ class TableEmbeddingProvider(EmbeddingProvider):
 
 
 def _table_rows(path: str | Path) -> Iterator[tuple[int, str, str]]:
-    """(lineno, token, text of its numbers) for each data line of an embedding table.
-
-    Bytes that are not UTF-8 raise ValueError naming ``path``: the file is
-    decoded in blocks, so the line they are on is not known.
-    """
-    with Path(path).open(encoding="utf-8") as fh:
-        # splitlines on each line the file yields: the same lines, and line
-        # numbers, as splitlines on the whole text.
-        lines = (line for physical in fh for line in physical.splitlines())
-        try:
-            for lineno, line in enumerate(lines, 1):
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split(None, 1)
-                if len(parts) < 2:
-                    raise ValueError(f"{path}:{lineno}: expected a token and at least one number")
-                yield lineno, parts[0], parts[1]
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not valid UTF-8: {exc.reason}") from exc
+    """(lineno, token, text of its numbers) for each ``text_lines`` line of an embedding table."""
+    for lineno, line in text_lines(path):
+        parts = line.split(None, 1)
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{lineno}: expected a token and at least one number")
+        yield lineno, parts[0], parts[1]
 
 
 def _parse_table(path: str | Path) -> tuple[list[str], np.ndarray]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from ._text import STRING, STRING_OR_NULL, atomic_write, check_fields, json_lines
+from ._text import STRING, STRING_OR_NULL, atomic_write, check_fields, json_lines, text_lines
 from .corpus import Corpus
 from .errors import ConfigError, ConfigValidationError
 
@@ -154,19 +154,14 @@ def non_latin_letter_ratio(text: str) -> float:
 
 
 def load_exclusion_list(path: str | Path) -> set[str]:
-    """Read one qid or title per line; blank lines and ``#`` comments ignored."""
+    """Read one qid or title per ``text_lines`` line, stripped; stripped ``#`` lines ignored."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        stripped = [line.strip() for _, line in text_lines(path)]
     except OSError as exc:
         raise ConfigError(f"cannot read exclusion list {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot read exclusion list {path}: not valid UTF-8") from exc
-    out: set[str] = set()
-    for line in lines:
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            out.add(stripped)
-    return out
+    except ValueError as exc:
+        raise ConfigError(f"cannot read exclusion list {exc}") from exc
+    return {s for s in stripped if not s.startswith("#")}
 
 
 def filter_corpus(corpus: Corpus, cfg: FilterConfig) -> tuple[Corpus, RejectionLog]:

@@ -247,8 +247,6 @@ def call_model(
     *,
     batch_size: int = DEFAULT_BATCH_SIZE,
     max_workers: int = DEFAULT_MAX_WORKERS,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base: float = DEFAULT_BACKOFF_BASE,
     sleep: Callable[[float], None] | None = None,
 ) -> None:
     """Send ``items`` to a model in chunks; ``settle(chunk, outputs)`` receives each reply.
@@ -258,22 +256,24 @@ def call_model(
     results do not depend on the parallelism or the chunking, and a failure
     on a later chunk leaves every earlier one settled.
 
-    Error policy: a TransientEngineError is retried with exponential backoff
-    (``sleep``, default ``time.sleep``) and ends in EngineUnavailableError
-    when the attempts run out. Any other TransquadError passes through. Any
-    other exception, or a reply of the wrong length, becomes
-    ``error(message, chunk)``; ``model`` names the model in the message.
+    Error policy: a TransientEngineError is retried, up to
+    ``DEFAULT_MAX_ATTEMPTS`` attempts with a backoff of
+    ``DEFAULT_BACKOFF_BASE`` seconds doubling per retry (``sleep``, default
+    ``time.sleep``), and ends in EngineUnavailableError when the attempts
+    run out. Any other TransquadError passes through. Any other exception,
+    or a reply of the wrong length, becomes ``error(message, chunk)``;
+    ``model`` names the model in the message.
     """
 
     def run(chunk: list[Item]) -> list[Reply]:
         last: TransientEngineError | None = None
-        for attempt in range(1, max_attempts + 1):
+        for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
             try:
                 out = list(call(chunk))
             except TransientEngineError as exc:
                 last = exc
-                if attempt < max_attempts:
-                    (sleep or time.sleep)(backoff_base * 2 ** (attempt - 1))
+                if attempt < DEFAULT_MAX_ATTEMPTS:
+                    (sleep or time.sleep)(DEFAULT_BACKOFF_BASE * 2 ** (attempt - 1))
                 continue
             except TransquadError:
                 raise
@@ -283,7 +283,7 @@ def call_model(
                 raise error(f"{model} returned {len(out)} replies for {len(chunk)} inputs", chunk)
             return out
         raise EngineUnavailableError(
-            f"{model} still failing after {max_attempts} attempts"
+            f"{model} still failing after {DEFAULT_MAX_ATTEMPTS} attempts"
         ) from last
 
     chunks = [items[j : j + batch_size] for j in range(0, len(items), batch_size)]

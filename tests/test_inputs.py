@@ -1,15 +1,17 @@
 """Every input the CLI reads fails the same way when it is malformed.
 
-The config, the corpus, the exclusion list, the translation cache, the
-candidates, the rejection log, the predictions and the embedding table are
-each fed one malformation per class, through every subcommand that reads
-them. Each case must end in exactly one ``error:`` line on stderr that names
-the file once, with the exit code the README assigns (2 for the config, the
-exclusion list and any I/O failure, 1 for data), and must leave every file
-as it was: no output created or changed.
+The config, the corpus, the exclusion list, the dictionary-engine and
+transliterator tables, the translation cache, the candidates, the rejection
+log, the predictions and the embedding table are each fed one malformation
+per class, through every subcommand that reads them. Each case must end in
+exactly one ``error:`` line on stderr that names the file once, with the
+exit code the README assigns (2 for the config, the exclusion list and any
+I/O failure, 1 for data), and must leave every file as it was: no output
+created or changed.
 
-JSON and JSON Lines inputs go through one reader, ``_text.parse_json``;
-a test below parses the package's sources to keep it the only one.
+JSON and JSON Lines inputs go through one reader, ``_text.parse_json``,
+and plain-text inputs through one line reader, ``_text.text_lines``; tests
+below parse the package's sources to keep each the only one.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ CONFIG = {
     "stats_path": "stats.json",
     "source_lang": "en",
     "target_lang": "mr",
-    "engine_id": "identity",
-    "transliterator_id": "identity",
+    "engine_id": "dictionary:dict.tsv",
+    "transliterator_id": "table:translit.tsv",
     "cache_path": "cache.jsonl",
     "filter": {"exclusion_list_path": "excl.txt"},
 }
@@ -121,6 +123,24 @@ INPUTS = {
         b"no-such-qid\n",
         {"not-utf8": b"no-such-qid\n\xff\n", "directory": DIRECTORY},
     ),
+    "dictionary table": (
+        "dict.tsv",
+        "word\tशब्द\n".encode("utf-8"),
+        {
+            "not-utf8": b"word\tx\n\xff\ty\n",
+            "missing-field": b"word\tx\nword\n",
+            "directory": DIRECTORY,
+        },
+    ),
+    "transliterator table": (
+        "translit.tsv",
+        "word\tवर्ड\n".encode("utf-8"),
+        {
+            "not-utf8": b"word\tx\n\xff\ty\n",
+            "missing-field": b"word\tx\nword\n",
+            "directory": DIRECTORY,
+        },
+    ),
     "cache": json_lines_input("cache.jsonl", CACHE_LINE, "value", 5, "value"),
     "candidates": json_lines_input("candidates.jsonl", CANDIDATE, "context", 5, "answer"),
     "rejection log": json_lines_input("rejections.jsonl", ENTRY, "qid", 5, "stage"),
@@ -155,11 +175,11 @@ COMMANDS = {
     "filter": (["--config", "config.json", "filter"], ["config", "corpus", "exclusion list"]),
     "translate": (
         ["--config", "config.json", "translate"],
-        ["config", "corpus", "exclusion list", "cache"],
+        ["config", "corpus", "exclusion list", "dictionary table", "cache"],
     ),
     "postprocess": (
         ["--config", "config.json", "postprocess", "--input", "candidates.jsonl"],
-        ["config", "candidates"],
+        ["config", "candidates", "transliterator table"],
     ),
     "realign": (
         ["--config", "config.json", "realign", "--input", "candidates.jsonl"],
@@ -172,7 +192,7 @@ COMMANDS = {
     ),
     "pipeline": (
         ["--config", "config.json", "pipeline"],
-        ["config", "corpus", "exclusion list", "cache"],
+        ["config", "corpus", "exclusion list", "dictionary table", "transliterator table", "cache"],
     ),
 }
 
@@ -200,6 +220,8 @@ def test_malformed_input_fails_in_one_line(tmp_path, monkeypatch, capsys, comman
     # Absolute paths throughout, so that a message can be searched for them.
     config = {k: str(tmp_path / v) if k.endswith("_path") else v for k, v in CONFIG.items()}
     config["filter"] = {"exclusion_list_path": str(tmp_path / "excl.txt")}
+    config["engine_id"] = f"dictionary:{tmp_path / 'dict.tsv'}"
+    config["transliterator_id"] = f"table:{tmp_path / 'translit.tsv'}"
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     argv = [str(tmp_path / arg) if "." in arg else arg for arg in COMMANDS[command][0]]
     name, _, malformed = INPUTS[role]
@@ -242,8 +264,8 @@ def test_deep_nesting_is_refused_naming_the_file(tmp_path, read, error):
     assert str(err.value).count(str(path)) == 1
 
 
-class JsonReaders(ast.NodeVisitor):
-    """The name of each function (or ``<module>``) that refers to ``json.load(s)``."""
+class ScopedFinder(ast.NodeVisitor):
+    """``record`` notes the function (or ``<module>``) being visited in ``found``."""
 
     def __init__(self):
         self.scope = ["<module>"]
@@ -254,21 +276,58 @@ class JsonReaders(ast.NodeVisitor):
         self.generic_visit(node)
         self.scope.pop()
 
+    def record(self, what: str = "") -> None:
+        self.found.append(f"{what}{self.scope[-1]}")
+
+
+class JsonReaders(ScopedFinder):
+    """Every reference to ``json.load(s)``."""
+
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if isinstance(node.value, ast.Name) and node.value.id == "json":
             if node.attr in ("load", "loads"):
-                self.found.append(self.scope[-1])
+                self.record()
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "json":
-            self.found.append(f"from json import in {self.scope[-1]}")
+            self.record("from json import in ")
+
+
+class TextReaders(ScopedFinder):
+    """Every call of ``read_text`` or ``.decode``, and every ``open`` not in binary mode."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("read_text", "decode"):
+            self.record(f"{name} in ")
+        elif name == "open":
+            # open(file, mode) as a function, path.open(mode) as a method; "r" by default.
+            at = 1 if isinstance(func, ast.Name) else 0
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), None)
+            if mode is None and len(node.args) > at:
+                mode = node.args[at]
+            text = mode.value if isinstance(mode, ast.Constant) else "r"
+            if "b" not in text:
+                self.record(f"open({text!r}) in ")
+        self.generic_visit(node)
+
+
+def find_in_sources(finder: type[ScopedFinder]) -> list[str]:
+    found = []
+    for path in sorted(SOURCES.glob("*.py")):
+        visitor = finder()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += [f"{path.name}:{where}" for where in visitor.found]
+    return found
 
 
 def test_json_is_parsed_in_one_place():
-    readers = []
-    for path in sorted(SOURCES.glob("*.py")):
-        visitor = JsonReaders()
-        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-        readers += [f"{path.name}:{scope}" for scope in visitor.found]
-    assert readers == ["_text.py:parse_json"]
+    assert find_in_sources(JsonReaders) == ["_text.py:parse_json"]
+
+
+def test_text_is_decoded_in_one_place():
+    """Outside ``_text.py`` no module decodes input text; the cache appends in text mode."""
+    found = [where for where in find_in_sources(TextReaders) if not where.startswith("_text.py:")]
+    assert found == ["translation.py:open('a') in store_many"]

@@ -690,6 +690,19 @@ def test_cli_filter_subcommand(tmp_path, capsys):
     assert json.loads(log_lines[0])["reason"] == "manual-exclusion"
 
 
+def test_cli_filter_passes_spans_through_as_translate_and_pipeline_do(tmp_path, capsys):
+    corpus = build_english_corpus(3, seed=2)
+    first = corpus.records[0]
+    far = replace(first, answers=(replace(first.answers[0], start=1_000_000),))
+    corpus = replace(corpus, records=(far, *corpus.records[1:]))
+    (tmp_path / "input.json").write_bytes(serialize_corpus(corpus, allow_invalid=True))
+    path, _ = write_config(tmp_path)
+    for command in ("filter", "translate", "pipeline"):
+        assert main(["--config", str(path), command]) == 0, capsys.readouterr().err
+    kept = load_corpus(tmp_path / "output.filtered.json", "train")
+    assert kept.records == corpus.records
+
+
 def test_cli_evaluate(tmp_path, capsys):
     corpus = build_english_corpus(2, seed=9)
     collapsed = type(corpus)(

@@ -7,8 +7,9 @@ Devanagari letters, marks and digits, other decimal digits, and characters
 outside the Basic Multilingual Plane. Answer normalization runs against its
 per-character reference on the same text, the evaluator against per-pair
 EM, F1 and BERTScore at any number of workers, the embedding-table loader
-against ``float()``, and the rejection log reader against its writer on
-any qid text.
+against ``float()``, the plain-text line reader against ``splitlines`` on
+the whole text, and the rejection log reader against its writer on any qid
+text.
 The pipeline's outputs must not depend on how the translation gateway
 chunks its requests or how many run at once.
 """
@@ -29,6 +30,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from transquad import cli, evaluation, pipeline, script_tools
+from transquad._text import text_lines
 from transquad.alignment import AlignmentCandidate
 from transquad.corpus import AnswerSpan, Corpus, QaRecord, parse_corpus, serialize_corpus
 from transquad.evaluation import (
@@ -47,6 +49,7 @@ from transquad.filtering import (
     STAGES,
     RejectionEntry,
     RejectionLog,
+    load_exclusion_list,
     non_latin_letter_ratio,
 )
 from transquad.pipeline import config_from_dict, postprocess_candidates, run_pipeline
@@ -374,6 +377,28 @@ def test_table_loader_names_the_first_non_finite_line(tmp_path_factory, rows, da
 UTF8_TEXT = st.text(
     alphabet=st.one_of(st.sampled_from(SPECIAL), st.characters(codec="utf-8")), max_size=60
 )
+LINE_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+LINE = st.one_of(UTF8_TEXT, st.sampled_from(["", " ", "\t"]), UTF8_TEXT.map("#".__add__))
+
+
+@PROPERTY
+@given(st.lists(st.tuples(LINE, LINE_BREAK), max_size=8), st.booleans())
+@example([("a", "\r"), ("", "\n"), ("# x", "\r\n"), ("  # y", "\x85")], True)
+def test_text_lines_reads_the_lines_splitlines_gives(tmp_path_factory, lines, last_break):
+    """Streamed, a plain-text input keeps the lines and numbers of ``splitlines`` on its text."""
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not last_break:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("lines") / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    whole = list(enumerate(text.splitlines(), 1))
+    assert list(text_lines(path)) == [
+        (lineno, line) for lineno, line in whole if line.strip() and not line.startswith("#")
+    ]
+    stripped = {line.strip() for _, line in whole}
+    assert load_exclusion_list(path) == {s for s in stripped if s and not s.startswith("#")}
+
+
 ENTRY = st.tuples(
     UTF8_TEXT,
     st.sampled_from(STAGES),
