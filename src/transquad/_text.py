@@ -82,11 +82,12 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """``(lineno, line)`` for each data line of a plain-text UTF-8 input.
 
     Lines and their numbers are those ``str.splitlines`` gives on the whole
-    text; blank lines and lines starting with ``#`` are skipped. Bytes that
-    are not UTF-8 raise ValueError naming ``path``: the file is decoded in
-    blocks, so the line they are on is not known.
+    text; blank lines and lines starting with ``#`` are skipped. A byte-order
+    mark at the start of the file is dropped. Bytes that are not UTF-8 raise
+    ValueError naming ``path``: the file is decoded in blocks, so the line
+    they are on is not known.
     """
-    with Path(path).open(encoding="utf-8") as fh:
+    with Path(path).open(encoding="utf-8-sig") as fh:
         # splitlines on each line the file yields: the same lines, and line
         # numbers, as splitlines on the whole text.
         lines = (line for physical in fh for line in physical.splitlines())
@@ -113,6 +114,14 @@ def read_tsv_table(path: str | Path) -> dict[str, str]:
     return table
 
 
+def decode_utf8(data: bytes, where: str) -> str:
+    """``data`` as text; bytes that are not UTF-8 raise ValueError starting ``where:``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+
+
 def parse_json(data: bytes | str, where: str) -> Any:
     """Decode UTF-8 ``data`` and parse it as one JSON value.
 
@@ -120,13 +129,11 @@ def parse_json(data: bytes | str, where: str) -> Any:
     than the parser's recursion limit each raise one ValueError whose
     message starts ``where:``; its ``__cause__`` is the original error.
     """
+    if isinstance(data, bytes):
+        # Rebound, so that bytes nobody else holds are freed before parsing.
+        data = decode_utf8(data, where)
     try:
-        if isinstance(data, bytes):
-            # Rebound, so that bytes nobody else holds are freed before parsing.
-            data = data.decode("utf-8")
         return json.loads(data)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: not valid JSON: {exc.msg} at char {exc.pos}") from exc
     except RecursionError as exc:
@@ -178,22 +185,26 @@ def check_fields(
             raise FieldError(f"{prefix + key!r} must be {name}, got {record[key]!r}", prefix + key)
 
 
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to a temp file beside ``path``, then rename it over ``path``.
+def atomic_write(path: str | Path, *chunks: bytes | memoryview) -> None:
+    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``.
 
-    A failure at any point leaves the old file, if any, untouched and no
-    temp file behind. A symlink is followed: the file it names is replaced
-    and the link kept. A target that exists but is not a regular file (a
-    FIFO, ``/dev/null``) cannot be renamed over and is written in place.
+    The chunks are written one after another, each as it is: any contiguous
+    buffer will do (``bytes``, a ``memoryview`` of an array), so a large one
+    is never copied into one ``bytes``. A failure at any point leaves the
+    old file, if any, untouched and no temp file behind. A symlink is
+    followed: the file it names is replaced and the link kept. A target
+    that exists but is not a regular file (a FIFO, ``/dev/null``) cannot be
+    renamed over and is written in place.
     """
     path = Path(os.path.realpath(path))
     if path.exists() and not path.is_file():
-        path.write_bytes(data)
+        with path.open("wb") as fh:
+            fh.writelines(chunks)
         return
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         # mkstemp creates 0600; give the file the mode a plain open() would.
         # The umask can only be read by setting it, so it is put back at once.
         umask = os.umask(0)

@@ -137,9 +137,10 @@ def _cmd_filter(args) -> int:
     cfg = _require_config(args)
     corpus = load_corpus(args.input or cfg.input_path, cfg.split)
     kept, log = prefilter(corpus, cfg.filter)
+    # The log first: a log that cannot be written fails the command before its output.
+    log.write(args.rejection_log or cfg.rejection_log_path)
     # Spans pass through unchecked, as translate takes them; validate audits them.
     save_corpus(kept, args.output or _derived(cfg, ".filtered.json"), allow_invalid=True)
-    log.write(args.rejection_log or cfg.rejection_log_path)
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
     return 0
 
@@ -159,8 +160,9 @@ def _cmd_translate(args) -> int:
             parallelism=cfg.parallelism,
         )
     out = args.output or _derived(cfg, ".candidates.jsonl")
-    write_candidates(candidates, out, split=cfg.split)
+    # The log first: a log that cannot be written fails the command before its output.
     log.write(args.rejection_log or cfg.rejection_log_path)
+    write_candidates(candidates, out, split=cfg.split)
     print(f"translated {len(candidates)} records -> {out} ({len(log)} rejected pre-filter)")
     return 0
 

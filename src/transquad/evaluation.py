@@ -10,7 +10,8 @@ definition.
 The BERTScore core is model-free: it takes precomputed per-token embedding
 vectors and does greedy max-cosine matching with uniform token weights (no
 idf, no baseline rescaling). Embeddings come from any EmbeddingProvider; a
-table-backed provider is included for offline use. ``evaluate_predictions``
+table-backed provider is included for offline use, and keeps each table it
+parses in a binary sidecar beside it. ``evaluate_predictions``
 sends the pairs to the provider through the model gateway
 (``translation.call_model``), so the waits of different pairs overlap.
 """
@@ -19,16 +20,19 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import stat
+import struct
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._kernels import greedy_match
-from ._text import LazyTable, ascii_casefold, parse_json, text_lines
+from ._text import LazyTable, ascii_casefold, atomic_write, decode_utf8, parse_json, text_lines
 from .corpus import Corpus
 from .errors import EmbeddingError, MissingEmbeddingError
 from .translation import DEFAULT_MAX_WORKERS, call_model
@@ -161,39 +165,175 @@ class TableEmbeddingProvider(EmbeddingProvider):
         """One line per token: the token, then its whitespace-separated components.
 
         Blank lines and lines starting with ``#`` are skipped; a later line
-        wins on a duplicate token. A first pass reads the tokens; then the
-        lines stream through one ``np.loadtxt`` call, which parses the
-        numbers in C to the same bits as ``float()``. Given the row count,
-        it allocates the matrix once; grown block by block, the matrix
-        leaves heap holes that the next table loaded in the same process may
-        not fit in, and peak memory grows by a table. If loadtxt refuses a
-        row, the file is read again with ``float()``, which also takes
-        ``1_0`` and non-ASCII digits, and a malformed number, a row of
-        another length or a non-finite component (``nan``, ``inf``, which
-        ``float()`` accepts) raises ValueError naming ``path:lineno``.
+        wins on a duplicate token. The numbers are parsed to the same bits
+        as ``float()``, and a malformed number, a row of another length or a
+        non-finite component (``nan``, ``inf``, which ``float()`` accepts)
+        raises ValueError naming ``path:lineno``.
+
+        A table that parses is kept in a sidecar beside it, ``path`` +
+        ``.tqemb``, which later loads read instead of parsing the text. The
+        sidecar is keyed by the SHA-256 of the table's bytes, never by its
+        size or mtime, and it is used only when whole; any other sidecar is
+        ignored and written again. A table or sidecar path that is not a
+        regular file gets no sidecar, and a sidecar that cannot be written is
+        skipped. Either way the rows go through ``__init__``'s checks.
         """
-        tokens = [token for _, token, _ in _table_rows(path)]
-        if not tokens:  # loadtxt would warn; __init__ refuses the empty table
-            return cls({})
-        numbers = (text for _, _, text in _table_rows(path))
-        try:
-            matrix = np.loadtxt(
-                numbers, dtype=np.float64, comments=None, ndmin=2, max_rows=len(tokens)
-            )
-        except ValueError:
-            tokens, matrix = _parse_table(path)
+        # Hashed before it is parsed: a table replaced in between is parsed
+        # anew and kept under the old hash, which it no longer matches.
+        key = _table_key(path)
+        sidecar = Path(f"{path}{_SIDECAR_SUFFIX}")
+        if key is not None:
+            kept = _read_sidecar(sidecar, key.digest)
+            if kept is not None:
+                try:
+                    return cls(dict(zip(*kept)))
+                except ValueError:
+                    pass  # rows __init__ refuses: parse the text and write the sidecar again
+        tokens, matrix = _load_table(path, key)
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
             lineno = next(itertools.islice(_table_rows(path), row, None))[0]
             raise ValueError(f"{path}:{lineno}: non-finite vector component")
-        return cls(dict(zip(tokens, matrix)))
+        provider = cls(dict(zip(tokens, matrix)))
+        if key is not None:
+            _write_sidecar(sidecar, key.digest, tokens, matrix)
+        return provider
 
     def embed(self, tokens):
         try:
             return np.stack([self.table[t] for t in tokens])
         except KeyError as exc:
             raise MissingEmbeddingError(f"no embedding for token {exc.args[0]!r}") from None
+
+
+# The sidecar of an embedding table: a magic/version line, then the
+# SHA-256 of the table's bytes, the row count, the dimension and the byte
+# length of the token block, then the tokens (UTF-8, "\n"-joined; a token
+# never holds whitespace), then the rows as little-endian float64.
+_SIDECAR_SUFFIX = ".tqemb"
+_SIDECAR_MAGIC = b"transquad embedding table 1\n"
+_SIDECAR_HEADER = struct.Struct("<32sQQQ")
+_HASH_BLOCK = 1 << 18
+
+
+class _TableKey(NamedTuple):
+    digest: bytes  # SHA-256 of the table's bytes
+    lines: int  # "\n" bytes + 1: a bound on the rows, unless other line breaks split lines
+    size: int  # bytes
+
+
+def _table_key(path: str | Path) -> _TableKey | None:
+    """Hash a regular file in blocks, counting its newlines; None for any other file.
+
+    Hashing a FIFO would consume it, so only a regular file gets a key. The
+    loop stands in for ``hashlib.file_digest``, which Python 3.10 lacks.
+    """
+    import hashlib  # only a table load pays for importing it
+
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except OSError:
+        return None  # the parse names the file
+    digest = hashlib.sha256()
+    newlines = size = 0
+    block = bytearray(_HASH_BLOCK)
+    view, octets = memoryview(block), np.frombuffer(block, dtype=np.uint8)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
+            newlines += int(np.count_nonzero(octets[:n] == ord("\n")))  # bytes.count is slower
+            size += n
+    return _TableKey(digest.digest(), newlines + 1, size)
+
+
+def _read_sidecar(sidecar: Path, digest: bytes) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and rows a sidecar keeps for the table hashed to ``digest``.
+
+    None unless the sidecar is a regular file whose magic, hash, counts and
+    exact length all agree; the counts are checked against the length before
+    anything is allocated.
+    """
+    head_size = len(_SIDECAR_MAGIC) + _SIDECAR_HEADER.size
+    try:
+        if not stat.S_ISREG(os.stat(sidecar).st_mode):
+            return None
+        with sidecar.open("rb") as fh:
+            head = fh.read(head_size)
+            if len(head) != head_size or not head.startswith(_SIDECAR_MAGIC):
+                return None
+            stored, rows, dim, token_bytes = _SIDECAR_HEADER.unpack_from(head, len(_SIDECAR_MAGIC))
+            length = head_size + token_bytes + 8 * rows * dim
+            if stored != digest or not rows or not dim or os.fstat(fh.fileno()).st_size != length:
+                return None
+            tokens = decode_utf8(fh.read(token_bytes), str(sidecar)).split("\n")
+            matrix = np.empty((rows, dim), dtype="<f8")
+            if len(tokens) != rows or fh.readinto(matrix) != matrix.nbytes:
+                return None
+    except (OSError, ValueError):
+        return None
+    return tokens, matrix
+
+
+def _write_sidecar(sidecar: Path, digest: bytes, tokens: list[str], matrix: np.ndarray) -> None:
+    """Keep a parsed table in its sidecar; skipped where it cannot be written.
+
+    A sidecar path that exists but is not a regular file is left alone:
+    ``atomic_write`` would write a FIFO in place, and block on it.
+    """
+    if os.path.exists(sidecar) and not os.path.isfile(sidecar):
+        return
+    block = "\n".join(tokens).encode("utf-8")
+    rows = np.ascontiguousarray(matrix, dtype="<f8")
+    head = _SIDECAR_MAGIC + _SIDECAR_HEADER.pack(digest, *rows.shape, len(block))
+    try:
+        atomic_write(sidecar, head, block, memoryview(rows))
+    except OSError:
+        pass  # a read-only directory or a full disk: the next load parses again
+
+
+def _load_table(path: str | Path, key: _TableKey | None) -> tuple[list[str], np.ndarray]:
+    """Tokens and vectors of an embedding table, read in one pass where it can be.
+
+    The rows stream through one ``np.loadtxt`` call, which parses the
+    numbers in C to the same bits as ``float()``; the generator feeding it
+    keeps the tokens. Given a row bound, loadtxt allocates the matrix once:
+    grown block by block, it leaves heap holes that the next table loaded in
+    the same process may not fit in, and peak memory grows by a table. The
+    bound is the file's line count. Blank and ``#`` lines make it too high,
+    so it is capped at the rows the file's size can hold, each with as many
+    numbers as the first. ``str.splitlines`` breaks lines at more than ``\n``,
+    which can make it too low: unless loadtxt took every row, the file is
+    read again by ``_parse_table``, as it is when loadtxt refuses a row.
+    """
+    rows = _table_rows(path)
+    try:
+        first = next(rows, None)
+        if first is None:  # before loadtxt, which warns on no rows
+            raise ValueError(f"{path}: embedding table must not be empty")
+        tokens: list[str] = []
+
+        def numbers() -> Iterator[str]:
+            for _, token, text in itertools.chain([first], rows):
+                tokens.append(token)
+                yield text
+
+        bound = None
+        if key is not None:
+            # A row of d numbers takes at least 2d + 1 characters.
+            bound = min(key.lines, key.size // (2 * len(first[2].split()) + 1) + 1)
+        try:
+            matrix = np.loadtxt(
+                numbers(), dtype=np.float64, comments=None, ndmin=2, max_rows=bound
+            )
+            if next(rows, None) is None and len(tokens) == len(matrix):
+                return tokens, matrix
+        except ValueError:
+            pass
+    finally:
+        rows.close()
+    return _parse_table(path)
 
 
 def _table_rows(path: str | Path) -> Iterator[tuple[int, str, str]]:

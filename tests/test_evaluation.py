@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import stat
+import struct
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import transquad._text
+import transquad.evaluation
 import transquad.translation
 from transquad.corpus import AnswerSpan, Corpus, QaRecord
 from transquad.errors import (
@@ -294,7 +300,9 @@ def test_table_provider_from_file_later_duplicate_wins(tmp_path):
 
 def test_table_provider_from_file_sizes_the_matrix_once(tmp_path, monkeypatch):
     # Grown block by block, the matrix leaves heap holes that the next table
-    # may not fit in; given max_rows, loadtxt allocates it once.
+    # may not fit in; given max_rows, loadtxt allocates it once. The bound is
+    # the file's line count, capped by the rows its size can hold: blank and
+    # "#" lines make the count too high, and loadtxt allocates all of it.
     sizes = []
     loadtxt = np.loadtxt
 
@@ -306,8 +314,138 @@ def test_table_provider_from_file_sizes_the_matrix_once(tmp_path, monkeypatch):
     path = tmp_path / "emb.txt"
     path.write_text("# c\nalpha 1 0\n\nbeta 0 1\ngamma 1 1\n", encoding="utf-8")
     provider = TableEmbeddingProvider.from_file(path)
-    assert sizes == [3]
+    assert sizes == [6]  # five newlines
     assert provider.embed(["gamma", "alpha"]).tolist() == [[1.0, 1.0], [1.0, 0.0]]
+    blank = tmp_path / "blank.txt"
+    blank.write_text("alpha 1 0\n" + "\n" * 10_000, encoding="utf-8")
+    assert TableEmbeddingProvider.from_file(blank).embed(["alpha"]).tolist() == [[1.0, 0.0]]
+    assert sizes[1] == 10_010 // 5 + 1  # a row of two numbers takes at least five bytes
+
+
+def test_table_provider_from_file_reads_rows_past_the_newline_count(tmp_path):
+    # str.splitlines also breaks lines at \r, so the newline count is too low here.
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1\rb 2\x85c 3\u2028d 4\n", encoding="utf-8", newline="")
+    provider = TableEmbeddingProvider.from_file(path)
+    assert provider.embed(["a", "b", "c", "d"]).tolist() == [[1.0], [2.0], [3.0], [4.0]]
+
+
+def sidecar_of(path: Path) -> Path:
+    return Path(f"{path}.tqemb")
+
+
+def assert_same_table(got: TableEmbeddingProvider, want: TableEmbeddingProvider) -> None:
+    assert list(got.table) == list(want.table)
+    for token, vec in want.table.items():
+        assert got.table[token].tobytes() == vec.tobytes(), token
+
+
+def test_second_load_reads_the_sidecar_not_the_text(tmp_path, monkeypatch):
+    path = tmp_path / "emb.txt"
+    path.write_text("# c\nb 3 4\na 1 2\n\nc 0.1 -2e-3\na 5 6\n", encoding="utf-8")
+    first = TableEmbeddingProvider.from_file(path)
+    assert sidecar_of(path).is_file()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the text was parsed again")
+
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    monkeypatch.setattr(transquad.evaluation, "_parse_table", refuse)
+    second = TableEmbeddingProvider.from_file(path)
+    assert_same_table(second, first)
+    assert second.embed(["a"]).tolist() == [[5.0, 6.0]]  # the later duplicate still wins
+
+
+def test_table_edited_in_place_is_read_afresh(tmp_path):
+    # Same size, same mtime: only the content hash tells the tables apart.
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
+    TableEmbeddingProvider.from_file(path)
+    before = path.stat()
+    path.write_text("a 1 2\nb 3 5\n", encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert TableEmbeddingProvider.from_file(path).embed(["b"]).tolist() == [[3.0, 5.0]]
+    assert TableEmbeddingProvider.from_file(path).embed(["b"]).tolist() == [[3.0, 5.0]]
+
+
+def _with_counts(good: bytes, rows: int, dim: int) -> bytes:
+    at = len(transquad.evaluation._SIDECAR_MAGIC) + 32
+    return good[:at] + struct.pack("<QQ", rows, dim) + good[at + 16:]
+
+
+BAD_SIDECARS = {
+    "empty": lambda good: b"",
+    "truncated": lambda good: good[:-1],
+    "header-only": lambda good: good[:60],
+    "garbage": lambda good: bytes(range(256)) * 4,
+    "older-version": lambda good: good.replace(b" 1\n", b" 0\n", 1),
+    "trailing-bytes": lambda good: good + b"\0",
+    "huge-counts": lambda good: _with_counts(good, 2**40, 2**20),
+    "reshaped-counts": lambda good: _with_counts(good, 1, 4),  # the right length, one token short
+    "not-utf8-tokens": lambda good: good.replace(b"a\nb", b"\xff\nb"),
+    "zero-rows": lambda good: good[: -32] + bytes(32),  # rows __init__ refuses
+}
+
+
+@pytest.mark.parametrize("bad", BAD_SIDECARS, ids=str)
+def test_broken_sidecar_is_ignored_and_rewritten(tmp_path, bad):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
+    want = TableEmbeddingProvider.from_file(path)
+    good = sidecar_of(path).read_bytes()
+    sidecar_of(path).write_bytes(BAD_SIDECARS[bad](good))
+    assert_same_table(TableEmbeddingProvider.from_file(path), want)
+    assert sidecar_of(path).read_bytes() == good
+
+
+@pytest.mark.parametrize("call", ["os.replace", "tempfile.mkstemp"])
+def test_sidecar_that_cannot_be_written_is_skipped(tmp_path, monkeypatch, call):
+    module, name = call.split(".")
+
+    def fail(*args, **kwargs):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(getattr(transquad._text, module), name, fail)
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
+    for _ in range(2):
+        assert TableEmbeddingProvider.from_file(path).embed(["b"]).tolist() == [[3.0, 4.0]]
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]  # no sidecar, no temp file
+
+
+def load_in_a_thread(path: Path) -> tuple[list, threading.Thread]:
+    """Start ``from_file(path)`` on a thread; it appends the provider to the list returned."""
+    loaded: list = []
+    loader = threading.Thread(
+        target=lambda: loaded.append(TableEmbeddingProvider.from_file(path)), daemon=True
+    )
+    loader.start()
+    return loaded, loader
+
+
+def test_table_in_a_fifo_gets_no_sidecar(tmp_path):
+    path = tmp_path / "emb.txt"
+    os.mkfifo(path)
+    loaded, loader = load_in_a_thread(path)
+    path.write_bytes(b"a 1 2\nb 3 4\n")  # blocks until the loader opens the FIFO
+    loader.join(timeout=10)
+    assert not loader.is_alive()
+    assert loaded[0].embed(["b"]).tolist() == [[3.0, 4.0]]
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+
+
+def test_sidecar_path_that_is_a_fifo_is_left_alone(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("a 1 2\nb 3 4\n", encoding="utf-8")
+    os.mkfifo(sidecar_of(path))
+    for _ in range(2):
+        loaded, loader = load_in_a_thread(path)
+        loader.join(timeout=10)
+        assert not loader.is_alive()
+        assert loaded[0].embed(["b"]).tolist() == [[3.0, 4.0]]
+    assert stat.S_ISFIFO(sidecar_of(path).stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt", "emb.txt.tqemb"]
 
 
 @pytest.mark.parametrize(
@@ -365,8 +503,16 @@ def test_table_provider_from_file_rejects_an_empty_table(tmp_path):
     path.write_text("# only a comment\n\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # np.loadtxt warns on empty input
-        with pytest.raises(ValueError, match="must not be empty"):
+        with pytest.raises(ValueError, match="must not be empty") as info:
             TableEmbeddingProvider.from_file(path)
+    assert str(info.value).startswith(f"{path}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+
+
+def test_table_provider_from_file_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"\xef\xbb\xbfalpha 1 0\nbeta 0 1\n")
+    assert list(TableEmbeddingProvider.from_file(path).table) == ["alpha", "beta"]
 
 
 # -- evaluate_predictions --

@@ -35,6 +35,7 @@ from conftest import build_english_corpus
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "transquad"
 
 DEEP = b"[" * 200_000 + b"]" * 200_000
+BOM = b"\xef\xbb\xbf"  # dropped by the line reader, so a bad first line is still line 1
 DIRECTORY = object()  # in place of bytes: the input is a directory
 
 CORPUS = build_english_corpus(2, seed=3)
@@ -121,7 +122,7 @@ INPUTS = {
     "exclusion list": (
         "excl.txt",
         b"no-such-qid\n",
-        {"not-utf8": b"no-such-qid\n\xff\n", "directory": DIRECTORY},
+        {"not-utf8": b"no-such-qid\n\xff\n", "bom": BOM + b"\xff\n", "directory": DIRECTORY},
     ),
     "dictionary table": (
         "dict.tsv",
@@ -129,6 +130,7 @@ INPUTS = {
         {
             "not-utf8": b"word\tx\n\xff\ty\n",
             "missing-field": b"word\tx\nword\n",
+            "bom": BOM + b"word\n",
             "directory": DIRECTORY,
         },
     ),
@@ -138,6 +140,7 @@ INPUTS = {
         {
             "not-utf8": b"word\tx\n\xff\ty\n",
             "missing-field": b"word\tx\nword\n",
+            "bom": BOM + b"word\n",
             "directory": DIRECTORY,
         },
     ),
@@ -163,6 +166,7 @@ INPUTS = {
             "not-utf8": b"alpha 1 0\n\xff 0 1\n",
             "field-type": b"alpha 1 0\nbeta 0 x\n",
             "missing-field": b"alpha 1 0\nbeta\n",
+            "bom": BOM + b"\n# no rows\n",
             "directory": DIRECTORY,
         },
     ),

@@ -703,6 +703,21 @@ def test_cli_filter_passes_spans_through_as_translate_and_pipeline_do(tmp_path, 
     assert kept.records == corpus.records
 
 
+@pytest.mark.parametrize(
+    "command, output", [("filter", "output.filtered.json"), ("translate", "output.candidates.jsonl")]
+)
+def test_cli_unwritable_rejection_log_fails_before_the_output(tmp_path, capsys, command, output):
+    write_input(tmp_path, build_english_corpus(3))
+    log = tmp_path / "rejections"
+    log.mkdir()
+    path, _ = write_config(tmp_path, rejection_log_path=str(log))
+    assert main(["--config", str(path), command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(log) in captured.err
+    assert not (tmp_path / output).exists()
+
+
 def test_cli_evaluate(tmp_path, capsys):
     corpus = build_english_corpus(2, seed=9)
     collapsed = type(corpus)(
@@ -761,8 +776,13 @@ def run_evaluate_with_embeddings(tmp_path, prediction, table="alpha 1 0\nbeta 0 
 
 def test_cli_evaluate_with_embeddings(tmp_path, capsys):
     assert run_evaluate_with_embeddings(tmp_path, "alpha") == 0
-    report = json.loads(capsys.readouterr().out)
+    parsed = capsys.readouterr().out
+    report = json.loads(parsed)
     assert report["per_question"]["q1"]["bert_f"] == pytest.approx(2 / 3, abs=1e-9)
+    # The second run reads the table's sidecar, and reports the same bytes.
+    assert (tmp_path / "emb.txt.tqemb").is_file()
+    assert run_evaluate_with_embeddings(tmp_path, "alpha") == 0
+    assert capsys.readouterr().out == parsed
 
 
 def test_cli_evaluate_token_missing_from_embeddings_exits_1(tmp_path, capsys):

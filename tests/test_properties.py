@@ -349,10 +349,17 @@ def test_table_loader_gives_float_bits(tmp_path_factory, rows, first_gap, data):
         # The only row the table refuses is an all-zero one.
         assert "all zeros" in str(exc)
         assert any(not np.any([float(x) for x in row]) for row in rows)
+        assert not path.with_name("emb.txt.tqemb").exists()
         return
     for i, row in enumerate(rows):
         want = np.array([float(x) for x in row], dtype=np.float64).tobytes()
         assert provider.table[f"t{i}"].tobytes() == want
+    # The second load reads the sidecar the first wrote: the same tokens, order and bits.
+    assert path.with_name("emb.txt.tqemb").is_file()
+    again = TableEmbeddingProvider.from_file(path)
+    assert list(again.table) == list(provider.table)
+    for token, vec in provider.table.items():
+        assert again.table[token].tobytes() == vec.tobytes()
 
 
 @PROPERTY
@@ -382,16 +389,23 @@ LINE = st.one_of(UTF8_TEXT, st.sampled_from(["", " ", "\t"]), UTF8_TEXT.map("#".
 
 
 @PROPERTY
-@given(st.lists(st.tuples(LINE, LINE_BREAK), max_size=8), st.booleans())
-@example([("a", "\r"), ("", "\n"), ("# x", "\r\n"), ("  # y", "\x85")], True)
-def test_text_lines_reads_the_lines_splitlines_gives(tmp_path_factory, lines, last_break):
-    """Streamed, a plain-text input keeps the lines and numbers of ``splitlines`` on its text."""
+@given(st.lists(st.tuples(LINE, LINE_BREAK), max_size=8), st.booleans(), st.booleans())
+@example([("a", "\r"), ("", "\n"), ("# x", "\r\n"), ("  # y", "\x85")], True, False)
+@example([("q1", "\n"), ("# x", "\n")], True, True)
+@example([("\ufeff\ufeffq1", "\n")], True, False)
+def test_text_lines_reads_the_lines_splitlines_gives(tmp_path_factory, lines, last_break, bom):
+    """Streamed, a plain-text input keeps the lines and numbers of ``splitlines`` on its text.
+
+    One byte-order mark (U+FEFF) at the start of the file is dropped, be it
+    written before the text or the text's own first character.
+    """
     text = "".join(line + brk for line, brk in lines)
     if lines and not last_break:
         text = text[: -len(lines[-1][1])]
+    text = "\ufeff" * bom + text
     path = tmp_path_factory.mktemp("lines") / "input.txt"
     path.write_bytes(text.encode("utf-8"))
-    whole = list(enumerate(text.splitlines(), 1))
+    whole = list(enumerate(text.removeprefix("\ufeff").splitlines(), 1))
     assert list(text_lines(path)) == [
         (lineno, line) for lineno, line in whole if line.strip() and not line.startswith("#")
     ]

@@ -61,6 +61,12 @@ def test_dictionary_engine_from_tsv(tmp_path):
         DictionaryEngine.from_file(table)
 
 
+def test_dictionary_engine_from_tsv_drops_a_byte_order_mark(tmp_path):
+    table = tmp_path / "table.tsv"
+    table.write_bytes(b"\xef\xbb\xbfword\tx\n")
+    assert DictionaryEngine.from_file(table).translate(["word"], "en", "mr") == ["x"]
+
+
 def test_uppercase_engine():
     assert UppercaseEngine().translate(["abc"], "en", "mr") == ["ABC"]
 
