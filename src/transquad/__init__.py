@@ -58,7 +58,6 @@ from .translation import (
     IdentityEngine,
     TranslationCache,
     TranslationRequest,
-    UppercaseEngine,
     translate_batch,
 )
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import unicodedata
 from pathlib import Path
@@ -122,22 +123,38 @@ def decode_utf8(data: bytes, where: str) -> str:
         raise ValueError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
 
 
+# An escape of a UTF-16 surrogate, \uD800-\uDFFF: only a text holding one can
+# parse to a string with a lone surrogate, which no writer can encode. A
+# surrogate pair parses to the one character it stands for.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def parse_json(data: bytes | str, where: str) -> Any:
     """Decode UTF-8 ``data`` and parse it as one JSON value.
 
-    Bytes that are not UTF-8, text that is not JSON, and JSON nested deeper
-    than the parser's recursion limit each raise one ValueError whose
-    message starts ``where:``; its ``__cause__`` is the original error.
+    Bytes that are not UTF-8, text that is not JSON, JSON nested deeper
+    than the parser's recursion limit, and a string escape that leaves a
+    lone surrogate (``"\\ud800"``) each raise one ValueError whose message
+    starts ``where:``; for the first three its ``__cause__`` is the
+    original error.
     """
     if isinstance(data, bytes):
         # Rebound, so that bytes nobody else holds are freed before parsing.
         data = decode_utf8(data, where)
     try:
-        return json.loads(data)
+        value = json.loads(data)
+        # Only a text with such an escape pays for looking at every string.
+        lone = _SURROGATE_ESCAPE.search(data) and _SURROGATE.search(
+            json.dumps(value, ensure_ascii=False)
+        )
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: not valid JSON: {exc.msg} at char {exc.pos}") from exc
     except RecursionError as exc:
         raise ValueError(f"{where}: JSON nested too deeply") from exc
+    if lone:
+        raise ValueError(f"{where}: lone surrogate U+{ord(lone.group()):04X} in a JSON string")
+    return value
 
 
 def json_lines(path: str | Path) -> Iterator[tuple[str, Any]]:

@@ -4,13 +4,18 @@ Subcommands: validate, stats, filter, translate, postprocess, realign,
 evaluate, pipeline. Stage commands read paths from the JSON config (global
 --config) and accept --input/--output overrides; their defaults chain, so
 
+    transquad --config cfg.json filter
     transquad --config cfg.json translate
     transquad --config cfg.json postprocess
     transquad --config cfg.json realign
 
-writes the same corpus, rejection log and stats as one ``pipeline`` run: the
-subcommands call the same stage functions, and ``realign`` keeps the
-pre-filter entries that ``translate`` logged.
+writes the same corpus, rejection log and stats as one ``pipeline`` run: each
+subcommand runs the one stage function ``pipeline`` runs at that point.
+``filter`` writes the pre-filter entries of the rejection log, ``translate``
+and ``postprocess`` never touch it, and ``realign`` keeps those entries and
+replaces any alignment entries. Two checks refuse outside input (exit 1):
+``translate`` a record without exactly one answer, and ``realign`` a
+candidate whose qid the log already rejects in the pre-filter.
 
 Exit codes: 0 success, 1 data or validation failure, 2 configuration or I/O
 failure.
@@ -70,10 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="filtered corpus path (default: <output_path>.filtered.json)")
     p.add_argument("--rejection-log", help="override config rejection_log_path")
 
-    p = sub.add_parser("translate", help="collapse, filter, and translate all fields")
-    p.add_argument("--input", help="override config input_path")
+    p = sub.add_parser("translate", help="translate every field of the filtered corpus")
+    p.add_argument("--input", help="filtered corpus (default: <output_path>.filtered.json)")
     p.add_argument("--output", help="candidates JSONL (default: <output_path>.candidates.jsonl)")
-    p.add_argument("--rejection-log", help="override config rejection_log_path")
 
     p = sub.add_parser("postprocess", help="transliterate Latin residue and localize digits")
     p.add_argument("--input", help="candidates JSONL (default: <output_path>.candidates.jsonl)")
@@ -147,12 +151,11 @@ def _cmd_filter(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _require_config(args)
-    corpus = load_corpus(args.input or cfg.input_path, cfg.split)
-    kept, log = prefilter(corpus, cfg.filter)
+    filtered = load_corpus(args.input or _derived(cfg, ".filtered.json"), cfg.split)
     engine = build_engine(cfg.engine_id)
     with TranslationCache(cfg.cache_path) as cache:
         candidates = translate_records(
-            kept.records,
+            filtered.records,
             engine,
             source_lang=cfg.source_lang,
             target_lang=cfg.target_lang,
@@ -160,31 +163,37 @@ def _cmd_translate(args) -> int:
             parallelism=cfg.parallelism,
         )
     out = args.output or _derived(cfg, ".candidates.jsonl")
-    # The log first: a log that cannot be written fails the command before its output.
-    log.write(args.rejection_log or cfg.rejection_log_path)
-    write_candidates(candidates, out, split=cfg.split)
-    print(f"translated {len(candidates)} records -> {out} ({len(log)} rejected pre-filter)")
+    write_candidates(candidates, out)
+    print(f"translated {len(candidates)} records -> {out}")
     return 0
 
 
 def _cmd_postprocess(args) -> int:
     cfg = _require_config(args)
-    candidates, split = read_candidates(args.input or _derived(cfg, ".candidates.jsonl"))
+    candidates = read_candidates(args.input or _derived(cfg, ".candidates.jsonl"))
     transliterator = build_transliterator(cfg.transliterator_id)
     fixed = postprocess_candidates(candidates, transliterator, parallelism=cfg.parallelism)
     out = args.output or _derived(cfg, ".postprocessed.jsonl")
-    write_candidates(fixed, out, split=split)
+    write_candidates(fixed, out)
     print(f"postprocessed {len(fixed)} records -> {out}")
     return 0
 
 
 def _cmd_realign(args) -> int:
     cfg = _require_config(args)
-    candidates, split = read_candidates(args.input or _derived(cfg, ".postprocessed.jsonl"))
-    corpus, alignment_log = align_corpus(candidates, split=split)
-    # Keep what translate rejected; alignment entries from an earlier realign are replaced.
+    candidates = read_candidates(args.input or _derived(cfg, ".postprocessed.jsonl"))
+    # Keep what filter rejected; alignment entries from an earlier realign are replaced.
     log_path = args.rejection_log or cfg.rejection_log_path
     log = RejectionLog([e for e in RejectionLog.read(log_path) if e.stage == STAGE_PRE_FILTER])
+    # A pre-filter entry for a candidate means the log is not this corpus's.
+    rejected = {e.qid for e in log}
+    for cand in candidates:
+        if cand.qid in rejected:
+            raise ValueError(
+                f"candidate {cand.qid!r} already has a pre-filter entry in {log_path}; "
+                "run filter again to write this corpus's log"
+            )
+    corpus, alignment_log = align_corpus(candidates, split=cfg.split)
     log.extend(alignment_log)
     write_dataset(corpus, log, args.output or cfg.output_path, log_path, cfg.stats_path)
     print(f"aligned {len(corpus)} of {len(candidates)} candidates ({len(alignment_log)} rejected)")

@@ -80,13 +80,6 @@ class Corpus:
     def __iter__(self) -> Iterator[QaRecord]:
         return iter(self.records)
 
-    def title_groups(self) -> dict[str, list[str]]:
-        """Map article title -> qids, in record order."""
-        groups: dict[str, list[str]] = {}
-        for rec in self.records:
-            groups.setdefault(rec.title, []).append(rec.qid)
-        return groups
-
 
 @dataclass(frozen=True)
 class SpanViolation:

@@ -166,9 +166,9 @@ class TableEmbeddingProvider(EmbeddingProvider):
 
         Blank lines and lines starting with ``#`` are skipped; a later line
         wins on a duplicate token. The numbers are parsed to the same bits
-        as ``float()``, and a malformed number, a row of another length or a
-        non-finite component (``nan``, ``inf``, which ``float()`` accepts)
-        raises ValueError naming ``path:lineno``.
+        as ``float()``, and a malformed number, a row of another length, a
+        non-finite component (``nan``, ``inf``, which ``float()`` accepts) or
+        a row of zeros raises ValueError naming ``path:lineno``.
 
         A table that parses is kept in a sidecar beside it, ``path`` +
         ``.tqemb``, which later loads read instead of parsing the text. The
@@ -190,11 +190,19 @@ class TableEmbeddingProvider(EmbeddingProvider):
                 except ValueError:
                     pass  # rows __init__ refuses: parse the text and write the sidecar again
         tokens, matrix = _load_table(path, key)
+
+        def line_of(row: int) -> int:
+            return next(itertools.islice(_table_rows(path), row, None))[0]
+
+        # Checked on the matrix, before __init__ checks the rows, so that an error names the line.
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
             row = int(np.argmin(finite))
-            lineno = next(itertools.islice(_table_rows(path), row, None))[0]
-            raise ValueError(f"{path}:{lineno}: non-finite vector component")
+            raise ValueError(f"{path}:{line_of(row)}: non-finite vector component")
+        nonzero = matrix.any(axis=1)
+        if not nonzero.all():
+            row = int(np.argmin(nonzero))
+            raise ValueError(f"{path}:{line_of(row)}: vector for {tokens[row]!r} is all zeros")
         provider = cls(dict(zip(tokens, matrix)))
         if key is not None:
             _write_sidecar(sidecar, key.digest, tokens, matrix)

@@ -16,7 +16,9 @@ postprocess_candidates scans only the rest: the cache hits, or every text
 when the ``postprocess`` subcommand runs on its own.
 
 ``run_pipeline`` and the CLI's stage subcommands call the same stage
-functions, so both write the same corpus, rejection log and stats.
+functions, one stage per subcommand (``filter`` runs ``prefilter``,
+``translate`` only ``translate_records``), so both write the same corpus,
+rejection log and stats.
 
 Outputs are written atomically (temp file + rename), so an aborted run never
 leaves a truncated dataset behind. With deterministic engines a fixed config
@@ -25,7 +27,8 @@ parallelism.
 
 Stage commands exchange intermediate state as "candidates" JSON Lines: one
 object per record with qid, title, question, context, answer, and the
-answer's relative position in the source context.
+answer's relative position in the source context. The split is not in it:
+every stage takes the split from the config.
 """
 
 from __future__ import annotations
@@ -242,7 +245,17 @@ def translate_records(
     Given ``scanned``, each distinct engine output is scanned into it
     (``scan_residuals``) as soon as its chunk settles, so the scans overlap
     the engine calls still in flight; ``postprocess_candidates`` reads them.
+
+    Every record must carry exactly one answer (``prefilter`` collapses
+    them); any other raises ValueError naming its qid before anything is
+    translated.
     """
+    for rec in records:
+        if len(rec.answers) != 1:
+            raise ValueError(
+                f"record {rec.qid!r} has {len(rec.answers)} answers; "
+                "run filter first to collapse them"
+            )
     if not records:
         return []
 
@@ -470,7 +483,7 @@ def run_pipeline(
 # -- candidates JSONL: the interchange format between stage subcommands --
 
 
-def write_candidates(candidates: list[AlignmentCandidate], path: str | Path, split: str) -> None:
+def write_candidates(candidates: list[AlignmentCandidate], path: str | Path) -> None:
     atomic_write(
         path,
         "".join(
@@ -478,7 +491,6 @@ def write_candidates(candidates: list[AlignmentCandidate], path: str | Path, spl
                 {
                     "qid": cand.qid,
                     "title": cand.title,
-                    "split": split,
                     "question": cand.translated_question,
                     "context": cand.translated_context,
                     "answer": cand.translated_answer,
@@ -492,11 +504,11 @@ def write_candidates(candidates: list[AlignmentCandidate], path: str | Path, spl
     )
 
 
-# Candidate keys and the JSON type each must have; title and split may be missing.
+# Candidate keys and the JSON type each must have; title may be missing. Keys
+# outside these, such as the ``split`` older files carry, are ignored.
 _CANDIDATE_TYPES = {
     "qid": STRING,
     "title": STRING,
-    "split": STRING,
     "question": STRING,
     "context": STRING,
     "answer": STRING,
@@ -504,32 +516,22 @@ _CANDIDATE_TYPES = {
 }
 
 
-def _candidate(rec: Any) -> tuple[AlignmentCandidate, str | None]:
-    """One parsed candidates line as a candidate and its split; ValueError says what is wrong."""
-    check_fields(rec, "a candidate", _CANDIDATE_TYPES, optional=("title", "split"))
-    split = rec.get("split")
-    if split is not None and split not in SPLITS:
-        raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
-    candidate = AlignmentCandidate(
-        qid=rec["qid"],
-        translated_context=rec["context"],
-        translated_question=rec["question"],
-        translated_answer=rec["answer"],
-        original_relative_position=rec["original_relative_position"],
-        title=rec.get("title", ""),
-    )
-    return candidate, split
-
-
-def read_candidates(path: str | Path) -> tuple[list[AlignmentCandidate], str]:
+def read_candidates(path: str | Path) -> list[AlignmentCandidate]:
     """Read a candidates file; a malformed line raises ValueError naming ``path:lineno``."""
     candidates = []
-    split = "train"
     for where, rec in json_lines(path):
         try:
-            candidate, line_split = _candidate(rec)
+            check_fields(rec, "a candidate", _CANDIDATE_TYPES, optional=("title",))
+            candidates.append(
+                AlignmentCandidate(
+                    qid=rec["qid"],
+                    translated_context=rec["context"],
+                    translated_question=rec["question"],
+                    translated_answer=rec["answer"],
+                    original_relative_position=rec["original_relative_position"],
+                    title=rec.get("title", ""),
+                )
+            )
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
-        candidates.append(candidate)
-        split = line_split or split
-    return candidates, split
+    return candidates

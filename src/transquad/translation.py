@@ -4,8 +4,8 @@
 pool. It serves all three remote models: the translation engine, the
 transliterator and the embedding model behind BERTScore
 (``evaluation.evaluate_predictions``). No real MT model lives here: engines
-are a one-method interface plus deterministic mocks (identity, word-table
-dictionary, uppercase) so the whole pipeline runs offline. The dictionary
+are a one-method interface plus deterministic mocks (identity and
+word-table dictionary) so the whole pipeline runs offline. The dictionary
 engine passes unknown words through untouched, which mimics the
 untranslated residue the script tools clean up afterwards.
 
@@ -79,15 +79,6 @@ class IdentityEngine(TranslationEngine):
         return list(texts)
 
 
-class UppercaseEngine(TranslationEngine):
-    """Uppercases input; handy for spotting what actually went through."""
-
-    engine_id = "uppercase"
-
-    def translate(self, texts, source_lang, target_lang):
-        return [t.upper() for t in texts]
-
-
 class DictionaryEngine(TranslationEngine):
     """Word-by-word translation via a lookup table; unknown words pass through.
 
@@ -112,12 +103,10 @@ class DictionaryEngine(TranslationEngine):
 def build_engine(engine_id: str) -> TranslationEngine:
     """Resolve an engine id from configuration.
 
-    Known ids: ``identity``, ``uppercase``, ``dictionary:<table-path>``.
+    Known ids: ``identity``, ``dictionary:<table-path>``.
     """
     if engine_id == "identity":
         return IdentityEngine()
-    if engine_id == "uppercase":
-        return UppercaseEngine()
     if engine_id.startswith("dictionary:"):
         return DictionaryEngine.from_file(engine_id.split(":", 1)[1])
     raise ConfigValidationError(f"unknown engine id {engine_id!r}", field="engine_id")

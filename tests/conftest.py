@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic corpus builders, word pools and counting test doubles."""
+"""Shared fixtures: deterministic corpus builders, word pools and test doubles."""
 
 from __future__ import annotations
 
@@ -27,6 +27,15 @@ DEVANAGARI_WORDS = (
     "मराठी प्रश्न उत्तर शिकणे जन्म गायिका संगीत चित्रपट भाषा पुस्तक शहर नदी डोंगर वारा "
     "पाऊस आकाश समुद्र प्रवास कथा कविता इतिहास विज्ञान शेती बाजार मंदिर रस्ता घर शाळा"
 ).split()
+
+
+class UppercaseEngine(TranslationEngine):
+    """Uppercases input; handy for spotting what actually went through."""
+
+    engine_id = "uppercase"
+
+    def translate(self, texts, source_lang, target_lang):
+        return [t.upper() for t in texts]
 
 
 class CountingEngine(TranslationEngine):

@@ -172,13 +172,6 @@ def test_round_trip_golden_fixture(golden_squad_bytes):
     assert serialize_corpus(again) == out
 
 
-def test_title_groups(golden_squad_bytes):
-    corpus = parse_corpus(golden_squad_bytes, "train")
-    groups = corpus.title_groups()
-    assert groups["गायिका"] == ["g-aa", "g-ab", "g-ac"]
-    assert groups["library"] == ["l-aa", "l-ab"]
-
-
 # -- validate_spans --
 
 

@@ -62,7 +62,6 @@ CACHE_LINE = {
 CANDIDATE = {
     "qid": "q1",
     "title": "t",
-    "split": "train",
     "question": "काय?",
     "context": "मराठी जन्म",
     "answer": "जन्म",
@@ -76,6 +75,11 @@ def without(record: dict, key: str) -> dict:
     return {k: v for k, v in record.items() if k != key}
 
 
+def surrogate(record: dict, key: str) -> bytes:
+    """``record`` as JSON with a lone surrogate, written as the escape ``\\ud800``, in ``key``."""
+    return json.dumps({**record, key: "q\ud800"}).encode("utf-8")
+
+
 def json_lines_input(name: str, good: dict, field: str, bad_value: object, missing: str):
     """A JSON Lines input of one ``good`` line; each malformation adds a bad second line."""
     first = json.dumps(good, ensure_ascii=False).encode("utf-8") + b"\n"
@@ -86,6 +90,7 @@ def json_lines_input(name: str, good: dict, field: str, bad_value: object, missi
         "top-level-type": b"[]",
         "field-type": json.dumps({**good, field: bad_value}).encode("utf-8"),
         "missing-field": json.dumps(without(good, missing)).encode("utf-8"),
+        "surrogate": surrogate(good, "qid"),
     }
     bad = {case: first + line + b"\n" for case, line in bad_lines.items()}
     return name, first, {**bad, "directory": DIRECTORY}
@@ -103,6 +108,7 @@ INPUTS = {
             "top-level-type": b"[]",
             "field-type": json.dumps({**CONFIG, "parallelism": "2"}).encode("utf-8"),
             "missing-field": json.dumps(without(CONFIG, "input_path")).encode("utf-8"),
+            "surrogate": surrogate(CONFIG, "source_lang"),
             "directory": DIRECTORY,
         },
     ),
@@ -116,6 +122,7 @@ INPUTS = {
             "top-level-type": b"[]",
             "field-type": b'{"version": "1.1", "data": {}}',
             "missing-field": b'{"version": "1.1"}',
+            "surrogate": surrogate(json.loads(serialize_corpus(CORPUS)), "version"),
             "directory": DIRECTORY,
         },
     ),
@@ -156,6 +163,7 @@ INPUTS = {
             "deep": DEEP,
             "top-level-type": b"[]",
             "field-type": json.dumps({FIRST.qid: 5}).encode("utf-8"),
+            "surrogate": surrogate({}, FIRST.qid),
             "directory": DIRECTORY,
         },
     ),
@@ -166,6 +174,7 @@ INPUTS = {
             "not-utf8": b"alpha 1 0\n\xff 0 1\n",
             "field-type": b"alpha 1 0\nbeta 0 x\n",
             "missing-field": b"alpha 1 0\nbeta\n",
+            "all-zero": b"beta 0 1\nalpha 0 0\n",
             "bom": BOM + b"\n# no rows\n",
             "directory": DIRECTORY,
         },
@@ -178,8 +187,8 @@ COMMANDS = {
     "stats": (["stats", "input.json", "--output", "report.json"], ["corpus"]),
     "filter": (["--config", "config.json", "filter"], ["config", "corpus", "exclusion list"]),
     "translate": (
-        ["--config", "config.json", "translate"],
-        ["config", "corpus", "exclusion list", "dictionary table", "cache"],
+        ["--config", "config.json", "translate", "--input", "input.json"],
+        ["config", "corpus", "dictionary table", "cache"],
     ),
     "postprocess": (
         ["--config", "config.json", "postprocess", "--input", "candidates.jsonl"],
@@ -335,3 +344,32 @@ def test_text_is_decoded_in_one_place():
     """Outside ``_text.py`` no module decodes input text; the cache appends in text mode."""
     found = [where for where in find_in_sources(TextReaders) if not where.startswith("_text.py:")]
     assert found == ["translation.py:open('a') in store_many"]
+
+
+class LogWriters(ScopedFinder):
+    """Every ``.write(...)`` call but the cache's, and every ``write_dataset(...)`` call."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "write":
+            if ast.unparse(func.value) != "self._handle":  # the cache's open file
+                self.record("write in ")
+        elif isinstance(func, ast.Name) and func.id == "write_dataset":
+            self.record("write_dataset in ")
+        self.generic_visit(node)
+
+
+def test_rejection_log_is_written_in_three_places():
+    """``RejectionLog.write`` runs from ``_cmd_filter``, ``_cmd_realign`` and ``write_dataset``.
+
+    ``filter`` writes the pre-filter entries, and ``realign`` and ``pipeline``
+    the whole log, through ``write_dataset``. No other stage may write it: a
+    stage that rewrote the log from its own view of the records could drop a
+    rejection.
+    """
+    assert find_in_sources(LogWriters) == [
+        "cli.py:write in _cmd_filter",
+        "cli.py:write_dataset in _cmd_realign",
+        "pipeline.py:write in write_dataset",
+        "pipeline.py:write_dataset in run_pipeline",
+    ]

@@ -45,11 +45,10 @@ from transquad.translation import (
     DictionaryEngine,
     IdentityEngine,
     TranslationEngine,
-    UppercaseEngine,
     translate_batch,
 )
 
-from conftest import CountingEngine, build_english_corpus, make_record
+from conftest import CountingEngine, UppercaseEngine, build_english_corpus, make_record
 
 
 def write_config(tmp_path, **overrides):
@@ -281,6 +280,8 @@ def test_one_gateway_call_for_all_three_fields(tmp_path, monkeypatch, command):
     monkeypatch.setattr(transquad.pipeline, "translate_batch", spy)
     write_input(tmp_path, build_english_corpus(6))
     path, _ = write_config(tmp_path, parallelism=2)
+    if command == "translate":
+        assert main(["--config", str(path), "filter"]) == 0
     assert main(["--config", str(path), command]) == 0
     assert seen == [(3 * 6, 2)]
 
@@ -572,9 +573,9 @@ def test_cli_stage_chain_matches_pipeline(tmp_path, capsys):
     settings = {"engine_id": f"dictionary:{table}", "filter": {"exclusion_list_path": str(excl)}}
     path, raw = write_config(tmp_path, **settings)
 
+    assert main(["--config", str(path), "filter"]) == 0
     assert main(["--config", str(path), "translate"]) == 0
-    candidates, split = read_candidates(tmp_path / "output.candidates.jsonl")
-    assert len(candidates) == 9 and split == "train"
+    assert len(read_candidates(tmp_path / "output.candidates.jsonl")) == 9
     assert main(["--config", str(path), "postprocess"]) == 0
     # A second realign replaces the alignment entries of the first.
     assert main(["--config", str(path), "realign"]) == 0
@@ -621,6 +622,7 @@ def test_cli_postprocess_exits_1_on_a_permanent_transliterator_failure(
 
     write_input(tmp_path, build_english_corpus(4, seed=5))
     path, _ = write_config(tmp_path)
+    assert main(["--config", str(path), "filter"]) == 0
     assert main(["--config", str(path), "translate"]) == 0
     capsys.readouterr()
     monkeypatch.setattr(transquad.cli, "build_transliterator", lambda tid: BrokenTransliterator())
@@ -634,7 +636,6 @@ def test_cli_postprocess_exits_1_on_a_permanent_transliterator_failure(
 GOOD_CANDIDATE = {
     "qid": "q1",
     "title": "t",
-    "split": "train",
     "question": "काय?",
     "context": "मराठी जन्म",
     "answer": "जन्म",
@@ -655,7 +656,6 @@ GOOD_CANDIDATE = {
          "'original_relative_position' must be a number, got '0.5'"),
         ({**GOOD_CANDIDATE, "original_relative_position": 1.5},
          "original_relative_position must be in [0, 1], got 1.5"),
-        ({**GOOD_CANDIDATE, "split": "dev"}, "split must be one of ('train', 'test'), got 'dev'"),
         ('{"qid": "q1", ', "not valid JSON: "),
     ],
 )
@@ -703,9 +703,90 @@ def test_cli_filter_passes_spans_through_as_translate_and_pipeline_do(tmp_path, 
     assert kept.records == corpus.records
 
 
-@pytest.mark.parametrize(
-    "command, output", [("filter", "output.filtered.json"), ("translate", "output.candidates.jsonl")]
-)
+def test_cli_chain_through_translate_input_keeps_what_filter_rejected(tmp_path, capsys):
+    corpus = build_english_corpus(6, seed=2)
+    write_input(tmp_path, corpus)
+    excluded = corpus.records[0].qid
+    excl = tmp_path / "excl.txt"
+    excl.write_text(excluded + "\n", encoding="utf-8")
+    path, raw = write_config(tmp_path, filter={"exclusion_list_path": str(excl)})
+    filtered = tmp_path / "elsewhere.json"
+    assert main(["--config", str(path), "filter", "--output", str(filtered)]) == 0
+    assert main(["--config", str(path), "translate", "--input", str(filtered)]) == 0
+    assert main(["--config", str(path), "postprocess"]) == 0
+    assert main(["--config", str(path), "realign"]) == 0
+    assert [r.qid for r in load_corpus(raw["output_path"], "train")] == [
+        r.qid for r in corpus.records[1:]
+    ]
+    log = RejectionLog.read(raw["rejection_log_path"])
+    assert log.entries == [
+        RejectionEntry(excluded, STAGE_PRE_FILTER, "manual-exclusion", log.entries[0].detail)
+    ]
+
+
+def test_cli_translate_without_a_filtered_corpus_exits_2(tmp_path, capsys):
+    write_input(tmp_path, build_english_corpus(3))
+    path, _ = write_config(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(["--config", str(path), "translate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(tmp_path / "output.filtered.json") in line
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_cli_translate_refuses_a_record_with_several_answers(tmp_path, capsys):
+    a, b, c = build_english_corpus(3).records
+    write_input(tmp_path, Corpus(split="train", records=(a, replace(b, answers=b.answers * 2), c)))
+    path, _ = write_config(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main(["--config", str(path), "translate", "--input", str(tmp_path / "input.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: record {b.qid!r} has 2 answers; run filter first to collapse them\n"
+    )
+    assert sorted(tmp_path.iterdir()) == before  # no candidates, no cache
+
+
+def test_cli_realign_refuses_a_candidate_the_log_rejected_pre_filter(tmp_path, capsys):
+    corpus = build_english_corpus(4, seed=3)
+    write_input(tmp_path, corpus)
+    path, raw = write_config(tmp_path)
+    for command in ("filter", "translate", "postprocess"):
+        assert main(["--config", str(path), command]) == 0
+    # A log left by a run on another corpus, which rejected one of these qids.
+    stale = corpus.records[2].qid
+    log_path = Path(raw["rejection_log_path"])
+    RejectionLog([RejectionEntry(stale, STAGE_PRE_FILTER, "too-short")]).write(log_path)
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["--config", str(path), "realign"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: candidate {stale!r} ") and str(log_path) in line
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_read_candidates_ignores_the_split_of_older_files(tmp_path):
+    path = tmp_path / "candidates.jsonl"
+    line = json.dumps({**GOOD_CANDIDATE, "split": "test"}, ensure_ascii=False)
+    path.write_text(line + "\n", encoding="utf-8")
+    assert read_candidates(path) == [
+        AlignmentCandidate(
+            qid="q1",
+            translated_context="मराठी जन्म",
+            translated_question="काय?",
+            translated_answer="जन्म",
+            original_relative_position=0.5,
+            title="t",
+        )
+    ]
+
+
+@pytest.mark.parametrize("command, output", [("filter", "output.filtered.json")])
 def test_cli_unwritable_rejection_log_fails_before_the_output(tmp_path, capsys, command, output):
     write_input(tmp_path, build_english_corpus(3))
     log = tmp_path / "rejections"
@@ -811,6 +892,14 @@ def test_cli_evaluate_non_finite_embedding_exits_1(tmp_path, capsys, component):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_cli_evaluate_all_zero_embedding_exits_1_naming_the_line(tmp_path, capsys):
+    assert run_evaluate_with_embeddings(tmp_path, "alpha", "beta 0 1\nalpha 0 0\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {tmp_path / 'emb.txt'}:2: vector for 'alpha' is all zeros\n"
+    assert not (tmp_path / "emb.txt.tqemb").exists()
+
+
 def test_cli_evaluate_missing_embedding_on_a_pool_thread_exits_1(tmp_path, monkeypatch, capsys):
     # 300 questions are three gateway chunks; the unknown token is in the last.
     records = [
@@ -891,7 +980,7 @@ def write_each_output(tmp_path, name):
         candidates = translate_records(
             corpus.records, IdentityEngine(), source_lang="en", target_lang="mr"
         )
-        write_candidates(candidates, path, split="train")
+        write_candidates(candidates, path)
     return path
 
 

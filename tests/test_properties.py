@@ -9,7 +9,9 @@ per-character reference on the same text, the evaluator against per-pair
 EM, F1 and BERTScore at any number of workers, the embedding-table loader
 against ``float()``, the plain-text line reader against ``splitlines`` on
 the whole text, and the rejection log reader against its writer on any qid
-text.
+text. Realignment must emit only sound spans and keep every answer its
+context holds, and a corpus with any unknown qa-level fields must survive
+serialize and parse unchanged.
 The pipeline's outputs must not depend on how the translation gateway
 chunks its requests or how many run at once.
 """
@@ -30,9 +32,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from transquad import cli, evaluation, pipeline, script_tools
-from transquad._text import text_lines
-from transquad.alignment import AlignmentCandidate
-from transquad.corpus import AnswerSpan, Corpus, QaRecord, parse_corpus, serialize_corpus
+from transquad._text import ascii_casefold, text_lines
+from transquad.alignment import AlignmentCandidate, align_corpus, strip_trailing_period
+from transquad.corpus import (
+    AnswerSpan,
+    Corpus,
+    QaRecord,
+    parse_corpus,
+    serialize_corpus,
+    validate_spans,
+)
 from transquad.evaluation import (
     EmbeddingProvider,
     EvalReport,
@@ -435,6 +444,115 @@ def test_rejection_log_reads_back_what_it_writes(tmp_path_factory, entries):
     path = tmp_path_factory.mktemp("log") / "rej.jsonl"
     log.write(path)
     assert RejectionLog.read(path).entries == log.entries
+
+
+# Where realignment can go wrong: Basic-Latin letters of both cases (the
+# case-fold retry), Devanagari letters, a vowel sign, digits and the danda,
+# both trailing marks, spaces, and letters whose case is not Basic Latin.
+ALIGN_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("aAbBxX कखम\u093e१1।. éÉß"), st.characters(codec="utf-8")
+    ),
+    max_size=30,
+)
+SWAP_ASCII_CASE = str.maketrans(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
+)
+
+
+@st.composite
+def alignment_cases(draw):
+    """(context, translated answer, relative position); the answer is often from the context."""
+    context = draw(ALIGN_TEXT)
+    if context and draw(st.booleans()):
+        start = draw(st.integers(0, len(context) - 1))
+        answer = context[start : draw(st.integers(start + 1, len(context)))]
+        if draw(st.booleans()):
+            answer = answer.translate(SWAP_ASCII_CASE)  # found by the case-fold retry only
+        answer += draw(st.sampled_from(["", ".", "।", " ", ". ", "।\n"]))
+    else:
+        answer = draw(ALIGN_TEXT)
+    return context, answer, draw(st.floats(0, 1))
+
+
+@PROPERTY
+@given(st.lists(alignment_cases(), max_size=6))
+@example([("मराठी जन्म", "जन्म।", 0.5), ("The River", "river.", 0.0), ("a a", "A", 1.0)])
+def test_realign_keeps_every_answer_its_context_holds_and_only_sound_spans(cases):
+    candidates = [
+        AlignmentCandidate(f"q{i}", context, "?", answer, position)
+        for i, (context, answer, position) in enumerate(cases)
+    ]
+    corpus, log = align_corpus(candidates)
+    assert validate_spans(corpus).ok
+    aligned = {rec.qid: rec.answers[0] for rec in corpus.records}
+    assert sorted([*aligned, *(e.qid for e in log)]) == sorted(c.qid for c in candidates)
+    for cand in candidates:
+        context = cand.translated_context
+        stripped = strip_trailing_period(cand.translated_answer)
+        found = bool(stripped.strip()) and ascii_casefold(stripped) in ascii_casefold(context)
+        assert (cand.qid in aligned) == found, cand
+        if found:
+            span = aligned[cand.qid]
+            assert context[span.start : span.start + len(span.text)] == span.text
+            assert ascii_casefold(span.text) == ascii_casefold(stripped)
+            if stripped in context:
+                assert span.text == stripped  # the exact match wins over the folded one
+
+
+JSON_VALUE = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        UTF8_TEXT,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(UTF8_TEXT, inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+NON_EMPTY_TEXT = UTF8_TEXT.filter(bool)
+
+
+@st.composite
+def corpora(draw):
+    """Any corpus a SQuAD file can hold: spans need not match, titles and contexts repeat."""
+    n = draw(st.integers(0, 6))
+    qids = draw(st.lists(NON_EMPTY_TEXT, min_size=n, max_size=n, unique=True))
+    records = [
+        QaRecord(
+            qid=qid,
+            question=draw(NON_EMPTY_TEXT),
+            context=draw(st.one_of(st.sampled_from(["मराठी", "a b"]), NON_EMPTY_TEXT)),
+            answers=tuple(
+                draw(st.lists(st.builds(AnswerSpan, UTF8_TEXT, st.integers()), min_size=1,
+                              max_size=3))
+            ),
+            title=draw(st.one_of(st.sampled_from(["", "t"]), UTF8_TEXT)),
+            extra=draw(
+                st.dictionaries(
+                    UTF8_TEXT.filter(lambda k: k not in ("id", "question", "answers")),
+                    JSON_VALUE,
+                    max_size=3,
+                )
+            ),
+        )
+        for qid in qids
+    ]
+    return Corpus(split=draw(st.sampled_from(["train", "test"])), records=tuple(records),
+                  version=draw(UTF8_TEXT))
+
+
+@settings(max_examples=100, deadline=None)  # drawing a corpus is the slow part
+@given(corpora())
+def test_serialize_then_parse_gives_the_corpus_back(corpus):
+    raw = serialize_corpus(corpus, allow_invalid=True)
+    again = parse_corpus(raw, corpus.split)
+    assert again == corpus
+    assert serialize_corpus(again, allow_invalid=True) == raw
 
 
 def pipeline_corpus(seed: int):

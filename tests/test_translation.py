@@ -20,12 +20,11 @@ from transquad.translation import (
     TranslationCache,
     TranslationEngine,
     TranslationRequest,
-    UppercaseEngine,
     build_engine,
     translate_batch,
 )
 
-from conftest import CountingEngine
+from conftest import CountingEngine, UppercaseEngine
 
 
 def request(texts, engine_id="identity"):
@@ -68,12 +67,14 @@ def test_dictionary_engine_from_tsv_drops_a_byte_order_mark(tmp_path):
 
 
 def test_uppercase_engine():
+    """The test double lives under tests/; configs cannot name it."""
     assert UppercaseEngine().translate(["abc"], "en", "mr") == ["ABC"]
+    with pytest.raises(ConfigValidationError):
+        build_engine(UppercaseEngine.engine_id)
 
 
 def test_build_engine_registry(tmp_path):
     assert isinstance(build_engine("identity"), IdentityEngine)
-    assert isinstance(build_engine("uppercase"), UppercaseEngine)
     table = tmp_path / "t.tsv"
     table.write_text("a\tb\n", encoding="utf-8")
     assert isinstance(build_engine(f"dictionary:{table}"), DictionaryEngine)
