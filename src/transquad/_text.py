@@ -3,7 +3,8 @@
 Character-level predicates, the lazily filled ``str.translate`` table of
 the script scans and of answer normalization, the one line reader of every
 plain-text input with the two-column table format that the mock
-translation engine and transliterator both read, the one reader of every
+translation engine and transliterator both read, the block hash that names
+a table's content, the one reader of every
 JSON and JSON Lines input with its field-type check, and the atomic file
 write every output goes through. All offsets and lengths in this package
 count Unicode code points, which is what Python string indexing gives us
@@ -15,10 +16,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 import tempfile
 import unicodedata
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterator, Mapping, NamedTuple
 
 from .errors import FieldError
 
@@ -113,6 +115,42 @@ def read_tsv_table(path: str | Path) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected 2 tab-separated columns")
         table[parts[0]] = parts[1]
     return table
+
+
+_HASH_BLOCK = 1 << 18
+
+
+class FileDigest(NamedTuple):
+    digest: bytes  # SHA-256 of the file's bytes
+    lines: int  # "\n" bytes + 1: a bound on the lines, unless other line breaks split lines
+    size: int  # bytes
+
+
+def file_digest(path: str | Path) -> FileDigest | None:
+    """Hash a regular file in blocks, counting its bytes and newlines; None for any other file.
+
+    Hashing a FIFO would consume it, so only a regular file gets a digest. The
+    loop stands in for ``hashlib.file_digest``, which Python 3.10 lacks.
+    """
+    import hashlib  # only a table load pays for importing it
+
+    import numpy as np
+
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except OSError:
+        return None  # the reader names the file
+    digest = hashlib.sha256()
+    newlines = size = 0
+    block = bytearray(_HASH_BLOCK)
+    view, octets = memoryview(block), np.frombuffer(block, dtype=np.uint8)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(block):
+            digest.update(view[:n])
+            newlines += int(np.count_nonzero(octets[:n] == ord("\n")))  # bytes.count is slower
+            size += n
+    return FileDigest(digest.digest(), newlines + 1, size)
 
 
 def decode_utf8(data: bytes, where: str) -> str:

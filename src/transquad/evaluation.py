@@ -13,7 +13,9 @@ idf, no baseline rescaling). Embeddings come from any EmbeddingProvider; a
 table-backed provider is included for offline use, and keeps each table it
 parses in a binary sidecar beside it. ``evaluate_predictions``
 sends the pairs to the provider through the model gateway
-(``translation.call_model``), so the waits of different pairs overlap.
+(``translation.call_model``) in chunks of ``PAIRS_PER_CHUNK``, so the waits
+of different pairs overlap, and no worker runs out of pairs while another
+still has a long chunk ahead of it.
 """
 
 from __future__ import annotations
@@ -27,18 +29,33 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ._kernels import greedy_match
-from ._text import LazyTable, ascii_casefold, atomic_write, decode_utf8, parse_json, text_lines
+from ._text import (
+    FileDigest,
+    LazyTable,
+    ascii_casefold,
+    atomic_write,
+    decode_utf8,
+    file_digest,
+    parse_json,
+    text_lines,
+)
 from .corpus import Corpus
 from .errors import EmbeddingError, MissingEmbeddingError
 from .translation import DEFAULT_MAX_WORKERS, call_model
 
 # Entries the normalization table keeps, as ``script_tools.EVIDENCE_CAP``.
 NORMALIZE_CAP = 4096
+
+# Pairs per gateway chunk. Each ``embed`` call carries one answer whatever
+# the chunk, so a chunk only schedules work: small ones keep every worker
+# busy to the end of the run (8 measured best, 1 close; 128 left a worker
+# idle for a tenth of the run).
+PAIRS_PER_CHUNK = 8
 
 
 def _normalized_char(ch: str) -> str | None:
@@ -119,7 +136,8 @@ class EmbeddingProvider:
 
     Calls for different pairs run on up to ``max_workers`` threads at once,
     so ``embed`` must be thread-safe. It may raise ``TransientEngineError``
-    to have the pairs of its chunk scored again, with backoff. Another
+    to have the pairs of its gateway chunk (``PAIRS_PER_CHUNK`` pairs, the
+    last one fewer) scored again, with backoff. Another
     ``TransquadError`` (``MissingEmbeddingError``, say) passes through; any
     other exception ends the evaluation in ``EmbeddingError``.
     """
@@ -136,8 +154,10 @@ class EmbeddingProvider:
 class TableEmbeddingProvider(EmbeddingProvider):
     """Embeddings from a fixed token -> vector table (for tests and offline runs).
 
-    A lookup runs in-process and holds the GIL, so threads have no wait to
-    overlap and only contend: ``max_workers`` is 1.
+    The vectors are the rows of one C-contiguous float64 ``matrix``, and
+    ``index`` maps each token to its row. A lookup runs in-process and holds
+    the GIL, so threads have no wait to overlap and only contend:
+    ``max_workers`` is 1.
     """
 
     max_workers = 1
@@ -145,7 +165,7 @@ class TableEmbeddingProvider(EmbeddingProvider):
     def __init__(self, table: Mapping[str, Sequence[float]]):
         if not table:
             raise ValueError("embedding table must not be empty")
-        self.table: dict[str, np.ndarray] = {}
+        rows = []
         dim = None
         for token, vec in table.items():
             arr = np.asarray(vec, dtype=np.float64)
@@ -153,12 +173,28 @@ class TableEmbeddingProvider(EmbeddingProvider):
                 dim = arr.shape[0] if arr.ndim == 1 else -1
             if arr.ndim != 1 or arr.shape[0] != dim:
                 raise ValueError(f"vector for {token!r} breaks the fixed dimension {dim}")
-            if not np.any(arr):
-                raise ValueError(f"vector for {token!r} is all zeros")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"vector for {token!r} has a non-finite component")
-            self.table[token] = arr
-        self.dim = dim
+            rows.append(arr)
+        tokens = list(table)
+        matrix = np.array(rows)
+        bad = _first_bad_row(matrix)
+        if bad is not None:
+            row, finite = bad
+            problem = "is all zeros" if finite else "has a non-finite component"
+            raise ValueError(f"vector for {tokens[row]!r} {problem}")
+        self._keep(tokens, matrix)
+
+    def _keep(self, tokens: list[str], matrix: np.ndarray) -> None:
+        """Hold checked rows; a later row wins on a duplicate token."""
+        self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        self.index = {token: row for row, token in enumerate(tokens)}
+        self.dim = self.matrix.shape[1]
+
+    @classmethod
+    def _of_rows(cls, tokens: list[str], matrix: np.ndarray) -> "TableEmbeddingProvider":
+        """A provider over rows that ``_first_bad_row`` passed, without copying them."""
+        provider = cls.__new__(cls)
+        provider._keep(tokens, matrix)
+        return provider
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TableEmbeddingProvider":
@@ -176,43 +212,60 @@ class TableEmbeddingProvider(EmbeddingProvider):
         size or mtime, and it is used only when whole; any other sidecar is
         ignored and written again. A table or sidecar path that is not a
         regular file gets no sidecar, and a sidecar that cannot be written is
-        skipped. Either way the rows go through ``__init__``'s checks.
+        skipped. Either way the rows pass the checks ``__init__`` makes.
         """
         # Hashed before it is parsed: a table replaced in between is parsed
         # anew and kept under the old hash, which it no longer matches.
-        key = _table_key(path)
+        key = file_digest(path)
         sidecar = Path(f"{path}{_SIDECAR_SUFFIX}")
         if key is not None:
             kept = _read_sidecar(sidecar, key.digest)
-            if kept is not None:
-                try:
-                    return cls(dict(zip(*kept)))
-                except ValueError:
-                    pass  # rows __init__ refuses: parse the text and write the sidecar again
+            # Rows the checks refuse are parsed from the text, which names the line.
+            if kept is not None and _first_bad_row(kept[1]) is None:
+                return cls._of_rows(*kept)
         tokens, matrix = _load_table(path, key)
-
-        def line_of(row: int) -> int:
-            return next(itertools.islice(_table_rows(path), row, None))[0]
-
-        # Checked on the matrix, before __init__ checks the rows, so that an error names the line.
-        finite = np.isfinite(matrix).all(axis=1)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise ValueError(f"{path}:{line_of(row)}: non-finite vector component")
-        nonzero = matrix.any(axis=1)
-        if not nonzero.all():
-            row = int(np.argmin(nonzero))
-            raise ValueError(f"{path}:{line_of(row)}: vector for {tokens[row]!r} is all zeros")
-        provider = cls(dict(zip(tokens, matrix)))
+        bad = _first_bad_row(matrix)
+        if bad is not None:
+            row, finite = bad
+            lineno = next(itertools.islice(_table_rows(path), row, None))[0]
+            if finite:
+                raise ValueError(f"{path}:{lineno}: vector for {tokens[row]!r} is all zeros")
+            raise ValueError(f"{path}:{lineno}: non-finite vector component")
+        provider = cls._of_rows(tokens, matrix)
         if key is not None:
-            _write_sidecar(sidecar, key.digest, tokens, matrix)
+            _write_sidecar(sidecar, key.digest, tokens, provider.matrix)
         return provider
 
     def embed(self, tokens):
         try:
-            return np.stack([self.table[t] for t in tokens])
+            rows = [self.index[t] for t in tokens]
         except KeyError as exc:
             raise MissingEmbeddingError(f"no embedding for token {exc.args[0]!r}") from None
+        return self.matrix[rows]
+
+
+# Rows checked at once: the checks' boolean temporaries stay this many rows
+# long, not the table's, so they add nothing to peak memory.
+_CHECK_ROWS = 256
+
+
+def _first_bad_row(matrix: np.ndarray) -> tuple[int, bool] | None:
+    """(row, finite) of the first row with a non-finite component, else of the first row of zeros.
+
+    ``finite`` is False for the first kind and True for the second; None
+    when every row is finite and has a non-zero component.
+    """
+    zeros = None
+    for start in range(0, len(matrix), _CHECK_ROWS):
+        block = matrix[start : start + _CHECK_ROWS]
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            return start + int(np.argmin(finite)), False
+        if zeros is None:
+            nonzero = block.any(axis=1)
+            if not nonzero.all():
+                zeros = start + int(np.argmin(nonzero))
+    return None if zeros is None else (zeros, True)
 
 
 # The sidecar of an embedding table: a magic/version line, then the
@@ -222,38 +275,6 @@ class TableEmbeddingProvider(EmbeddingProvider):
 _SIDECAR_SUFFIX = ".tqemb"
 _SIDECAR_MAGIC = b"transquad embedding table 1\n"
 _SIDECAR_HEADER = struct.Struct("<32sQQQ")
-_HASH_BLOCK = 1 << 18
-
-
-class _TableKey(NamedTuple):
-    digest: bytes  # SHA-256 of the table's bytes
-    lines: int  # "\n" bytes + 1: a bound on the rows, unless other line breaks split lines
-    size: int  # bytes
-
-
-def _table_key(path: str | Path) -> _TableKey | None:
-    """Hash a regular file in blocks, counting its newlines; None for any other file.
-
-    Hashing a FIFO would consume it, so only a regular file gets a key. The
-    loop stands in for ``hashlib.file_digest``, which Python 3.10 lacks.
-    """
-    import hashlib  # only a table load pays for importing it
-
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-    except OSError:
-        return None  # the parse names the file
-    digest = hashlib.sha256()
-    newlines = size = 0
-    block = bytearray(_HASH_BLOCK)
-    view, octets = memoryview(block), np.frombuffer(block, dtype=np.uint8)
-    with open(path, "rb") as fh:
-        while n := fh.readinto(block):
-            digest.update(view[:n])
-            newlines += int(np.count_nonzero(octets[:n] == ord("\n")))  # bytes.count is slower
-            size += n
-    return _TableKey(digest.digest(), newlines + 1, size)
 
 
 def _read_sidecar(sidecar: Path, digest: bytes) -> tuple[list[str], np.ndarray] | None:
@@ -301,7 +322,7 @@ def _write_sidecar(sidecar: Path, digest: bytes, tokens: list[str], matrix: np.n
         pass  # a read-only directory or a full disk: the next load parses again
 
 
-def _load_table(path: str | Path, key: _TableKey | None) -> tuple[list[str], np.ndarray]:
+def _load_table(path: str | Path, key: FileDigest | None) -> tuple[list[str], np.ndarray]:
     """Tokens and vectors of an embedding table, read in one pass where it can be.
 
     The rows stream through one ``np.loadtxt`` call, which parses the
@@ -437,9 +458,9 @@ def evaluate_predictions(
     is embedded once.
 
     Every pair is checked and normalized before any ``embed`` call. The pairs
-    then go through ``call_model`` in chunks, up to ``embedder.max_workers``
-    at once, and are reported in input order, so the report does not depend
-    on the parallelism.
+    then go through ``call_model`` in chunks of ``PAIRS_PER_CHUNK``, up to
+    ``embedder.max_workers`` at once, and are reported in input order, so
+    the report does not depend on the parallelism.
     """
     report = EvalReport()
     pairs: list[tuple[str, list[str], list[str]]] = []
@@ -471,6 +492,7 @@ def evaluate_predictions(
             "embedding provider",
             lambda message, chunk: EmbeddingError(message),
             settle,
+            batch_size=PAIRS_PER_CHUNK,
             max_workers=embedder.max_workers,
         )
     scored = report.per_question.values()

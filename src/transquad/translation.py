@@ -1,7 +1,8 @@
 """One gateway for the remote models, plus engines, cache and dedup for translation.
 
 ``call_model`` sends a list to a model in chunks, with retries and a thread
-pool. It serves all three remote models: the translation engine, the
+pool that is never handed more than two chunks per worker at once. It
+serves all three remote models: the translation engine, the
 transliterator and the embedding model behind BERTScore
 (``evaluation.evaluate_predictions``). No real MT model lives here: engines
 are a one-method interface plus deterministic mocks (identity and
@@ -11,7 +12,9 @@ untranslated residue the script tools clean up afterwards.
 
 The cache is a JSON Lines file keyed by (engine_id, source_lang, target_lang,
 source_text); it is loaded into memory when opened and appended to once per
-engine chunk, so entries survive process restarts.
+engine chunk, so entries survive process restarts. The dictionary engine's
+id names the content of its table, so an entry is served only to a run with
+the table that made it.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ import json
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from ._text import STRING, check_fields, parse_json, read_tsv_table
+from ._text import STRING, check_fields, file_digest, parse_json, read_tsv_table
 from .errors import (
     CacheIOError,
     ConfigValidationError,
@@ -83,7 +87,11 @@ class DictionaryEngine(TranslationEngine):
     """Word-by-word translation via a lookup table; unknown words pass through.
 
     Tokens are whitespace-split and rejoined with single spaces, so this is a
-    mock, not a segmenter.
+    mock, not a segmenter. An engine read ``from_file`` is named after its
+    table's content, ``dictionary:<SHA-256 hex of the table's bytes>``, so a
+    cache never serves one table's translations to another, nor a table's
+    old translations after it is edited. One built from a mapping is named
+    ``dictionary``.
     """
 
     engine_id = "dictionary"
@@ -93,8 +101,23 @@ class DictionaryEngine(TranslationEngine):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DictionaryEngine":
-        """Two-column tab-separated file: source term, target term."""
-        return cls(read_tsv_table(path))
+        """Two-column tab-separated file: source term, target term.
+
+        A table that is not a regular file (a FIFO) cannot be hashed without
+        being consumed: it is named after the SHA-256 of the entries it parses to.
+        """
+        # Hashed before it is parsed, as TableEmbeddingProvider.from_file does.
+        digest = file_digest(path)
+        engine = cls(read_tsv_table(path))
+        if digest is None:
+            import hashlib  # as in file_digest: only a table load pays for importing it
+
+            entries = json.dumps(sorted(engine.table.items()), ensure_ascii=False)
+            fingerprint = hashlib.sha256(entries.encode("utf-8")).hexdigest()
+        else:
+            fingerprint = digest.digest.hex()
+        engine.engine_id = f"dictionary:{fingerprint}"
+        return engine
 
     def translate(self, texts, source_lang, target_lang):
         return [" ".join(self.table.get(w, w) for w in t.split()) for t in texts]
@@ -243,7 +266,11 @@ def call_model(
     Chunks of at most ``batch_size`` items go out in input order, up to
     ``max_workers`` at once, and are settled in input order as they arrive:
     results do not depend on the parallelism or the chunking, and a failure
-    on a later chunk leaves every earlier one settled.
+    on a later chunk leaves every earlier one settled. At most
+    ``2 * max_workers`` chunks are submitted and not yet settled: the next
+    chunk is submitted before the oldest is waited on and settled, so the
+    workers never run dry, and no more replies than that are held at once.
+    Once a chunk fails, chunks that have not started never reach the model.
 
     Error policy: a TransientEngineError is retried, up to
     ``DEFAULT_MAX_ATTEMPTS`` attempts with a backoff of
@@ -276,13 +303,40 @@ def call_model(
         ) from last
 
     chunks = [items[j : j + batch_size] for j in range(0, len(items), batch_size)]
-    if max_workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for chunk, out in zip(chunks, pool.map(run, chunks)):
-                settle(chunk, out)
-    else:
+    if max_workers <= 1 or len(chunks) <= 1:
         for chunk in chunks:
             settle(chunk, run(chunk))
+        return
+    # Set when a chunk or a settle fails, and when the call ends: a chunk that
+    # has not started by then never reaches the model. Its future is never
+    # read, since the failure before it in input order is raised first.
+    failed = threading.Event()
+
+    def start(chunk: list[Item]) -> list[Reply]:
+        if failed.is_set():
+            raise CancelledError
+        try:
+            return run(chunk)
+        except BaseException:
+            failed.set()
+            raise
+
+    window: deque[tuple[list[Item], Future[list[Reply]]]] = deque()
+
+    def settle_oldest() -> None:
+        chunk, future = window.popleft()
+        settle(chunk, future.result())
+
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        try:
+            for chunk in chunks:
+                window.append((chunk, pool.submit(start, chunk)))
+                if len(window) == 2 * max_workers:
+                    settle_oldest()
+            while window:
+                settle_oldest()
+        finally:
+            failed.set()
 
 
 def translate_batch(

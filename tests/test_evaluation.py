@@ -10,6 +10,7 @@ import struct
 import threading
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 import transquad._text
 import transquad.evaluation
 import transquad.translation
-from transquad.corpus import AnswerSpan, Corpus, QaRecord
+from transquad.corpus import AnswerSpan, Corpus, QaRecord, collapse_answers
 from transquad.errors import (
     EmbeddingError,
     EngineUnavailableError,
@@ -26,6 +27,7 @@ from transquad.errors import (
     TransientEngineError,
 )
 from transquad.evaluation import (
+    PAIRS_PER_CHUNK,
     EmbeddingProvider,
     EvalReport,
     QuestionScore,
@@ -39,6 +41,7 @@ from transquad.evaluation import (
 from transquad.translation import DEFAULT_BATCH_SIZE, DEFAULT_MAX_WORKERS
 
 from conftest import CountingEmbedder
+from reference_metrics import squad_exact_match, squad_f1, squad_normalize, squad_score
 
 REFERENCE = "मराठी प्रश्न उत्तर शिकणे"
 PRED_EXACT = "मराठी प्रश्न उत्तर शिकणे"
@@ -120,6 +123,72 @@ def test_f1_symmetry_and_bounds():
         assert 0.0 <= f_ab <= 1.0
         if exact_match(a, b):
             assert f_ab == 1.0
+
+
+# -- metric fidelity: each departure from SQuAD v1.1 --
+# reference_metrics holds SQuAD v1.1's scoring as published; each test shows
+# one input on which the two disagree, and why.
+
+
+def test_departure_articles_are_kept():
+    # No Devanagari counterpart: a Marathi answer has no article to drop.
+    assert normalize("The cat") == ["the", "cat"]
+    assert squad_normalize("The cat") == ["cat"]
+    assert exact_match("the cat", "cat") == 0
+    assert squad_score(squad_exact_match, ["the cat"], "cat") == 1
+
+
+def test_departure_all_unicode_punctuation_is_deleted():
+    # SQuAD v1.1 deletes ASCII punctuation only: the danda would stay in the token.
+    for text, ours, theirs in [
+        ("उत्तर।", ["उत्तर"], ["उत्तर।"]),
+        ("उत्तर॥ दोन", ["उत्तर", "दोन"], ["उत्तर॥", "दोन"]),
+        ("«quoted»", ["quoted"], ["«quoted»"]),
+    ]:
+        assert normalize(text) == ours
+        assert squad_normalize(text) == theirs
+    assert exact_match("उत्तर।", "उत्तर") == 1
+    assert squad_score(squad_exact_match, ["उत्तर।"], "उत्तर") == 0
+
+
+def test_departure_only_basic_latin_letters_are_case_folded():
+    assert normalize("ÉCOLE") == ["École"]
+    assert squad_normalize("ÉCOLE") == ["école"]
+    assert exact_match("ÉCOLE", "école") == 0
+    assert squad_score(squad_exact_match, ["ÉCOLE"], "école") == 1
+
+
+def test_departure_gold_carries_exactly_one_answer():
+    # SQuAD v1.1 scores a prediction against its best gold answer; here
+    # collapse_answers picks one first, and evaluate_predictions refuses more.
+    rec = QaRecord(
+        qid="q1",
+        question="?",
+        context="red cat and blue cat",
+        answers=(AnswerSpan("red cat", 0), AnswerSpan("blue cat", 12)),
+        title="t",
+    )
+    assert squad_score(squad_exact_match, ["red cat", "blue cat"], "blue cat") == 1
+    with pytest.raises(ValueError, match="'q1' has 2 answers"):
+        evaluate_predictions(Corpus(split="test", records=(rec,)), {"q1": "blue cat"})
+    # A tie goes to the earlier answer, so the prediction matches no gold left.
+    collapsed = Corpus(split="test", records=(collapse_answers(rec),))
+    assert evaluate_predictions(collapsed, {"q1": "blue cat"}).per_question["q1"].em == 0
+
+
+def test_departure_ascii_symbols_are_kept():
+    # $ + < = > ^ ` | ~ are symbols to Unicode, not punctuation; SQuAD v1.1 deletes them.
+    assert normalize("$5 a|b") == ["$5", "a|b"]
+    assert squad_normalize("$5 a|b") == ["5", "ab"]
+    assert exact_match("$5", "5") == 0
+    assert squad_score(squad_exact_match, ["$5"], "5") == 1
+
+
+def test_departure_two_empty_answers_score_f1_one():
+    # SQuAD v1.1 scores F1 0 when nothing overlaps, two empty answers included.
+    assert token_f1("", "।") == 1.0
+    assert squad_score(squad_f1, ["."], "") == 0.0
+    assert exact_match("", "।") == 1 == squad_score(squad_exact_match, ["."], "")
 
 
 # -- bert_score --
@@ -286,9 +355,9 @@ def test_table_provider_from_file_gives_float_bits(tmp_path):
         encoding="utf-8",
     )
     provider = TableEmbeddingProvider.from_file(path)
-    assert sorted(provider.table) == ["a", "b", "c"]
+    assert sorted(provider.index) == ["a", "b", "c"]
     for token, fields in rows.items():
-        assert provider.table[token].tobytes() == float_bits(fields), token
+        assert provider.matrix[provider.index[token]].tobytes() == float_bits(fields), token
 
 
 def test_table_provider_from_file_later_duplicate_wins(tmp_path):
@@ -335,9 +404,9 @@ def sidecar_of(path: Path) -> Path:
 
 
 def assert_same_table(got: TableEmbeddingProvider, want: TableEmbeddingProvider) -> None:
-    assert list(got.table) == list(want.table)
-    for token, vec in want.table.items():
-        assert got.table[token].tobytes() == vec.tobytes(), token
+    assert list(got.index) == list(want.index)
+    for token, row in want.index.items():
+        assert got.matrix[got.index[token]].tobytes() == want.matrix[row].tobytes(), token
 
 
 def test_second_load_reads_the_sidecar_not_the_text(tmp_path, monkeypatch):
@@ -512,7 +581,7 @@ def test_table_provider_from_file_rejects_an_empty_table(tmp_path):
 def test_table_provider_from_file_drops_a_byte_order_mark(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"\xef\xbb\xbfalpha 1 0\nbeta 0 1\n")
-    assert list(TableEmbeddingProvider.from_file(path).table) == ["alpha", "beta"]
+    assert list(TableEmbeddingProvider.from_file(path).index) == ["alpha", "beta"]
 
 
 # -- evaluate_predictions --
@@ -734,6 +803,20 @@ class FailingEmbedder(EmbeddingProvider):
         raise self.exc
 
 
+class RecordingFailingEmbedder(FailingEmbedder):
+    """Records the tokens of every call before it fails; thread-safe."""
+
+    def __init__(self, exc):
+        super().__init__(exc)
+        self.calls: list[list[str]] = []
+        self._lock = threading.Lock()
+
+    def embed(self, tokens):
+        with self._lock:
+            self.calls.append(list(tokens))
+        return super().embed(tokens)
+
+
 class ShapelessEmbedder(EmbeddingProvider):
     """Returns one flat array for the whole answer, which bert_score cannot score."""
 
@@ -790,26 +873,44 @@ def test_transient_failure_once_per_chunk_gives_the_same_report(monkeypatch):
     pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
     # The first pair of each chunk has a gold answer of its own, which is
     # embedded because the prediction is not empty.
-    firsts = [normalize(gold) for _, gold in pairs[::DEFAULT_BATCH_SIZE]]
-    for qid, _ in pairs[::DEFAULT_BATCH_SIZE]:
+    firsts = [normalize(gold) for _, gold in pairs[::PAIRS_PER_CHUNK]]
+    for qid, _ in pairs[::PAIRS_PER_CHUNK]:
         predictions[qid] = "a"
     gold = gold_corpus(pairs)
     flaky = evaluate_predictions(gold, predictions, FlakyTable(TABLE, firsts))
     clean = evaluate_predictions(gold, predictions, TableEmbeddingProvider(TABLE))
     assert flaky.to_json() == clean.to_json()
-    assert slept == [1.0] * 3
+    assert slept == [1.0] * len(firsts) == [1.0] * 48
 
 
 def test_transient_failures_past_the_retry_budget_end_in_engine_unavailable(monkeypatch):
     slept = []
     monkeypatch.setattr(transquad.translation.time, "sleep", slept.append)
-    pairs, predictions = many_pairs(2 * DEFAULT_BATCH_SIZE)
-    embedder = FailingEmbedder(TransientEngineError("model busy"))
+    pairs, _ = many_pairs(2 * DEFAULT_BATCH_SIZE)
+    predictions = {qid: "a" for qid, _ in pairs}  # every pair embeds, so every chunk calls
+    embedder = RecordingFailingEmbedder(TransientEngineError("model busy"))
     with pytest.raises(EngineUnavailableError, match="embedding provider still failing after 3"):
         evaluate_predictions(gold_corpus(pairs), predictions, embedder)
-    # A chunk is tried three times, with the gateway's backoff between. The
-    # second chunk is cancelled if it has not started when the first fails.
-    assert sorted(slept) in ([1.0, 2.0], [1.0, 1.0, 2.0, 2.0])
+    # Each attempt fails on the chunk's first pair. A chunk that started is
+    # tried three times, with the gateway's backoff between; a chunk that had
+    # not started when one failed never reaches the provider.
+    chunk_of = {tuple(normalize(gold)): i // PAIRS_PER_CHUNK for i, (_, gold) in enumerate(pairs)}
+    attempts = Counter(chunk_of[tuple(tokens)] for tokens in embedder.calls)
+    assert 1 <= len(attempts) <= embedder.max_workers
+    assert set(attempts.values()) == {3}
+    assert sorted(slept) == sorted([1.0, 2.0] * len(attempts))
+
+
+@pytest.mark.parametrize("predict", [dict, lambda p: {qid: "a" for qid in p}])
+def test_report_is_byte_identical_at_one_and_four_workers(predict):
+    pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
+    gold = gold_corpus(pairs)
+    reports = []
+    for max_workers in (1, 4):
+        embedder = InFlightTable(TABLE)
+        embedder.max_workers = max_workers
+        reports.append(evaluate_predictions(gold, predict(predictions), embedder).to_json())
+    assert reports[0] == reports[1]
 
 
 def test_report_serialization_shape():

@@ -373,3 +373,23 @@ def test_rejection_log_is_written_in_three_places():
         "pipeline.py:write in write_dataset",
         "pipeline.py:write_dataset in run_pipeline",
     ]
+
+
+class ThreadStarters(ScopedFinder):
+    """Every call that creates a ``ThreadPoolExecutor`` or a ``threading.Thread``."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("ThreadPoolExecutor", "Thread"):
+            self.record(f"{name} in ")
+        self.generic_visit(node)
+
+
+def test_threads_are_started_in_one_place():
+    """``call_model`` is the only fan-out, so its bounded window bounds every thread's work.
+
+    A second pool elsewhere would hold its own queue of chunks, and its
+    replies, outside the window.
+    """
+    assert find_in_sources(ThreadStarters) == ["translation.py:ThreadPoolExecutor in call_model"]

@@ -1013,6 +1013,29 @@ def test_write_through_a_symlink_keeps_the_link(tmp_path):
     assert sorted(p.name for p in real.iterdir()) == ["corpus.json"]
 
 
+def test_one_cache_keeps_two_dictionary_tables_apart(tmp_path):
+    """Two tables, one cache, two runs: each run translates with its own table."""
+    context = "the cat sat on the mat"
+    record = make_record("q1", context, "cat", question="what sat on the mat")
+    write_input(tmp_path, Corpus(split="train", records=(record,)))
+    outputs = []
+    for name, word in (("a.tsv", "मांजर"), ("b.tsv", "बोका"), ("a.tsv", "मांजर")):
+        table = tmp_path / name
+        table.write_text(f"cat\t{word}\n", encoding="utf-8")
+        path, raw = write_config(tmp_path, engine_id=f"dictionary:{table}")
+        assert main(["--config", str(path), "pipeline"]) == 0
+        kept = load_corpus(raw["output_path"], "train").records
+        outputs.append(kept[0].context)
+    assert outputs == [
+        "the मांजर sat on the mat",
+        "the बोका sat on the mat",
+        "the मांजर sat on the mat",
+    ]
+    # The third run was served from the cache the first one wrote.
+    lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 * 3  # context, question and answer of each table
+
+
 def test_write_to_a_fifo_writes_in_place(tmp_path):
     fifo = tmp_path / "rejections.jsonl"
     os.mkfifo(fifo)

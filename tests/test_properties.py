@@ -5,7 +5,9 @@ random text that mixes arbitrary code points with the ones the scans must
 get right: every kind of Unicode whitespace, Basic-Latin and other letters,
 Devanagari letters, marks and digits, other decimal digits, and characters
 outside the Basic Multilingual Plane. Answer normalization runs against its
-per-character reference on the same text, the evaluator against per-pair
+per-character reference on the same text, EM and F1 against SQuAD v1.1's
+on ASCII text, the BERTScore kernel against ``np.linalg.norm`` and
+``ndarray.mean`` to the bit, the evaluator against per-pair
 EM, F1 and BERTScore at any number of workers, the embedding-table loader
 against ``float()``, the plain-text line reader against ``splitlines`` on
 the whole text, and the rejection log reader against its writer on any qid
@@ -22,6 +24,7 @@ import functools
 import hashlib
 import json
 import math
+import string
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -29,9 +32,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from transquad import cli, evaluation, pipeline, script_tools
+from transquad._kernels import greedy_match
 from transquad._text import ascii_casefold, text_lines
 from transquad.alignment import AlignmentCandidate, align_corpus, strip_trailing_period
 from transquad.corpus import (
@@ -73,6 +77,7 @@ from transquad.script_tools import (
 )
 from transquad.translation import DEFAULT_BATCH_SIZE, translate_batch
 
+import reference_metrics
 import reference_scripts as reference
 from conftest import DEVANAGARI_WORDS, ENGLISH_WORDS, alpha_suffix, build_english_corpus
 
@@ -305,6 +310,53 @@ def test_normalize_table_stays_under_its_cap():
             assert normalize(text) == reference.normalize(text)
 
 
+# ASCII symbols that SQuAD v1.1 deletes as punctuation but Unicode does not
+# class as punctuation, so ``normalize`` keeps them.
+KEPT_SYMBOLS = "$+<=>^`|~"
+UNICODE_PUNCTUATION_IN_ASCII = "".join(c for c in string.punctuation if c not in KEPT_SYMBOLS)
+
+
+@PROPERTY
+@given(ASCII_TEXT, ASCII_TEXT)
+@example("0", "0|")
+@example("", "!")
+def test_em_and_f1_agree_with_squad_v11_on_ascii_text_without_articles(gold, pred):
+    """SQuAD v1.1's EM and F1, but for the last two departures the README lists.
+
+    ``KEPT_SYMBOLS`` are kept, and two answers that normalize to nothing
+    score F1 1.0 where SQuAD v1.1 gives 0. Any other disagreement on this
+    domain fails.
+    """
+    assume(not reference_metrics.has_article(gold) and not reference_metrics.has_article(pred))
+    g = reference_metrics.squad_normalize(gold, UNICODE_PUNCTUATION_IN_ASCII)
+    p = reference_metrics.squad_normalize(pred, UNICODE_PUNCTUATION_IN_ASCII)
+    assert exact_match(gold, pred) == reference_metrics.squad_exact_match(g, p)
+    assert token_f1(gold, pred) == (1.0 if not g and not p else reference_metrics.squad_f1(g, p))
+
+
+ROW = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@st.composite
+def row_sets(draw, dim):
+    """1-6 rows of ``dim`` components, some of them all zeros."""
+    rows = draw(st.lists(st.lists(ROW, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    zeros = draw(st.sets(st.integers(0, len(rows) - 1), max_size=len(rows)))
+    return np.array([[0.0] * dim if i in zeros else row for i, row in enumerate(rows)])
+
+
+# Shrinking a failing pair of float matrices takes minutes: the first
+# failing example is reported as it was drawn.
+@settings(PROPERTY, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(1, 12).flatmap(lambda dim: st.tuples(row_sets(dim), row_sets(dim))))
+@example((np.array([[3.0, 4.0]]), np.array([[0.0, 0.0]])))
+@example((np.array([[1e-300, 1.0], [0.0, 0.0]]), np.array([[2.0, -1e-200]])))
+def test_greedy_match_gives_the_bits_of_norm_and_mean(sides):
+    gold, pred = sides
+    want = reference_metrics.greedy_match(gold.copy(), pred.copy())
+    assert greedy_match(gold, pred) == want
+
+
 @PROPERTY
 @given(st.lists(answer_pairs(), max_size=8), st.sampled_from([1, 50]), st.integers(1, 4))
 # Several chunks of the gateway for sure: 8 x 40 = 320 pairs.
@@ -362,13 +414,13 @@ def test_table_loader_gives_float_bits(tmp_path_factory, rows, first_gap, data):
         return
     for i, row in enumerate(rows):
         want = np.array([float(x) for x in row], dtype=np.float64).tobytes()
-        assert provider.table[f"t{i}"].tobytes() == want
+        assert provider.matrix[provider.index[f"t{i}"]].tobytes() == want
     # The second load reads the sidecar the first wrote: the same tokens, order and bits.
     assert path.with_name("emb.txt.tqemb").is_file()
     again = TableEmbeddingProvider.from_file(path)
-    assert list(again.table) == list(provider.table)
-    for token, vec in provider.table.items():
-        assert again.table[token].tobytes() == vec.tobytes()
+    assert list(again.index) == list(provider.index)
+    for token, row in provider.index.items():
+        assert again.matrix[again.index[token]].tobytes() == provider.matrix[row].tobytes()
 
 
 @PROPERTY

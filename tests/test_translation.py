@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
 import re
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from transquad import translation
 from transquad.errors import (
     CacheIOError,
     ConfigValidationError,
@@ -21,6 +27,7 @@ from transquad.translation import (
     TranslationEngine,
     TranslationRequest,
     build_engine,
+    call_model,
     translate_batch,
 )
 
@@ -80,6 +87,35 @@ def test_build_engine_registry(tmp_path):
     assert isinstance(build_engine(f"dictionary:{table}"), DictionaryEngine)
     with pytest.raises(ConfigValidationError):
         build_engine("no-such-engine")
+
+
+def test_dictionary_engine_from_file_is_named_after_its_table_bytes(tmp_path):
+    table = tmp_path / "t.tsv"
+    table.write_bytes("cat\tमांजर\n".encode("utf-8"))
+    digest = hashlib.sha256("cat\tमांजर\n".encode("utf-8")).hexdigest()
+    assert build_engine(f"dictionary:{table}").engine_id == f"dictionary:{digest}"
+    table.write_bytes("cat\tबोका\n".encode("utf-8"))  # an edit in place renames the engine
+    assert DictionaryEngine.from_file(table).engine_id != f"dictionary:{digest}"
+    # The name is the content's: a copy elsewhere is the same engine.
+    copy = tmp_path / "copy.tsv"
+    copy.write_bytes(table.read_bytes())
+    assert DictionaryEngine.from_file(copy).engine_id == DictionaryEngine.from_file(table).engine_id
+    assert DictionaryEngine({"cat": "x"}).engine_id == "dictionary"
+
+
+def test_dictionary_engine_from_a_fifo_is_named_after_its_entries(tmp_path):
+    fifo = tmp_path / "t.tsv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=lambda: fifo.write_bytes("# c\ncat\tमांजर\n".encode("utf-8")), daemon=True
+    )
+    writer.start()
+    engine = DictionaryEngine.from_file(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    entries = json.dumps([["cat", "मांजर"]], ensure_ascii=False).encode("utf-8")
+    assert engine.engine_id == f"dictionary:{hashlib.sha256(entries).hexdigest()}"
+    assert engine.translate(["cat"], "en", "mr") == ["मांजर"]
 
 
 # -- cache --
@@ -409,3 +445,83 @@ def test_request_validates_inputs():
         TranslationRequest(texts=(), source_lang="en", target_lang="mr", engine_id="identity")
     with pytest.raises(ValueError):
         TranslationRequest(texts=("a",), source_lang="", target_lang="mr", engine_id="identity")
+
+
+# -- the gateway window --
+
+
+def uneven(chunk):
+    """Uppercase after a wait that differs from chunk to chunk, so chunks finish out of order."""
+    time.sleep(sum(map(ord, chunk[0])) % 5 / 2000)
+    return [t.upper() for t in chunk]
+
+
+def engine_error(message, chunk):
+    return EngineError(message)
+
+
+@pytest.mark.parametrize("max_workers", [2, 4])
+def test_gateway_keeps_at_most_two_chunks_per_worker_unsettled(monkeypatch, max_workers):
+    state = {"open": 0, "peak": 0}
+
+    class CountingPool(translation.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            state["open"] += 1
+            state["peak"] = max(state["peak"], state["open"])
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(translation, "ThreadPoolExecutor", CountingPool)
+    items = [f"w{i}" for i in range(100)]
+    settled = []
+
+    def settle(chunk, out):
+        state["open"] -= 1
+        settled.append((chunk, out))
+
+    call_model(uneven, items, "model", engine_error, settle, batch_size=3,
+               max_workers=max_workers)
+    assert state == {"open": 0, "peak": 2 * max_workers}
+    want = [items[j : j + 3] for j in range(0, 100, 3)]
+    assert settled == [(chunk, [t.upper() for t in chunk]) for chunk in want]
+
+
+def test_chunks_that_have_not_started_are_cancelled_after_a_failure():
+    started = []
+    crashed = threading.Event()
+
+    def call(chunk):
+        started.append(chunk[0])
+        if chunk[0] == 0:
+            crashed.set()
+            raise RuntimeError("model crashed")
+        # Busy until well after the crash, so this worker could start another chunk.
+        crashed.wait(10)
+        time.sleep(0.2)
+        return chunk
+
+    with pytest.raises(EngineError, match="model crashed"):
+        call_model(call, list(range(40)), "model", engine_error, lambda chunk, out: None,
+                   batch_size=1, max_workers=2)
+    # Chunk 0 and at most the one chunk the other worker had started.
+    assert 0 in started and set(started) <= {0, 1}
+
+
+@pytest.mark.parametrize("max_workers", [1, 4])
+def test_chunks_settle_and_are_cached_in_input_order(tmp_path, max_workers):
+    texts = [f"w{i}" for i in range(60)]
+    settled = []
+
+    class UnevenEngine(TranslationEngine):
+        engine_id = "uppercase"
+
+        def translate(self, texts, source_lang, target_lang):
+            return uneven(texts)
+
+    path = tmp_path / "cache.jsonl"
+    with TranslationCache(path) as cache:
+        out = translate_batch(request(texts, "uppercase"), UnevenEngine(), cache, batch_size=2,
+                              max_workers=max_workers, on_settled=settled.append)
+    assert out == [t.upper() for t in texts]
+    assert settled == [[t.upper() for t in texts[j : j + 2]] for j in range(0, 60, 2)]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["source_text"] for line in lines] == texts
