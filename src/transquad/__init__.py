@@ -46,13 +46,7 @@ from .pipeline import (
     run_corpus_pipeline,
     run_pipeline,
 )
-from .script_tools import (
-    Script,
-    TokenScript,
-    classify_tokens,
-    localize_digits,
-    transliterate_residuals,
-)
+from .script_tools import localize_digits, transliterate_residuals
 from .translation import (
     DictionaryEngine,
     IdentityEngine,

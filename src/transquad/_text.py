@@ -22,7 +22,7 @@ import unicodedata
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterator, Mapping, NamedTuple
 
-from .errors import FieldError
+from .errors import EncodingError, FieldError
 
 DEVANAGARI_FIRST = 0x0900
 DEVANAGARI_LAST = 0x097F
@@ -154,11 +154,11 @@ def file_digest(path: str | Path) -> FileDigest | None:
 
 
 def decode_utf8(data: bytes, where: str) -> str:
-    """``data`` as text; bytes that are not UTF-8 raise ValueError starting ``where:``."""
+    """``data`` as text; bytes that are not UTF-8 raise EncodingError starting ``where:``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
+        raise EncodingError(f"{where}: not valid UTF-8 at byte {exc.start}: {exc.reason}") from exc
 
 
 # An escape of a UTF-16 surrogate, \uD800-\uDFFF: only a text holding one can
@@ -173,9 +173,9 @@ def parse_json(data: bytes | str, where: str) -> Any:
 
     Bytes that are not UTF-8, text that is not JSON, JSON nested deeper
     than the parser's recursion limit, and a string escape that leaves a
-    lone surrogate (``"\\ud800"``) each raise one ValueError whose message
-    starts ``where:``; for the first three its ``__cause__`` is the
-    original error.
+    lone surrogate (``"\\ud800"``) each raise one ValueError (for the bytes,
+    an EncodingError) whose message starts ``where:``; for the first three
+    its ``__cause__`` is the original error.
     """
     if isinstance(data, bytes):
         # Rebound, so that bytes nobody else holds are freed before parsing.
@@ -212,6 +212,7 @@ def json_lines(path: str | Path) -> Iterator[tuple[str, Any]]:
 # The JSON types a field may have, and how an error names them.
 STRING = (str,), "a string"
 INTEGER = (int,), "an integer"
+ARRAY = (list,), "an array"
 NUMBER = (int, float), "a number"
 STRING_OR_NULL = (str, type(None)), "a string or null"
 

@@ -22,10 +22,11 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from ._text import atomic_write, parse_json
+from ._text import ARRAY, INTEGER, STRING, atomic_write, check_fields, parse_json
 from .errors import (
     EmptyAnswersError,
     EncodingError,
+    FieldError,
     InvalidCorpusError,
     MalformedDocumentError,
 )
@@ -39,7 +40,14 @@ VIOLATION_EMPTY_ANSWER = "empty-answer"
 VIOLATION_OUT_OF_BOUNDS = "start-out-of-bounds"
 VIOLATION_SUBSTRING_MISMATCH = "substring-mismatch"
 
-_QA_CORE_KEYS = ("id", "question", "answers")
+# The fields of each node of a SQuAD v1.1 document, and their JSON types. A
+# qa keeps any other field as ``extra``; the other nodes drop it with a
+# warning.
+_DOCUMENT_FIELDS = {"data": ARRAY, "version": ((str, int, float), "a string or a number")}
+_ARTICLE_FIELDS = {"title": STRING, "paragraphs": ARRAY}
+_PARAGRAPH_FIELDS = {"context": STRING, "qas": ARRAY}
+_QA_FIELDS = {"id": STRING, "question": STRING, "answers": ARRAY}
+_ANSWER_FIELDS = {"text": STRING, "answer_start": INTEGER}
 
 
 @dataclass(frozen=True)
@@ -130,92 +138,67 @@ def parse_corpus(raw: bytes | str, split: str, where: str = "input") -> Corpus:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     try:
         doc = parse_json(raw, where)
+    except EncodingError:
+        raise
     except ValueError as exc:
-        if isinstance(exc.__cause__, UnicodeDecodeError):
-            raise EncodingError(str(exc)) from exc
         raise MalformedDocumentError(str(exc)) from exc
 
     def require(condition: bool, message: str, path: str) -> None:
         if not condition:
             raise MalformedDocumentError(f"{where}: {message}", path)
 
-    require(isinstance(doc, dict), "document root must be an object", "$")
-    require("data" in doc, "document is missing 'data'", "$")
-    data = doc["data"]
-    require(isinstance(data, list), "'data' must be an array", "$.data")
-    version = str(doc.get("version", "1.1"))
-    for key in doc.keys() - {"data", "version"}:
-        logger.warning("dropping unknown document-level field %r", key)
-
     records: list[QaRecord] = []
     seen_qids: set[str] = set()
-    for ai, article in enumerate(data):
-        apath = f"data[{ai}]"
-        require(isinstance(article, dict), "article must be an object", apath)
-        title = article.get("title", "")
-        require(isinstance(title, str), "'title' must be a string", apath)
-        require("paragraphs" in article, "article is missing 'paragraphs'", apath)
-        paragraphs = article["paragraphs"]
-        require(isinstance(paragraphs, list), "'paragraphs' must be an array", apath)
-        for key in article.keys() - {"title", "paragraphs"}:
-            logger.warning("dropping unknown article-level field %r at %s", key, apath)
+    path = "$"  # the node being checked, which a FieldError names
+    try:
+        check_fields(doc, "the document", _DOCUMENT_FIELDS, optional=("version",))
+        for key in doc.keys() - _DOCUMENT_FIELDS.keys():
+            logger.warning("dropping unknown document-level field %r", key)
+        for ai, article in enumerate(doc["data"]):
+            path = apath = f"data[{ai}]"
+            check_fields(article, "an article", _ARTICLE_FIELDS, optional=("title",))
+            title = article.get("title", "")
+            for key in article.keys() - _ARTICLE_FIELDS.keys():
+                logger.warning("dropping unknown article-level field %r at %s", key, apath)
 
-        for pi, para in enumerate(paragraphs):
-            ppath = f"{apath}.paragraphs[{pi}]"
-            require(isinstance(para, dict), "paragraph must be an object", ppath)
-            context = para.get("context")
-            require(isinstance(context, str), "paragraph is missing string 'context'", ppath)
-            require(len(context) > 0, "context must be non-empty", ppath)
-            qas = para.get("qas")
-            require(isinstance(qas, list), "paragraph is missing 'qas' array", ppath)
-            for key in para.keys() - {"context", "qas"}:
-                logger.warning("dropping unknown paragraph-level field %r at %s", key, ppath)
+            for pi, para in enumerate(article["paragraphs"]):
+                path = ppath = f"{apath}.paragraphs[{pi}]"
+                check_fields(para, "a paragraph", _PARAGRAPH_FIELDS)
+                context = para["context"]
+                require(context != "", "context must be non-empty", ppath)
+                for key in para.keys() - _PARAGRAPH_FIELDS.keys():
+                    logger.warning("dropping unknown paragraph-level field %r at %s", key, ppath)
 
-            for qi, qa in enumerate(qas):
-                qpath = f"{ppath}.qas[{qi}]"
-                require(isinstance(qa, dict), "qa must be an object", qpath)
-                qid = qa.get("id")
-                require(isinstance(qid, str) and qid != "", "qa is missing string 'id'", qpath)
-                question = qa.get("question")
-                require(
-                    isinstance(question, str) and question != "",
-                    "qa is missing non-empty 'question'",
-                    qpath,
-                )
-                require("answers" in qa, "qa is missing its 'answers' array", qpath)
-                answers_raw = qa["answers"]
-                require(isinstance(answers_raw, list), "'answers' must be an array", qpath)
-                require(len(answers_raw) > 0, "'answers' must not be empty", qpath)
-                require(qid not in seen_qids, f"duplicate question id {qid!r}", qpath)
-                seen_qids.add(qid)
+                for qi, qa in enumerate(para["qas"]):
+                    path = qpath = f"{ppath}.qas[{qi}]"
+                    check_fields(qa, "a qa", _QA_FIELDS)
+                    qid = qa["id"]
+                    require(qid != "", "'id' must not be empty", qpath)
+                    require(qa["question"] != "", "'question' must not be empty", qpath)
+                    require(qa["answers"] != [], "'answers' must not be empty", qpath)
+                    require(qid not in seen_qids, f"duplicate question id {qid!r}", qpath)
+                    seen_qids.add(qid)
 
-                spans: list[AnswerSpan] = []
-                for xi, ans in enumerate(answers_raw):
-                    xpath = f"{qpath}.answers[{xi}]"
-                    require(isinstance(ans, dict), "answer must be an object", xpath)
-                    atext = ans.get("text")
-                    require(isinstance(atext, str), "answer is missing string 'text'", xpath)
-                    start = ans.get("answer_start")
-                    require(
-                        isinstance(start, int) and not isinstance(start, bool),
-                        "answer is missing integer 'answer_start'",
-                        xpath,
+                    spans: list[AnswerSpan] = []
+                    for xi, ans in enumerate(qa["answers"]):
+                        path = f"{qpath}.answers[{xi}]"
+                        check_fields(ans, "an answer", _ANSWER_FIELDS)
+                        spans.append(AnswerSpan(text=ans["text"], start=ans["answer_start"]))
+
+                    records.append(
+                        QaRecord(
+                            qid=qid,
+                            question=qa["question"],
+                            context=context,
+                            answers=tuple(spans),
+                            title=title,
+                            extra={k: qa[k] for k in sorted(qa.keys() - _QA_FIELDS.keys())},
+                        )
                     )
-                    spans.append(AnswerSpan(text=atext, start=start))
+    except FieldError as exc:
+        raise MalformedDocumentError(f"{where}: {exc}", path) from exc
 
-                extra = {k: qa[k] for k in sorted(qa.keys() - set(_QA_CORE_KEYS))}
-                records.append(
-                    QaRecord(
-                        qid=qid,
-                        question=question,
-                        context=context,
-                        answers=tuple(spans),
-                        title=title,
-                        extra=extra,
-                    )
-                )
-
-    return Corpus(split=split, records=tuple(records), version=version)
+    return Corpus(split=split, records=tuple(records), version=str(doc.get("version", "1.1")))
 
 
 def serialize_corpus(corpus: Corpus, allow_invalid: bool = False) -> bytes:

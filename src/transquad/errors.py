@@ -18,7 +18,7 @@ class MalformedDocumentError(TransquadError):
         self.path = path
 
 
-class EncodingError(TransquadError):
+class EncodingError(TransquadError, ValueError):
     """Input bytes are not valid UTF-8."""
 
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields as dataclass_fields, replace
+from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -124,24 +124,26 @@ class PipelineConfig:
         return str(Path(self.output_path).with_suffix(".summary.json"))
 
 
-_REQUIRED_KEYS = (
-    "input_path",
-    "output_path",
-    "rejection_log_path",
-    "stats_path",
-    "source_lang",
-    "target_lang",
-    "engine_id",
-    "transliterator_id",
-    "cache_path",
-)
-_CONFIG_KEYS = {f.name for f in dataclass_fields(PipelineConfig)}
+# The JSON type of each config key, in the order a missing key is reported.
 _CONFIG_TYPES = {
-    **dict.fromkeys(_REQUIRED_KEYS, STRING),
+    "input_path": STRING,
+    "output_path": STRING,
+    "rejection_log_path": STRING,
+    "stats_path": STRING,
+    "source_lang": STRING,
+    "target_lang": STRING,
+    "engine_id": STRING,
+    "transliterator_id": STRING,
+    "cache_path": STRING,
     "filter": ((dict,), "an object"),
     "parallelism": INTEGER,
     "split": STRING,
 }
+_CONFIG_OPTIONAL = tuple(
+    f.name
+    for f in dataclass_fields(PipelineConfig)
+    if f.default is not MISSING or f.default_factory is not MISSING
+)
 _FILTER_TYPES = {
     "non_latin_letter_ratio_threshold": NUMBER,
     "exclusion_list_path": STRING_OR_NULL,
@@ -151,12 +153,12 @@ _FILTER_TYPES = {
 
 def config_from_dict(raw: Mapping[str, Any]) -> PipelineConfig:
     try:
-        check_fields(raw, "a config", _CONFIG_TYPES, optional=("filter", "parallelism", "split"))
+        check_fields(raw, "a config", _CONFIG_TYPES, optional=_CONFIG_OPTIONAL)
         filter_raw = raw.get("filter", {})
         check_fields(filter_raw, "filter", _FILTER_TYPES, optional=_FILTER_TYPES, prefix="filter.")
     except FieldError as exc:
         raise ConfigValidationError(str(exc), field=exc.field) from exc
-    for keys, known, prefix in ((raw, _CONFIG_KEYS, ""), (filter_raw, _FILTER_TYPES, "filter.")):
+    for keys, known, prefix in ((raw, _CONFIG_TYPES, ""), (filter_raw, _FILTER_TYPES, "filter.")):
         unknown = set(keys) - set(known)
         if unknown:
             key = prefix + sorted(unknown)[0]

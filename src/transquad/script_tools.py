@@ -2,19 +2,23 @@
 
 Translation engines routinely leave two kinds of residue in Devanagari
 output: words still in Latin script, and ASCII digits. This module finds
-both. Tokens are whitespace-split (no punctuation splitting; attached
-punctuation never changes a token's letter-based class) and classified as
-Latin, Devanagari, Neutral, or Mixed. The pipeline transliterates a stage's
-distinct Latin tokens in batches; ASCII digits become Devanagari digits.
+both. ``scan_residuals`` splits a text into tokens on whitespace only
+(attached punctuation never changes what a token is) and reports two kinds
+of token. A Latin token holds Basic-Latin letters and nothing else but
+punctuation and symbols. A mixed token holds a letter outside Basic Latin and
+Devanagari, or two of: Basic-Latin letters, Devanagari letters or digits,
+other digits. The pipeline transliterates a stage's distinct Latin tokens in
+batches; ASCII digits become Devanagari digits. Every other token is left as
+it is.
 
-Classification runs in C string operations, not a Python loop per
-character. One ``str.translate`` pass maps a text or token to a string of
-evidence classes (Basic-Latin letter; Devanagari letter or digit; other
-letter; other decimal digit; whitespace; no evidence), filled lazily, one
-entry per code point seen, up to ``EVIDENCE_CAP`` entries. Regular
-expressions over that string find mixed and Latin tokens, so
-``scan_residuals`` reads a whole text in one pass. The whitespace class is
-exactly ``str.isspace()``, as is the whitespace of the token regex.
+The scan runs in C string operations, not a Python loop per character. One
+``str.translate`` pass maps a text to a string of evidence classes
+(Basic-Latin letter; Devanagari letter or digit; other letter; other decimal
+digit; whitespace; no evidence), filled lazily, one entry per code point
+seen, up to ``EVIDENCE_CAP`` entries. Regular expressions over that string
+find mixed and Latin tokens, so ``scan_residuals`` reads a whole text in one
+pass. The whitespace class is exactly ``str.isspace()``, so the tokens are
+those of ``str.split()``.
 
 Mixed tokens (e.g. "abc123", "abcक") are deliberately left alone - splitting
 mid-token is riskier than leaving residue. ``warn_mixed_tokens`` reports them
@@ -26,8 +30,6 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -48,23 +50,10 @@ logger = logging.getLogger(__name__)
 _DIGIT_TABLE = {ord("0") + d: DEVANAGARI_DIGIT_ZERO + d for d in range(10)}
 
 
-class Script(str, Enum):
-    LATIN = "latin"
-    DEVANAGARI = "devanagari"
-    NEUTRAL = "neutral"
-    MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class TokenScript:
-    token: str
-    script: Script
-    start: int  # code-point offset of the token in the source text
-
-
 # Evidence classes: one character per code point, as ``_EVIDENCE`` maps
-# them. Devanagari letters and digits share a class because classify_token
-# treats them alike.
+# them. Devanagari letters and digits share a class because a Devanagari
+# digit beside a Devanagari letter does not make a token mixed: numbers
+# already localized are not flagged.
 _LATIN = "L"  # Basic-Latin letter A-Z, a-z
 _DEVANAGARI = "D"  # letter in the Devanagari block, or Devanagari digit
 _OTHER_LETTER = "O"  # any other letter (category L*)
@@ -72,7 +61,6 @@ _OTHER_DIGIT = "N"  # any other decimal digit (category Nd), ASCII 0-9 included
 _NO_EVIDENCE = "."  # punctuation, symbols, marks
 _SPACE = " "  # whitespace (str.isspace), the token separator
 
-_TOKEN = re.compile(r"\S+")
 # Over evidence strings, in linear time. Latin: a token of Latin letters and
 # no-evidence characters. Mixed: another letter, or two evidence kinds
 # side by side in a token, ignoring no-evidence characters between them.
@@ -100,36 +88,6 @@ def _evidence_class(ch: str) -> str:
 
 # Code point -> evidence class, filled on first sight.
 _EVIDENCE = LazyTable(_evidence_class, EVIDENCE_CAP)
-
-
-def classify_token(token: str) -> Script:
-    """Assign exactly one script class to a token.
-
-    Letters and digits are the evidence; punctuation and symbols are ignored.
-    Neutral means no letters and no Devanagari digits. Latin/Devanagari
-    require all evidence characters to sit in that script (so "abc123" is
-    Mixed: an ASCII digit is not a Latin letter). Devanagari digits count as
-    Devanagari evidence, which keeps already-localized numbers from being
-    re-flagged.
-    """
-    # The whole argument is one token: whitespace in it is no evidence.
-    classes = token.translate(_EVIDENCE).replace(_SPACE, _NO_EVIDENCE)
-    if _MIXED_EVIDENCE.search(classes):
-        return Script.MIXED
-    if _LATIN in classes:
-        return Script.LATIN
-    return Script.DEVANAGARI if _DEVANAGARI in classes else Script.NEUTRAL
-
-
-def classify_tokens(text: str) -> list[TokenScript]:
-    """Split on Unicode whitespace and classify each token.
-
-    The tokens, in order, reconstruct the non-whitespace content of the text.
-    """
-    return [
-        TokenScript(token=m.group(), script=classify_token(m.group()), start=m.start())
-        for m in _TOKEN.finditer(text)
-    ]
 
 
 def localize_digits(text: str) -> str:
@@ -204,7 +162,7 @@ Residuals = tuple[list[tuple[int, int]], list[str]]
 
 
 def scan_residuals(text: str) -> Residuals:
-    """The spans of the Latin-classified tokens of ``text``, and its mixed-script tokens."""
+    """The spans of the Latin tokens of ``text``, and its mixed tokens, in text order."""
     classes = text.translate(_EVIDENCE) + _SPACE  # the space ends the last token
     mixed = []
     pos = 0

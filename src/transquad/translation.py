@@ -149,8 +149,8 @@ class TranslationCache:
     duplicate keys. ``store_many`` appends its entries in one write and one
     flush, so a crash mid-append leaves every earlier chunk whole and at most
     one torn last line, which is dropped and cut off before the next append.
-    Safe for concurrent lookup/store; values for a key are deterministic per
-    engine, so last-writer-wins is harmless.
+    Safe for concurrent lookup and store_many; values for a key are
+    deterministic per engine, so last-writer-wins is harmless.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -203,9 +203,6 @@ class TranslationCache:
     def lookup(self, key: CacheKey) -> str | None:
         with self._lock:
             return self._entries.get(key)
-
-    def store(self, key: CacheKey, value: str) -> None:
-        self.store_many([(key, value)])
 
     def store_many(self, items: Iterable[tuple[CacheKey, str]]) -> None:
         """Store every (key, value) pair, appending them to the file in one write and one flush."""
@@ -270,26 +267,43 @@ def call_model(
     ``2 * max_workers`` chunks are submitted and not yet settled: the next
     chunk is submitted before the oldest is waited on and settled, so the
     workers never run dry, and no more replies than that are held at once.
-    Once a chunk fails, chunks that have not started never reach the model.
+    Once a chunk fails, no later chunk calls the model again: one that has
+    not started never starts, and one waiting to retry stops at once.
 
     Error policy: a TransientEngineError is retried, up to
     ``DEFAULT_MAX_ATTEMPTS`` attempts with a backoff of
-    ``DEFAULT_BACKOFF_BASE`` seconds doubling per retry (``sleep``, default
-    ``time.sleep``), and ends in EngineUnavailableError when the attempts
-    run out. Any other TransquadError passes through. Any other exception,
-    or a reply of the wrong length, becomes ``error(message, chunk)``;
-    ``model`` names the model in the message.
+    ``DEFAULT_BACKOFF_BASE`` seconds doubling per retry, and ends in
+    EngineUnavailableError when the attempts run out. The backoff is a wait
+    that a failure on an earlier chunk cuts short; ``sleep(seconds)``, if
+    given, is called in its place. Any other TransquadError passes through.
+    Any other exception, or a reply of the wrong length, becomes
+    ``error(message, chunk)``; ``model`` names the model in the message.
     """
 
-    def run(chunk: list[Item]) -> list[Reply]:
+    chunks = [items[j : j + batch_size] for j in range(0, len(items), batch_size)]
+    # The index of the first chunk that failed, and -1 once the call ends (a
+    # settle that fails ends it). A chunk after it makes no further model
+    # call, and its future is never read: the failure before it in input
+    # order is raised first. A chunk before it runs and settles.
+    failed_at = len(chunks)
+    failure = threading.Condition()
+
+    def run(index: int, chunk: list[Item]) -> list[Reply]:
         last: TransientEngineError | None = None
         for attempt in range(1, DEFAULT_MAX_ATTEMPTS + 1):
+            if failed_at < index:
+                raise CancelledError
             try:
                 out = list(call(chunk))
             except TransientEngineError as exc:
                 last = exc
                 if attempt < DEFAULT_MAX_ATTEMPTS:
-                    (sleep or time.sleep)(DEFAULT_BACKOFF_BASE * 2 ** (attempt - 1))
+                    delay = DEFAULT_BACKOFF_BASE * 2 ** (attempt - 1)
+                    if sleep is not None:
+                        sleep(delay)
+                    else:
+                        with failure:  # cut short by a failure before this chunk
+                            failure.wait_for(lambda: failed_at < index, delay)
                 continue
             except TransquadError:
                 raise
@@ -302,23 +316,22 @@ def call_model(
             f"{model} still failing after {DEFAULT_MAX_ATTEMPTS} attempts"
         ) from last
 
-    chunks = [items[j : j + batch_size] for j in range(0, len(items), batch_size)]
     if max_workers <= 1 or len(chunks) <= 1:
-        for chunk in chunks:
-            settle(chunk, run(chunk))
+        for index, chunk in enumerate(chunks):
+            settle(chunk, run(index, chunk))
         return
-    # Set when a chunk or a settle fails, and when the call ends: a chunk that
-    # has not started by then never reaches the model. Its future is never
-    # read, since the failure before it in input order is raised first.
-    failed = threading.Event()
 
-    def start(chunk: list[Item]) -> list[Reply]:
-        if failed.is_set():
-            raise CancelledError
+    def fail(index: int) -> None:
+        nonlocal failed_at
+        with failure:
+            failed_at = min(failed_at, index)
+            failure.notify_all()
+
+    def start(index: int, chunk: list[Item]) -> list[Reply]:
         try:
-            return run(chunk)
+            return run(index, chunk)
         except BaseException:
-            failed.set()
+            fail(index)
             raise
 
     window: deque[tuple[list[Item], Future[list[Reply]]]] = deque()
@@ -329,14 +342,14 @@ def call_model(
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         try:
-            for chunk in chunks:
-                window.append((chunk, pool.submit(start, chunk)))
+            for index, chunk in enumerate(chunks):
+                window.append((chunk, pool.submit(start, index, chunk)))
                 if len(window) == 2 * max_workers:
                     settle_oldest()
             while window:
                 settle_oldest()
         finally:
-            failed.set()
+            fail(-1)
 
 
 def translate_batch(

@@ -10,6 +10,7 @@ fast versions on every input.
 from __future__ import annotations
 
 import unicodedata
+from enum import Enum
 from typing import Iterator
 
 from transquad._text import (
@@ -20,7 +21,13 @@ from transquad._text import (
     is_digit,
     is_letter,
 )
-from transquad.script_tools import Script
+
+
+class Script(str, Enum):
+    LATIN = "latin"
+    DEVANAGARI = "devanagari"
+    NEUTRAL = "neutral"
+    MIXED = "mixed"
 
 
 def iter_raw_tokens(text: str) -> Iterator[tuple[int, str]]:

@@ -35,15 +35,14 @@ from transquad.pipeline import (
 )
 from transquad.script_tools import (
     IdentityTransliterator,
-    Script,
     TableTransliterator,
-    classify_tokens,
     localize_digits,
     scan_residuals,
     transliterate_residuals,
 )
 from transquad.translation import DictionaryEngine, IdentityEngine
 
+import reference_scripts
 from conftest import (
     DEVANAGARI_WORDS,
     ENGLISH_WORDS,
@@ -137,14 +136,17 @@ def test_criterion_03_transliteration_routing():
     )
     (fixed,) = postprocess_candidates([candidate], counting)
 
-    latin_tokens = [t.token for t in classify_tokens(sentence) if t.script is Script.LATIN]
+    latin_tokens = [
+        token
+        for _, token in reference_scripts.iter_raw_tokens(sentence)
+        if reference_scripts.classify_token(token) is reference_scripts.Script.LATIN
+    ]
     assert counting.tokens_seen == latin_tokens == list(table)  # once, for all three fields
 
     latin, _ = scan_residuals(sentence)
     out = transliterate_residuals(sentence, latin, table)
-    before = {t.token for t in classify_tokens(sentence) if t.script is not Script.LATIN}
-    after_tokens = [t.token for t in classify_tokens(out)]
-    for token in before:
+    after_tokens = out.split()
+    for token in set(sentence.split()) - set(latin_tokens):
         assert token in after_tokens  # byte-identical survivors
 
     assert fixed.translated_context == fixed.translated_answer == localize_digits(out)

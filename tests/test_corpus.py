@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -88,13 +89,86 @@ def test_parse_rejects_bad_split():
         parse_corpus(doc_bytes({"data": []}), "validation")
 
 
+# The node paths of single_qa_doc, outermost first, and the array key under
+# each node that holds the next one.
+NODE_PATHS = (
+    "$",
+    "data[0]",
+    "data[0].paragraphs[0]",
+    "data[0].paragraphs[0].qas[0]",
+    "data[0].paragraphs[0].qas[0].answers[0]",
+)
+CHILD_ARRAYS = ("data", "paragraphs", "qas", "answers")
+DELETE = object()
+
+
+def assert_refused_at(doc, path: str) -> None:
+    with pytest.raises(MalformedDocumentError) as err:
+        parse_corpus(doc_bytes(doc), "train", "corpus.json")
+    assert str(err.value).startswith("corpus.json: ")
+    # The node itself, or one of its keys.
+    assert re.fullmatch(re.escape(path) + r"(\.\w+)?", err.value.path), err.value.path
+
+
+@pytest.mark.parametrize(
+    "path, key, value",
+    [
+        # key None: the node itself is replaced by ``value``.
+        ("$", None, []),
+        ("$", "data", DELETE),
+        ("$", "data", {}),
+        ("data[0]", None, "t"),
+        ("data[0]", "paragraphs", DELETE),
+        ("data[0]", "paragraphs", None),
+        ("data[0]", "title", 3),
+        ("data[0].paragraphs[0]", None, 1),
+        ("data[0].paragraphs[0]", "context", DELETE),
+        ("data[0].paragraphs[0]", "context", ["abc"]),
+        ("data[0].paragraphs[0]", "context", ""),
+        ("data[0].paragraphs[0]", "qas", DELETE),
+        ("data[0].paragraphs[0]", "qas", {}),
+        ("data[0].paragraphs[0].qas[0]", None, None),
+        ("data[0].paragraphs[0].qas[0]", "id", DELETE),
+        ("data[0].paragraphs[0].qas[0]", "id", 1),
+        ("data[0].paragraphs[0].qas[0]", "id", ""),
+        ("data[0].paragraphs[0].qas[0]", "question", DELETE),
+        ("data[0].paragraphs[0].qas[0]", "question", False),
+        ("data[0].paragraphs[0].qas[0]", "question", ""),
+        ("data[0].paragraphs[0].qas[0]", "answers", DELETE),
+        ("data[0].paragraphs[0].qas[0]", "answers", "a"),
+        ("data[0].paragraphs[0].qas[0]", "answers", []),
+        ("data[0].paragraphs[0].qas[0].answers[0]", None, "a"),
+        ("data[0].paragraphs[0].qas[0].answers[0]", "text", DELETE),
+        ("data[0].paragraphs[0].qas[0].answers[0]", "text", 0),
+        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", DELETE),
+        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", True),
+        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", 0.0),
+        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", "0"),
+    ],
+)
+def test_parse_refuses_each_schema_violation_at_its_node(path, key, value):
+    doc = single_qa_doc("abc", [{"text": "a", "answer_start": 0}])
+    nodes = [doc]
+    for array in CHILD_ARRAYS:
+        nodes.append(nodes[-1][array][0])
+    depth = NODE_PATHS.index(path)
+    if key is None and depth == 0:
+        doc = value
+    elif key is None:
+        nodes[depth - 1][CHILD_ARRAYS[depth - 1]][0] = value
+    elif value is DELETE:
+        del nodes[depth][key]
+    else:
+        nodes[depth][key] = value
+    assert_refused_at(doc, path)
+
+
 def test_parse_rejects_duplicate_qids():
     doc = single_qa_doc("abc", [{"text": "a", "answer_start": 0}])
     doc["data"][0]["paragraphs"][0]["qas"].append(
         {"id": "q1", "question": "again?", "answers": [{"text": "b", "answer_start": 1}]}
     )
-    with pytest.raises(MalformedDocumentError):
-        parse_corpus(doc_bytes(doc), "train")
+    assert_refused_at(doc, "data[0].paragraphs[0].qas[1]")
 
 
 def test_parse_rejects_empty_answer_list_and_empty_context():

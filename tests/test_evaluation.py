@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -867,9 +868,15 @@ class FlakyTable(TableEmbeddingProvider):
         return super().embed(tokens)
 
 
+def sleep_through_backoff(monkeypatch, slept: list[float]) -> None:
+    """Have the evaluator's gateway record each backoff in ``slept`` instead of waiting."""
+    gateway = functools.partial(transquad.translation.call_model, sleep=slept.append)
+    monkeypatch.setattr(transquad.evaluation, "call_model", gateway)
+
+
 def test_transient_failure_once_per_chunk_gives_the_same_report(monkeypatch):
     slept = []
-    monkeypatch.setattr(transquad.translation.time, "sleep", slept.append)
+    sleep_through_backoff(monkeypatch, slept)
     pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
     # The first pair of each chunk has a gold answer of its own, which is
     # embedded because the prediction is not empty.
@@ -885,20 +892,21 @@ def test_transient_failure_once_per_chunk_gives_the_same_report(monkeypatch):
 
 def test_transient_failures_past_the_retry_budget_end_in_engine_unavailable(monkeypatch):
     slept = []
-    monkeypatch.setattr(transquad.translation.time, "sleep", slept.append)
+    sleep_through_backoff(monkeypatch, slept)
     pairs, _ = many_pairs(2 * DEFAULT_BATCH_SIZE)
     predictions = {qid: "a" for qid, _ in pairs}  # every pair embeds, so every chunk calls
     embedder = RecordingFailingEmbedder(TransientEngineError("model busy"))
     with pytest.raises(EngineUnavailableError, match="embedding provider still failing after 3"):
         evaluate_predictions(gold_corpus(pairs), predictions, embedder)
-    # Each attempt fails on the chunk's first pair. A chunk that started is
-    # tried three times, with the gateway's backoff between; a chunk that had
-    # not started when one failed never reaches the provider.
+    # Each attempt fails on the chunk's first pair. The first chunk is tried
+    # three times, with the gateway's backoff between. A later chunk is tried
+    # at most as often: it stops once an earlier chunk has failed, and one
+    # that had not started by then never reaches the provider.
     chunk_of = {tuple(normalize(gold)): i // PAIRS_PER_CHUNK for i, (_, gold) in enumerate(pairs)}
     attempts = Counter(chunk_of[tuple(tokens)] for tokens in embedder.calls)
     assert 1 <= len(attempts) <= embedder.max_workers
-    assert set(attempts.values()) == {3}
-    assert sorted(slept) == sorted([1.0, 2.0] * len(attempts))
+    assert attempts[0] == max(attempts.values()) == 3
+    assert sorted(slept) == sorted(d for n in attempts.values() for d in [1.0, 2.0][:n])
 
 
 @pytest.mark.parametrize("predict", [dict, lambda p: {qid: "a" for qid in p}])

@@ -8,7 +8,7 @@ import json
 import os
 import stat
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,7 @@ from transquad.errors import (
 from transquad.evaluation import TableEmbeddingProvider
 from transquad.filtering import STAGE_PRE_FILTER, FilterConfig, RejectionEntry, RejectionLog
 from transquad.pipeline import (
+    PipelineConfig,
     load_config,
     postprocess_candidates,
     read_candidates,
@@ -153,6 +154,12 @@ def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, override, fi
 def test_config_accepts_whole_numbers_for_the_ratio(tmp_path):
     path, _ = write_config(tmp_path, filter={"non_latin_letter_ratio_threshold": 1})
     assert load_config(path).filter.non_latin_letter_ratio_threshold == 1
+
+
+def test_config_types_name_exactly_the_config_fields():
+    # In field order, so a config missing several keys names the first field.
+    assert list(transquad.pipeline._CONFIG_TYPES) == [f.name for f in fields(PipelineConfig)]
+    assert list(transquad.pipeline._FILTER_TYPES) == [f.name for f in fields(FilterConfig)]
 
 
 # -- run_pipeline --

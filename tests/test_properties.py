@@ -67,10 +67,7 @@ from transquad.filtering import (
 )
 from transquad.pipeline import config_from_dict, postprocess_candidates, run_pipeline
 from transquad.script_tools import (
-    Script,
     Transliterator,
-    classify_token,
-    classify_tokens,
     localize_digits,
     scan_residuals,
     transliterate_residuals,
@@ -110,22 +107,6 @@ class StubTransliterator(Transliterator):
 
 
 @PROPERTY
-@given(TEXT)
-def test_classify_tokens_matches_reference(text):
-    assert [(t.start, t.token, t.script) for t in classify_tokens(text)] == [
-        (start, token, reference.classify_token(token))
-        for start, token in reference.iter_raw_tokens(text)
-    ]
-
-
-@PROPERTY
-@given(TEXT)
-def test_classify_token_matches_reference(text):
-    # The whole text as one token: embedded whitespace counts as no evidence.
-    assert classify_token(text) is reference.classify_token(text)
-
-
-@PROPERTY
 @given(st.one_of(TEXT, ASCII_TEXT))
 def test_non_latin_letter_ratio_matches_reference(text):
     assert non_latin_letter_ratio(text) == reference.non_latin_letter_ratio(text)
@@ -139,14 +120,14 @@ def assert_routed_like_reference(text: str) -> None:
     assert mixed == [
         token
         for _, token in reference.iter_raw_tokens(text)
-        if reference.classify_token(token) is Script.MIXED
+        if reference.classify_token(token) is reference.Script.MIXED
     ]
     # The stub keeps lengths, so every whitespace character and every
     # character of a non-Latin token must sit unchanged at its offset.
     reference_latin = [
         (start, start + len(token))
         for start, token in reference.iter_raw_tokens(text)
-        if reference.classify_token(token) is Script.LATIN
+        if reference.classify_token(token) is reference.Script.LATIN
     ]
     assert latin == reference_latin
     inside = {i for start, end in latin for i in range(start, end)}
@@ -170,12 +151,12 @@ def test_transliterate_residuals_on_every_code_point_near_devanagari():
 
 def test_evidence_table_stays_under_its_cap():
     everything = "".join(map(chr, range(0x110000)))
-    classify_token(everything)
+    scan_residuals(everything)
     assert len(script_tools._EVIDENCE) <= script_tools.EVIDENCE_CAP
     # Code points past the cap are still classified, each time they are seen.
     for cp in range(0x10000, 0x110000, 997):
-        assert classify_token(chr(cp)) == reference.classify_token(chr(cp))
-        assert classify_token("a" + chr(cp)) == reference.classify_token("a" + chr(cp))
+        assert_routed_like_reference(chr(cp))
+        assert_routed_like_reference("a" + chr(cp))
 
 
 @PROPERTY

@@ -1,24 +1,22 @@
-"""Script classification, digit localization, transliteration routing."""
+"""Residue scan, digit localization, transliteration routing."""
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 
 import pytest
 
-from transquad import translation
+from transquad import pipeline, translation
 from transquad.alignment import AlignmentCandidate
 from transquad.errors import EngineUnavailableError, TransientEngineError, TransliterationError
 from transquad.pipeline import postprocess_candidates
 from transquad.script_tools import (
     IdentityTransliterator,
-    Script,
     TableTransliterator,
     Transliterator,
     build_transliterator,
-    classify_token,
-    classify_tokens,
     localize_digits,
     scan_residuals,
     transliterate_residuals,
@@ -43,41 +41,32 @@ class UppercaseTransliterator(Transliterator):
         return [t.upper() for t in tokens]
 
 
-# -- classify_tokens --
+# -- scan_residuals --
 
 
 def test_classify_latin_and_devanagari():
-    tokens = classify_tokens("Beyonce जन्म")
-    assert [(t.token, t.script) for t in tokens] == [
-        ("Beyonce", Script.LATIN),
-        ("जन्म", Script.DEVANAGARI),
-    ]
-    assert [t.start for t in tokens] == [0, 8]
+    assert scan_residuals("Beyonce जन्म") == ([(0, 7)], [])
 
 
 def test_classify_neutral_tokens():
-    tokens = classify_tokens("1234 ,.")
-    assert [(t.token, t.script) for t in tokens] == [
-        ("1234", Script.NEUTRAL),
-        (",.", Script.NEUTRAL),
-    ]
+    assert scan_residuals("1234 ,.") == ([], [])
 
 
 def test_classify_mixed_scripts():
-    assert classify_token("abcक") is Script.MIXED
+    assert scan_residuals("abcक") == ([], ["abcक"])
 
 
 def test_classify_latin_token_with_digits_is_mixed():
-    assert classify_token("abc123") is Script.MIXED
+    assert scan_residuals("abc123") == ([], ["abc123"])
 
 
 def test_classify_devanagari_digits_count_as_devanagari():
-    assert classify_token("१९८१") is Script.DEVANAGARI
+    assert scan_residuals("१९८१") == ([], [])
 
 
 def test_classify_ignores_attached_punctuation():
-    assert classify_token("(जन्म") is Script.DEVANAGARI
-    assert classify_token("Knowles-Carter,") is Script.LATIN
+    assert scan_residuals("(जन्म") == ([], [])
+    assert scan_residuals("Knowles-Carter,") == ([(0, 15)], [])
 
 
 def test_tokens_reconstruct_non_whitespace_content():
@@ -85,11 +74,10 @@ def test_tokens_reconstruct_non_whitespace_content():
     alphabet = "ab क१ .,! \t\n 9"
     for _ in range(200):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 30)))
-        tokens = classify_tokens(text)
-        assert "".join(t.token for t in tokens) == "".join(c for c in text if not c.isspace())
-        for t in tokens:
-            assert text[t.start : t.start + len(t.token)] == t.token
-            assert isinstance(t.script, Script)
+        latin, mixed = scan_residuals(text)
+        tokens = dict(reference.iter_raw_tokens(text))  # start -> token
+        assert all(tokens.get(start) == text[start:end] for start, end in latin)
+        assert all(token in tokens.values() for token in mixed)
 
 
 # -- localize_digits --
@@ -241,7 +229,8 @@ def test_more_latin_tokens_than_one_chunk_holds():
 
 def test_transient_failure_once_per_chunk_is_retried(monkeypatch):
     sleeps: list[float] = []
-    monkeypatch.setattr(translation.time, "sleep", sleeps.append)
+    gateway = functools.partial(translation.call_model, sleep=sleeps.append)
+    monkeypatch.setattr(pipeline, "call_model", gateway)
 
     class FlakyTransliterator(UppercaseTransliterator):
         def __init__(self):
@@ -267,7 +256,8 @@ def test_transient_failure_once_per_chunk_is_retried(monkeypatch):
 
 
 def test_transient_failures_past_the_retry_budget_make_the_model_unavailable(monkeypatch):
-    monkeypatch.setattr(translation.time, "sleep", lambda seconds: None)
+    gateway = functools.partial(translation.call_model, sleep=lambda seconds: None)
+    monkeypatch.setattr(pipeline, "call_model", gateway)
 
     class DownTransliterator(Transliterator):
         def transliterate(self, tokens):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import threading
 import time
 from pathlib import Path
@@ -129,7 +130,7 @@ def test_cache_lookup_before_store_is_absent(tmp_path):
 def test_cache_store_then_lookup(tmp_path):
     key = ("identity", "en", "mr", "hello")
     with TranslationCache(tmp_path / "cache.jsonl") as cache:
-        cache.store(key, "नमस्कार")
+        cache.store_many([(key, "नमस्कार")])
         assert cache.lookup(key) == "नमस्कार"
 
 
@@ -137,23 +138,23 @@ def test_cache_survives_reopen(tmp_path):
     path = tmp_path / "cache.jsonl"
     key = ("identity", "en", "mr", "hello")
     with TranslationCache(path) as cache:
-        cache.store(key, "नमस्कार")
+        cache.store_many([(key, "नमस्कार")])
     with TranslationCache(path) as reopened:
         assert reopened.lookup(key) == "नमस्कार"
 
 
 def _cache_with_two_entries(path):
     with TranslationCache(path) as cache:
-        cache.store(("identity", "en", "mr", "a"), "A")
-        cache.store(("identity", "en", "mr", "b"), "B")
+        cache.store_many([(("identity", "en", "mr", "a"), "A")])
+        cache.store_many([(("identity", "en", "mr", "b"), "B")])
 
 
 def _reopen_and_store_twice(path):
     cache = TranslationCache(path)
     assert len(cache) == 2
-    cache.store(("identity", "en", "mr", "c"), "C")
+    cache.store_many([(("identity", "en", "mr", "c"), "C")])
     cache.close()  # the file is repaired once; a store after close appends
-    cache.store(("identity", "en", "mr", "d"), "D")
+    cache.store_many([(("identity", "en", "mr", "d"), "D")])
     cache.close()
     with TranslationCache(path) as reopened:
         got = [reopened.lookup(("identity", "en", "mr", t)) for t in "abcd"]
@@ -202,7 +203,7 @@ def test_cache_corrupt_middle_line_names_path_and_line(tmp_path, bad, message):
 
 def test_cache_key_includes_engine_id(tmp_path):
     with TranslationCache(tmp_path / "cache.jsonl") as cache:
-        cache.store(("engine-a", "en", "mr", "x"), "from-a")
+        cache.store_many([(("engine-a", "en", "mr", "x"), "from-a")])
         assert cache.lookup(("engine-b", "en", "mr", "x")) is None
 
 
@@ -254,7 +255,7 @@ def test_cache_writes_and_flushes_once_per_chunk(tmp_path, monkeypatch):
 
 def test_cache_in_memory_without_path():
     cache = TranslationCache()
-    cache.store(("identity", "en", "mr", "x"), "y")
+    cache.store_many([(("identity", "en", "mr", "x"), "y")])
     assert cache.lookup(("identity", "en", "mr", "x")) == "y"
 
 
@@ -324,7 +325,7 @@ def test_engine_chunks_keep_input_order(max_workers):
 def test_on_settled_gets_each_chunk_after_it_is_cached(max_workers):
     texts = [f"w{i}" for i in range(9)] + ["w2"]
     cache = TranslationCache()
-    cache.store(("uppercase", "en", "mr", "w4"), "W4")  # a hit never reaches the hook
+    cache.store_many([(("uppercase", "en", "mr", "w4"), "W4")])  # a hit never reaches the hook
     settled = []
 
     def on_settled(outputs):
@@ -504,6 +505,53 @@ def test_chunks_that_have_not_started_are_cancelled_after_a_failure():
                    batch_size=1, max_workers=2)
     # Chunk 0 and at most the one chunk the other worker had started.
     assert 0 in started and set(started) <= {0, 1}
+
+
+def test_a_failure_cuts_short_the_backoff_of_a_later_chunk():
+    called = []
+
+    def call(chunk):
+        called.append(chunk[0])
+        if chunk[0] == 0:
+            time.sleep(0.05)
+            raise RuntimeError("crashed")
+        raise TransientEngineError("busy")  # chunk 1 backs off 1 s, then 2 s
+
+    began = time.monotonic()
+    with pytest.raises(EngineError, match="model failed on a chunk of 1: crashed"):
+        call_model(call, [0, 1], "model", engine_error, lambda chunk, out: None,
+                   batch_size=1, max_workers=2)
+    assert time.monotonic() - began < 0.5
+    assert sorted(called) == [0, 1]  # chunk 1 never calls the model again
+
+
+@pytest.mark.parametrize("bad", [3, 17, 40])
+def test_under_thread_churn_the_first_failure_is_raised_after_every_earlier_chunk(bad):
+    # Chunks bad, bad + 7, ... crash; every fifth chunk fails once first.
+    failed_once = set()
+    lock = threading.Lock()
+
+    def call(chunk):
+        with lock:
+            first_try = chunk[0] % 5 == 0 and chunk[0] not in failed_once
+            failed_once.add(chunk[0])
+        if first_try:
+            raise TransientEngineError("busy")
+        if chunk[0] >= bad and (chunk[0] - bad) % 7 == 0:
+            raise RuntimeError(f"crashed on {chunk[0]}")
+        return chunk
+
+    settled = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(EngineError, match=f"crashed on {bad}$"):
+            call_model(call, list(range(60)), "model", engine_error,
+                       lambda chunk, out: settled.append(chunk[0]), batch_size=1,
+                       max_workers=8, sleep=lambda seconds: time.sleep(0.001))
+    finally:
+        sys.setswitchinterval(interval)
+    assert settled == list(range(bad))
 
 
 @pytest.mark.parametrize("max_workers", [1, 4])
