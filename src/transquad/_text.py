@@ -4,11 +4,11 @@ Character-level predicates, the lazily filled ``str.translate`` table of
 the script scans and of answer normalization, the one line reader of every
 plain-text input with the two-column table format that the mock
 translation engine and transliterator both read, the block hash that names
-a table's content, the one reader of every
-JSON and JSON Lines input with its field-type check, and the atomic file
-write every output goes through. All offsets and lengths in this package
-count Unicode code points, which is what Python string indexing gives us
-for free.
+a table's content, the one reader of every JSON and JSON Lines input
+(bytes as read from the file, never text) with its field-type check, and
+the atomic file write every output goes through. All offsets and lengths in
+this package count Unicode code points, which is what Python string
+indexing gives us for free.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def parse_json(data: bytes | str, where: str) -> Any:
+def parse_json(data: bytes, where: str) -> Any:
     """Decode UTF-8 ``data`` and parse it as one JSON value.
 
     Bytes that are not UTF-8, text that is not JSON, JSON nested deeper
@@ -177,9 +177,8 @@ def parse_json(data: bytes | str, where: str) -> Any:
     an EncodingError) whose message starts ``where:``; for the first three
     its ``__cause__`` is the original error.
     """
-    if isinstance(data, bytes):
-        # Rebound, so that bytes nobody else holds are freed before parsing.
-        data = decode_utf8(data, where)
+    # Rebound, so that bytes nobody else holds are freed before parsing.
+    data = decode_utf8(data, where)
     try:
         value = json.loads(data)
         # Only a text with such an escape pays for looking at every string.

@@ -9,6 +9,10 @@ span satisfies ``context[start : start + len(text)] == text``, full stop.
 When an answer occurs several times, the occurrence whose relative position
 is closest to the answer's relative position in the source context wins;
 ties break to the smallest start.
+
+A rejection's detail quotes the stripped answer and, when it was not found,
+the stretch of the translated context where the source placed it, each cut
+to ``EXCERPT`` code points.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .filtering import (
 # One trailing sentence terminator is stripped from translated answers:
 # ASCII full stop and the Devanagari danda a translator may emit instead.
 TRAILING_MARKS = (".", "।")
+EXCERPT = 80  # code points of answer or context quoted in a rejection detail
 
 
 @dataclass(frozen=True)
@@ -49,10 +54,11 @@ class AlignmentCandidate:
 
 @dataclass(frozen=True)
 class AlignmentOutcome:
-    """Either an aligned span or a rejection reason, never both."""
+    """Either an aligned span or a rejection reason and its detail, never both."""
 
     span: AnswerSpan | None
     reason: str | None
+    detail: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -63,8 +69,8 @@ class AlignmentOutcome:
         return cls(span=AnswerSpan(text=text, start=start), reason=None)
 
     @classmethod
-    def rejected(cls, reason: str) -> "AlignmentOutcome":
-        return cls(span=None, reason=reason)
+    def rejected(cls, reason: str, detail: str) -> "AlignmentOutcome":
+        return cls(span=None, reason=reason, detail=detail)
 
 
 def strip_trailing_period(answer: str) -> str:
@@ -100,13 +106,18 @@ def realign(candidate: AlignmentCandidate) -> AlignmentOutcome:
     """
     answer = strip_trailing_period(candidate.translated_answer)
     if not answer.strip():
-        return AlignmentOutcome.rejected(REASON_EMPTY_AFTER_STRIP)
+        return AlignmentOutcome.rejected(REASON_EMPTY_AFTER_STRIP, f"answer {answer[:EXCERPT]!r}")
     context = candidate.translated_context
     occurrences = find_occurrences(context, answer)
     if not occurrences:
         occurrences = find_occurrences(ascii_casefold(context), ascii_casefold(answer))
         if not occurrences:
-            return AlignmentOutcome.rejected(REASON_ANSWER_NOT_FOUND)
+            # The excerpt centred where the source context had the answer.
+            at = max(0, round(candidate.original_relative_position * len(context)) - EXCERPT // 2)
+            return AlignmentOutcome.rejected(
+                REASON_ANSWER_NOT_FOUND,
+                f"answer {answer[:EXCERPT]!r} not in context {context[at : at + EXCERPT]!r}",
+            )
     if len(occurrences) == 1:
         start = occurrences[0]
     else:
@@ -139,5 +150,5 @@ def align_corpus(
                 )
             )
         else:
-            log.append(RejectionEntry(cand.qid, STAGE_ALIGNMENT, outcome.reason))
+            log.append(RejectionEntry(cand.qid, STAGE_ALIGNMENT, outcome.reason, outcome.detail))
     return Corpus(split=split, records=tuple(records)), log

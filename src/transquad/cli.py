@@ -144,7 +144,7 @@ def _cmd_filter(args) -> int:
     # The log first: a log that cannot be written fails the command before its output.
     log.write(args.rejection_log or cfg.rejection_log_path)
     # Spans pass through unchecked, as translate takes them; validate audits them.
-    save_corpus(kept, args.output or _derived(cfg, ".filtered.json"), allow_invalid=True)
+    save_corpus(kept, args.output or _derived(cfg, ".filtered.json"))
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
     return 0
 

@@ -1,16 +1,16 @@
 """SQuAD v1.1 corpus model: parse, serialize, span validation, answer collapse, stats.
 
 Answer offsets are Unicode code-point offsets into the context, the same unit
-as Python string indices. Parsing is structural (schema shape, presence,
-types); whether a span actually matches its context is a semantic question
-answered by :func:`validate_spans`, so invalid files can still be loaded and
-audited.
+as Python string indices. Parsing takes the file's bytes and is structural
+(schema shape, presence, types); whether a span actually matches its context
+is a semantic question answered by :func:`validate_spans`, so invalid files
+can still be loaded, audited and written back.
 
-Serialization is deterministic: serializing the same corpus twice yields
-byte-identical documents, and ``parse_corpus(serialize_corpus(c))`` preserves
-every record. Unknown fields on qa objects (e.g. ``is_impossible``) are kept
-and re-emitted; unknown fields at the document/article/paragraph level are
-dropped with a warning.
+Serialization is deterministic and checks no span: serializing the same
+corpus twice yields byte-identical documents, and
+``parse_corpus(serialize_corpus(c))`` preserves every record. Unknown fields
+on qa objects (e.g. ``is_impossible``) are kept and re-emitted; unknown fields
+at the document/article/paragraph level are dropped with a warning.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     EmptyAnswersError,
     EncodingError,
     FieldError,
-    InvalidCorpusError,
     MalformedDocumentError,
 )
 
@@ -127,7 +126,7 @@ class StatsReport:
         }
 
 
-def parse_corpus(raw: bytes | str, split: str, where: str = "input") -> Corpus:
+def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
     """Parse SQuAD v1.1 JSON bytes into a Corpus, preserving document order.
 
     Raises MalformedDocumentError (with the path to the offending node) on
@@ -201,24 +200,16 @@ def parse_corpus(raw: bytes | str, split: str, where: str = "input") -> Corpus:
     return Corpus(split=split, records=tuple(records), version=str(doc.get("version", "1.1")))
 
 
-def serialize_corpus(corpus: Corpus, allow_invalid: bool = False) -> bytes:
+def serialize_corpus(corpus: Corpus) -> bytes:
     """Emit deterministic SQuAD v1.1 JSON (UTF-8 bytes).
 
     Consecutive records sharing a title become one article, and within it
     consecutive records sharing a context become one paragraph, so
     parse_corpus(serialize_corpus(c)) preserves record order for any corpus,
-    grouped or not. Refuses corpora with span violations unless
-    ``allow_invalid`` is set.
+    grouped or not. Spans are written as they are, sound or not: checking
+    them is ``validate_spans``'s job, which ``pipeline.write_dataset`` runs
+    before every final output.
     """
-    if not allow_invalid:
-        report = validate_spans(corpus)
-        if not report.ok:
-            sample = ", ".join(f"{v.qid}:{v.reason}" for v in report.violations[:3])
-            raise InvalidCorpusError(
-                f"corpus has {len(report.violations)} span violation(s) ({sample}); "
-                "fix them or pass allow_invalid=True"
-            )
-
     data: list[dict[str, Any]] = []
     for rec in corpus.records:
         if not data or data[-1]["title"] != rec.title:
@@ -296,5 +287,5 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
     return parse_corpus(Path(path).read_bytes(), split, str(path))
 
 
-def save_corpus(corpus: Corpus, path: str | Path, allow_invalid: bool = False) -> None:
-    atomic_write(path, serialize_corpus(corpus, allow_invalid=allow_invalid))
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    atomic_write(path, serialize_corpus(corpus))

@@ -34,7 +34,7 @@ class FieldError(TransquadError, ValueError):
 
 
 class InvalidCorpusError(TransquadError):
-    """Corpus has span violations and the caller did not allow them."""
+    """The pipeline's final corpus has span violations; ``write_dataset`` writes nothing."""
 
 
 class EmptyAnswersError(TransquadError):

@@ -18,7 +18,10 @@ when the ``postprocess`` subcommand runs on its own.
 ``run_pipeline`` and the CLI's stage subcommands call the same stage
 functions, one stage per subcommand (``filter`` runs ``prefilter``,
 ``translate`` only ``translate_records``), so both write the same corpus,
-rejection log and stats.
+rejection log and stats. Every translation goes through a TranslationCache,
+an in-memory one if need be. A ``run_pipeline`` failure is a PipelineError
+naming the stage it failed in (``_stage``): setup, parse, filter,
+translate, postprocess, realign or write.
 
 Outputs are written atomically (temp file + rename), so an aborted run never
 leaves a truncated dataset behind. With deterministic engines a fixed config
@@ -35,9 +38,10 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from ._text import (
     INTEGER, NUMBER, STRING, STRING_OR_NULL, atomic_write, check_fields, json_lines, parse_json
@@ -232,7 +236,7 @@ def translate_records(
     *,
     source_lang: str,
     target_lang: str,
-    cache: TranslationCache | None = None,
+    cache: TranslationCache,
     parallelism: int = DEFAULT_MAX_WORKERS,
     scanned: dict[str, Residuals] | None = None,
 ) -> list[AlignmentCandidate]:
@@ -272,7 +276,6 @@ def translate_records(
         ),
         source_lang=source_lang,
         target_lang=target_lang,
-        engine_id=engine.engine_id,
     )
     out = translate_batch(
         request,
@@ -354,6 +357,20 @@ def postprocess_candidates(
     ]
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Raise a failure inside the block as PipelineError naming stage ``name``.
+
+    A PipelineError passes through, so the innermost stage names a failure.
+    """
+    try:
+        yield
+    except PipelineError:
+        raise
+    except (TransquadError, OSError, ValueError) as exc:
+        raise PipelineError(name, str(exc)) from exc
+
+
 def run_corpus_pipeline(
     corpus: Corpus,
     engine: TranslationEngine,
@@ -362,27 +379,33 @@ def run_corpus_pipeline(
     *,
     source_lang: str,
     target_lang: str,
-    cache: TranslationCache | None = None,
+    cache: TranslationCache,
     parallelism: int = DEFAULT_MAX_WORKERS,
 ) -> PipelineResult:
-    """The in-memory pipeline core: every stage between parse and serialize."""
-    kept, log = prefilter(corpus, filter_cfg)
+    """The in-memory pipeline core: every stage between parse and serialize.
+
+    A failure raises PipelineError naming its stage: ``filter``,
+    ``translate``, ``postprocess`` or ``realign``.
+    """
+    with _stage("filter"):
+        kept, log = prefilter(corpus, filter_cfg)
     scanned: dict[str, Residuals] = {}  # filled while translating, read by postprocess
-    candidates = translate_records(
-        kept.records,
-        engine,
-        source_lang=source_lang,
-        target_lang=target_lang,
-        cache=cache,
-        parallelism=parallelism,
-        scanned=scanned,
-    )
-    aligned, alignment_log = align_corpus(
-        postprocess_candidates(
+    with _stage("translate"):
+        candidates = translate_records(
+            kept.records,
+            engine,
+            source_lang=source_lang,
+            target_lang=target_lang,
+            cache=cache,
+            parallelism=parallelism,
+            scanned=scanned,
+        )
+    with _stage("postprocess"):
+        candidates = postprocess_candidates(
             candidates, transliterator, parallelism=parallelism, scanned=scanned
-        ),
-        split=corpus.split,
-    )
+        )
+    with _stage("realign"):
+        aligned, alignment_log = align_corpus(candidates, split=corpus.split)
     log.extend(alignment_log)
     return PipelineResult(
         corpus=aligned,
@@ -405,46 +428,38 @@ def write_dataset(
 ) -> None:
     """Check every span, then write the corpus, the rejection log and the stats, each atomically.
 
-    Nothing is written when the check fails. The check here is the only
-    one: serialization is told not to repeat it.
+    Nothing is written when the check fails. This is the one span check
+    before output: serialization writes spans as they are.
     """
     report = validate_spans(corpus)
     if not report.ok:
         raise InvalidCorpusError(
             f"pipeline produced {len(report.violations)} invalid span(s); this is a bug"
         )
-    atomic_write(output_path, serialize_corpus(corpus, allow_invalid=True))
+    atomic_write(output_path, serialize_corpus(corpus))
     log.write(rejection_log_path)
     atomic_write(stats_path, _json_bytes(compute_stats(corpus).to_dict()))
 
 
 def run_pipeline(
-    cfg: PipelineConfig,
-    engine: TranslationEngine | None = None,
-    transliterator: Transliterator | None = None,
+    cfg: PipelineConfig, engine: TranslationEngine | None = None
 ) -> PipelineRunSummary:
     """Run the full pipeline per config and write corpus, log, stats, and summary.
 
-    ``engine``/``transliterator`` default to whatever the config ids resolve
-    to; passing instances directly is the hook for instrumented runs. Any
-    stage failure raises PipelineError naming the stage; nothing is written
-    until the final corpus has been validated.
+    ``engine`` defaults to whatever the config's ``engine_id`` resolves to.
+    Any failure raises PipelineError naming its stage: ``setup``, ``parse``,
+    those of ``run_corpus_pipeline``, or ``write`` (``translate`` also
+    covers opening the cache). Nothing is written until the final corpus
+    has been validated.
     """
     started = time.perf_counter()
-    stage = "setup"
-    cache = None
-    try:
+    with _stage("setup"):
         if engine is None:
             engine = build_engine(cfg.engine_id)
-        if transliterator is None:
-            transliterator = build_transliterator(cfg.transliterator_id)
-
-        stage = "parse"
-        raw = Path(cfg.input_path).read_bytes()
-        corpus = parse_corpus(raw, cfg.split, cfg.input_path)
-
-        stage = "translate"
-        cache = TranslationCache(cfg.cache_path)
+        transliterator = build_transliterator(cfg.transliterator_id)
+    with _stage("parse"):
+        corpus = parse_corpus(Path(cfg.input_path).read_bytes(), cfg.split, cfg.input_path)
+    with _stage("translate"), TranslationCache(cfg.cache_path) as cache:
         result = run_corpus_pipeline(
             corpus,
             engine,
@@ -455,8 +470,7 @@ def run_pipeline(
             cache=cache,
             parallelism=cfg.parallelism,
         )
-
-        stage = "write"
+    with _stage("write"):
         write_dataset(
             result.corpus,
             result.rejection_log,
@@ -472,14 +486,7 @@ def run_pipeline(
             wall_time=time.perf_counter() - started,
         )
         atomic_write(cfg.summary_path, _json_bytes(summary.to_dict()))
-        return summary
-    except PipelineError:
-        raise
-    except (TransquadError, OSError, ValueError) as exc:
-        raise PipelineError(stage, str(exc)) from exc
-    finally:
-        if cache is not None:
-            cache.close()
+    return summary
 
 
 # -- candidates JSONL: the interchange format between stage subcommands --

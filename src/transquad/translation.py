@@ -11,10 +11,11 @@ engine passes unknown words through untouched, which mimics the
 untranslated residue the script tools clean up afterwards.
 
 The cache is a JSON Lines file keyed by (engine_id, source_lang, target_lang,
-source_text); it is loaded into memory when opened and appended to once per
-engine chunk, so entries survive process restarts. The dictionary engine's
-id names the content of its table, so an entry is served only to a run with
-the table that made it.
+source_text), where engine_id is that of the engine that made the entry. It
+is loaded into memory when opened and appended to once per engine chunk, so
+entries survive process restarts. The dictionary engine's id names the
+content of its table, so an entry is served only to a run with the table
+that made it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class TranslationRequest:
     texts: tuple[str, ...]
     source_lang: str
     target_lang: str
-    engine_id: str
 
     def __post_init__(self) -> None:
         if not self.texts:
@@ -355,15 +355,17 @@ def call_model(
 def translate_batch(
     request: TranslationRequest,
     engine: TranslationEngine,
-    cache: TranslationCache | None = None,
+    cache: TranslationCache,
     *,
     on_settled: Callable[[list[str]], None] | None = None,
     **gateway: Any,
 ) -> list[str]:
     """Translate a batch, consulting the cache per text before touching the engine.
 
-    The output list is parallel to the input (same length, same order).
-    Duplicate texts are sent to the engine once. Cache misses go through
+    Cache keys carry ``engine.engine_id``: the engine that makes a
+    translation names the key it is stored under. The output list is
+    parallel to the input (same length, same order). Duplicate texts are
+    sent to the engine once. Cache misses go through
     ``call_model``, which takes the keyword arguments (``batch_size``,
     ``max_workers``, ...), and each chunk is cached as it is settled, so an
     engine failure on a later chunk keeps every earlier one cached.
@@ -374,20 +376,16 @@ def translate_batch(
     texts = list(request.texts)
     results: list[str | None] = [None] * len(texts)
     pending: dict[str, list[int]] = {}
+    prefix = (engine.engine_id, request.source_lang, request.target_lang)
     for i, text in enumerate(texts):
-        key = (request.engine_id, request.source_lang, request.target_lang, text)
-        hit = cache.lookup(key) if cache is not None else None
+        hit = cache.lookup((*prefix, text))
         if hit is not None:
             results[i] = hit
         else:
             pending.setdefault(text, []).append(i)
 
     def settle(chunk: list[str], out: list[str]) -> None:
-        if cache is not None:
-            cache.store_many(
-                ((request.engine_id, request.source_lang, request.target_lang, source), value)
-                for source, value in zip(chunk, out)
-            )
+        cache.store_many(((*prefix, source), value) for source, value in zip(chunk, out))
         for source, value in zip(chunk, out):
             for i in pending[source]:
                 results[i] = value

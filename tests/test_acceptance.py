@@ -40,7 +40,7 @@ from transquad.script_tools import (
     scan_residuals,
     transliterate_residuals,
 )
-from transquad.translation import DictionaryEngine, IdentityEngine
+from transquad.translation import DictionaryEngine, IdentityEngine, TranslationCache
 
 import reference_scripts
 from conftest import (
@@ -211,6 +211,9 @@ def test_criterion_04_span_soundness():
             FilterConfig(non_latin_letter_ratio_threshold=threshold),
             source_lang="en",
             target_lang="mr",
+            # Fresh per run: every table engine is named "dictionary", so a
+            # shared cache would serve one table's translations to the next.
+            cache=TranslationCache(),
         )
         report = validate_spans(result.corpus)
         assert report.ok, report.violations

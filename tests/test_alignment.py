@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
 
 from transquad.alignment import (
+    EXCERPT,
     AlignmentCandidate,
     align_corpus,
     find_occurrences,
@@ -172,6 +174,36 @@ def test_align_corpus_counts_and_log():
     assert len(corpus) + len(log) == len(cands)
     assert corpus.split == "test"
     assert validate_spans(corpus).ok
+
+
+def test_every_alignment_rejection_quotes_its_answer_and_context():
+    left, right = "क" * 300, "ख" * 300
+    cands = [
+        candidate("कख कग", " । ", qid="q1"),
+        candidate("कख कग", "zzz.", qid="q2"),
+        candidate(left + " मध्य " + right, "ग" * 200 + ".", rel=0.5, qid="q3"),
+        candidate("it's a \\ path", "its 'quoted' \\ answer", rel=1.0, qid="q4"),
+    ]
+    _, log = align_corpus(cands)
+    assert [(e.qid, e.reason) for e in log] == [
+        ("q1", "empty-after-strip"),
+        ("q2", "answer-not-found"),
+        ("q3", "answer-not-found"),
+        ("q4", "answer-not-found"),
+    ]
+    excerpts = {}
+    for entry, cand in zip(log, cands):
+        quoted, *context = entry.detail.removeprefix("answer ").split(" not in context ")
+        answer = strip_trailing_period(cand.translated_answer)
+        assert ast.literal_eval(quoted) == answer[:EXCERPT]
+        assert len(context) == (entry.reason == "answer-not-found")
+        for part in context:
+            excerpts[entry.qid] = ast.literal_eval(part)
+            assert 0 < len(excerpts[entry.qid]) <= EXCERPT
+            assert excerpts[entry.qid] in cand.translated_context
+    assert excerpts["q2"] == "कख कग"
+    assert " मध्य " in excerpts["q3"]  # where the source had the answer
+    assert excerpts["q4"] == cands[3].translated_context
 
 
 def test_align_corpus_identity_translation_reproduces_offsets():

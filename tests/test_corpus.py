@@ -21,7 +21,6 @@ from transquad.corpus import (
 from transquad.errors import (
     EmptyAnswersError,
     EncodingError,
-    InvalidCorpusError,
     MalformedDocumentError,
 )
 
@@ -218,14 +217,16 @@ def test_serialize_emits_answer_start_707():
     assert b'"answer_start":707' in out
 
 
-def test_serialize_refuses_invalid_spans_unless_allowed():
+def test_serialize_writes_invalid_spans_as_they_are():
+    """Serialization checks no span; write_dataset's check and validate do."""
     rec = QaRecord(
-        qid="q1", question="?", context="abc", answers=(AnswerSpan("zzz", 0),), title="t"
+        qid="q1", question="?", context="abc", answers=(AnswerSpan("zzz", 7),), title="t"
     )
     corpus = Corpus(split="train", records=(rec,))
-    with pytest.raises(InvalidCorpusError):
-        serialize_corpus(corpus)
-    assert b'"zzz"' in serialize_corpus(corpus, allow_invalid=True)
+    assert not validate_spans(corpus).ok
+    out = serialize_corpus(corpus)
+    assert b'"answers":[{"text":"zzz","answer_start":7}]' in out
+    assert parse_corpus(out, "train").records == corpus.records
 
 
 def test_round_trip_on_50_record_fixture():

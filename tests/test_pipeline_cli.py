@@ -27,6 +27,7 @@ from transquad.errors import (
     InvalidCorpusError,
     MissingEmbeddingError,
     PipelineError,
+    TransliterationError,
 )
 from transquad.evaluation import TableEmbeddingProvider
 from transquad.filtering import STAGE_PRE_FILTER, FilterConfig, RejectionEntry, RejectionLog
@@ -45,6 +46,7 @@ from transquad.script_tools import MIXED_SAMPLE_SIZE, IdentityTransliterator
 from transquad.translation import (
     DictionaryEngine,
     IdentityEngine,
+    TranslationCache,
     TranslationEngine,
     translate_batch,
 )
@@ -215,6 +217,7 @@ def test_dictionary_pipeline_rejects_divergent_answers(tmp_path):
         FilterConfig(),
         source_lang="en",
         target_lang="mr",
+        cache=TranslationCache(),
     )
     assert {e.qid for e in result.rejection_log} == divergent
     assert all(e.reason == "answer-not-found" for e in result.rejection_log)
@@ -262,7 +265,12 @@ def test_text_repeated_across_fields_reaches_the_engine_once():
     c = replace(c, question=c.context)
     engine = CountingEngine(UppercaseEngine())
     candidates = translate_records(
-        [a, b, c, d], engine, source_lang="en", target_lang="mr", parallelism=1
+        [a, b, c, d],
+        engine,
+        source_lang="en",
+        target_lang="mr",
+        cache=TranslationCache(),
+        parallelism=1,
     )
     texts = [t for r in (a, b, c, d) for t in (r.context, r.question, r.answers[0].text)]
     # Each distinct text once, in the interleaved queue order.
@@ -307,6 +315,32 @@ def test_pipeline_error_names_parse_stage(tmp_path):
     with pytest.raises(PipelineError) as err:
         run_pipeline(load_config(path))
     assert err.value.stage == "parse"
+
+
+class RefusingTransliterator(IdentityTransliterator):
+    def transliterate(self, tokens):
+        raise TransliterationError("service refused the request")
+
+
+@pytest.mark.parametrize("stage, code", [("setup", 2), ("filter", 2), ("postprocess", 1)])
+def test_cli_pipeline_failure_names_its_stage(tmp_path, capsys, monkeypatch, stage, code):
+    write_input(tmp_path, build_english_corpus(4, seed=5))
+    if stage == "setup":
+        path, _ = write_config(tmp_path, engine_id="no-such-engine")
+        reason = "unknown engine id 'no-such-engine'"
+    elif stage == "filter":
+        (tmp_path / "excl").mkdir()
+        path, _ = write_config(tmp_path, filter={"exclusion_list_path": str(tmp_path / "excl")})
+        reason = f"cannot read exclusion list {tmp_path / 'excl'}: Is a directory"
+    else:
+        path, _ = write_config(tmp_path)
+        monkeypatch.setattr(
+            transquad.pipeline, "build_transliterator", lambda tid: RefusingTransliterator()
+        )
+        reason = "service refused the request"
+    assert main(["--config", str(path), "pipeline"]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: stage '{stage}' failed: {reason}"]
+    assert not (tmp_path / "output.json").exists()
 
 
 CHUNK = 8  # texts per engine call in the tests below
@@ -702,7 +736,7 @@ def test_cli_filter_passes_spans_through_as_translate_and_pipeline_do(tmp_path, 
     first = corpus.records[0]
     far = replace(first, answers=(replace(first.answers[0], start=1_000_000),))
     corpus = replace(corpus, records=(far, *corpus.records[1:]))
-    (tmp_path / "input.json").write_bytes(serialize_corpus(corpus, allow_invalid=True))
+    (tmp_path / "input.json").write_bytes(serialize_corpus(corpus))
     path, _ = write_config(tmp_path)
     for command in ("filter", "translate", "pipeline"):
         assert main(["--config", str(path), command]) == 0, capsys.readouterr().err
@@ -985,7 +1019,11 @@ def write_each_output(tmp_path, name):
         RejectionLog([RejectionEntry("q1", STAGE_PRE_FILTER, "too-short")]).write(path)
     else:
         candidates = translate_records(
-            corpus.records, IdentityEngine(), source_lang="en", target_lang="mr"
+            corpus.records,
+            IdentityEngine(),
+            source_lang="en",
+            target_lang="mr",
+            cache=TranslationCache(),
         )
         write_candidates(candidates, path)
     return path

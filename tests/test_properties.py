@@ -582,10 +582,10 @@ def corpora(draw):
 @settings(max_examples=100, deadline=None)  # drawing a corpus is the slow part
 @given(corpora())
 def test_serialize_then_parse_gives_the_corpus_back(corpus):
-    raw = serialize_corpus(corpus, allow_invalid=True)
+    raw = serialize_corpus(corpus)
     again = parse_corpus(raw, corpus.split)
     assert again == corpus
-    assert serialize_corpus(again, allow_invalid=True) == raw
+    assert serialize_corpus(again) == raw
 
 
 def pipeline_corpus(seed: int):

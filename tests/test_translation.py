@@ -35,10 +35,8 @@ from transquad.translation import (
 from conftest import CountingEngine, UppercaseEngine
 
 
-def request(texts, engine_id="identity"):
-    return TranslationRequest(
-        texts=tuple(texts), source_lang="en", target_lang="mr", engine_id=engine_id
-    )
+def request(texts):
+    return TranslationRequest(texts=tuple(texts), source_lang="en", target_lang="mr")
 
 
 # -- engines --
@@ -242,7 +240,7 @@ def test_cache_writes_and_flushes_once_per_chunk(tmp_path, monkeypatch):
     texts = [f"word{i}" for i in range(10)]  # chunks of 4: 0-3, 4-7, 8-9
     with TranslationCache(path) as cache:
         monkeypatch.setattr(Path, "open", counting_open)
-        translate_batch(request(texts, "uppercase"), UppercaseEngine(), cache, batch_size=4)
+        translate_batch(request(texts), UppercaseEngine(), cache, batch_size=4)
         cache.store_many([])
         monkeypatch.undo()
     assert len(opened) == 1
@@ -263,12 +261,13 @@ def test_cache_in_memory_without_path():
 
 
 def test_batch_identity():
-    out = translate_batch(request(["a", "b"]), IdentityEngine())
+    out = translate_batch(request(["a", "b"]), IdentityEngine(), TranslationCache())
     assert out == ["a", "b"]
 
 
 def test_batch_dictionary():
-    out = translate_batch(request(["cat"], "dictionary"), DictionaryEngine({"cat": "मांजर"}))
+    engine = DictionaryEngine({"cat": "मांजर"})
+    out = translate_batch(request(["cat"]), engine, TranslationCache())
     assert out == ["मांजर"]
 
 
@@ -291,19 +290,30 @@ def test_duplicate_texts_sent_once():
 
 
 def test_cache_coherence_after_batch(tmp_path):
-    req = request(["p", "q"], "uppercase")
+    req = request(["p", "q"])
     with TranslationCache(tmp_path / "cache.jsonl") as cache:
         out = translate_batch(req, UppercaseEngine(), cache)
         for text, value in zip(req.texts, out):
             assert cache.lookup(("uppercase", "en", "mr", text)) == value
 
 
+def test_one_cache_keeps_two_engines_apart():
+    req = request(["cat", "dog"])
+    cache = TranslationCache()
+    assert translate_batch(req, IdentityEngine(), cache) == ["cat", "dog"]
+    assert translate_batch(req, UppercaseEngine(), cache) == ["CAT", "DOG"]
+    for engine_id, value in (("identity", str), ("uppercase", str.upper)):
+        for text in req.texts:
+            assert cache.lookup((engine_id, "en", "mr", text)) == value(text)
+    assert len(cache) == 4
+
+
 def test_output_parallel_to_input_with_chunking():
     texts = [f"word{i}" for i in range(23)]
-    serial = translate_batch(request(texts, "uppercase"), UppercaseEngine(), batch_size=4,
+    serial = translate_batch(request(texts), UppercaseEngine(), TranslationCache(), batch_size=4,
                              max_workers=1)
-    threaded = translate_batch(request(texts, "uppercase"), UppercaseEngine(), batch_size=4,
-                               max_workers=4)
+    threaded = translate_batch(request(texts), UppercaseEngine(), TranslationCache(),
+                               batch_size=4, max_workers=4)
     assert serial == threaded == [t.upper() for t in texts]
 
 
@@ -311,7 +321,7 @@ def test_output_parallel_to_input_with_chunking():
 def test_engine_chunks_keep_input_order(max_workers):
     texts = [f"w{i}" for i in range(12)] + ["w1", "w3"]  # two repeats
     engine = CountingEngine(UppercaseEngine())
-    out = translate_batch(request(texts, "uppercase"), engine, batch_size=5,
+    out = translate_batch(request(texts), engine, TranslationCache(), batch_size=5,
                           max_workers=max_workers)
     assert out == [t.upper() for t in texts]
     unique = texts[:12]
@@ -332,7 +342,7 @@ def test_on_settled_gets_each_chunk_after_it_is_cached(max_workers):
         assert all(cache.lookup(("uppercase", "en", "mr", t.lower())) == t for t in outputs)
         settled.append(outputs)
 
-    out = translate_batch(request(texts, "uppercase"), UppercaseEngine(), cache, batch_size=3,
+    out = translate_batch(request(texts), UppercaseEngine(), cache, batch_size=3,
                           max_workers=max_workers, on_settled=on_settled)
     assert out == [t.upper() for t in texts]
     assert settled == [["W0", "W1", "W2"], ["W3", "W5", "W6"], ["W7", "W8"]]
@@ -346,7 +356,7 @@ def test_wrong_length_from_engine_is_an_error():
             return ["only one"]
 
     with pytest.raises(EngineError, match="engine 'broken' returned 1 replies for 2 inputs"):
-        translate_batch(request(["a", "b"], "broken"), BrokenEngine())
+        translate_batch(request(["a", "b"]), BrokenEngine(), TranslationCache())
 
 
 def test_unexpected_engine_exception_becomes_an_engine_error():
@@ -357,7 +367,7 @@ def test_unexpected_engine_exception_becomes_an_engine_error():
             raise KeyError("no such model")
 
     with pytest.raises(EngineError, match="engine 'crashing' failed on a chunk of 2: ") as err:
-        translate_batch(request(["a", "b"], "crashing"), CrashingEngine())
+        translate_batch(request(["a", "b"]), CrashingEngine(), TranslationCache())
     assert isinstance(err.value.__cause__, KeyError)
 
 
@@ -378,7 +388,7 @@ class FlakyEngine(TranslationEngine):
 def test_retry_with_exponential_backoff():
     sleeps = []
     engine = FlakyEngine(failures=2)
-    out = translate_batch(request(["a"]), engine, sleep=sleeps.append)
+    out = translate_batch(request(["a"]), engine, TranslationCache(), sleep=sleeps.append)
     assert out == ["a"]
     assert engine.calls == 3
     assert sleeps == [1.0, 2.0]
@@ -388,7 +398,7 @@ def test_retries_exhausted_raises_unavailable():
     sleeps = []
     engine = FlakyEngine(failures=99)
     with pytest.raises(EngineUnavailableError):
-        translate_batch(request(["a"]), engine, sleep=sleeps.append)
+        translate_batch(request(["a"]), engine, TranslationCache(), sleep=sleeps.append)
     assert engine.calls == 3
     assert sleeps == [1.0, 2.0]  # no sleep after the final attempt
 
@@ -406,7 +416,7 @@ def test_permanent_engine_error_not_retried():
 
     engine = RefusingEngine()
     with pytest.raises(EngineError):
-        translate_batch(request(["a"], "refusing"), engine)
+        translate_batch(request(["a"]), engine, TranslationCache())
     assert engine.calls == 1
 
 
@@ -427,7 +437,7 @@ class FailingTextEngine(TranslationEngine):
 @pytest.mark.parametrize("max_workers", [1, 3])
 def test_late_chunk_failure_keeps_earlier_chunks_cached(tmp_path, max_workers):
     texts = [f"word{i}" for i in range(10)]  # chunks of 4: 0-3, 4-7, 8-9
-    req = request(texts, "uppercase")
+    req = request(texts)
     path = tmp_path / "cache.jsonl"
     with TranslationCache(path) as cache, pytest.raises(EngineUnavailableError):
         translate_batch(req, FailingTextEngine("word9"), cache, batch_size=4,
@@ -443,9 +453,9 @@ def test_late_chunk_failure_keeps_earlier_chunks_cached(tmp_path, max_workers):
 
 def test_request_validates_inputs():
     with pytest.raises(ValueError):
-        TranslationRequest(texts=(), source_lang="en", target_lang="mr", engine_id="identity")
+        TranslationRequest(texts=(), source_lang="en", target_lang="mr")
     with pytest.raises(ValueError):
-        TranslationRequest(texts=("a",), source_lang="", target_lang="mr", engine_id="identity")
+        TranslationRequest(texts=("a",), source_lang="", target_lang="mr")
 
 
 # -- the gateway window --
@@ -567,7 +577,7 @@ def test_chunks_settle_and_are_cached_in_input_order(tmp_path, max_workers):
 
     path = tmp_path / "cache.jsonl"
     with TranslationCache(path) as cache:
-        out = translate_batch(request(texts, "uppercase"), UnevenEngine(), cache, batch_size=2,
+        out = translate_batch(request(texts), UnevenEngine(), cache, batch_size=2,
                               max_workers=max_workers, on_settled=settled.append)
     assert out == [t.upper() for t in texts]
     assert settled == [[t.upper() for t in texts[j : j + 2]] for j in range(0, 60, 2)]
