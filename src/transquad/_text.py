@@ -4,11 +4,11 @@ Character-level predicates, the lazily filled ``str.translate`` table of
 the script scans and of answer normalization, the one line reader of every
 plain-text input with the two-column table format that the mock
 translation engine and transliterator both read, the block hash that names
-a table's content, the one reader of every JSON and JSON Lines input
-(bytes as read from the file, never text) with its field-type check, and
-the atomic file write every output goes through. All offsets and lengths in
-this package count Unicode code points, which is what Python string
-indexing gives us for free.
+a table's content and the hash of a JSON value, the one reader of every
+JSON and JSON Lines input (bytes as read from the file, never text) with
+its field-type check, and the atomic file write every output goes through.
+All offsets and lengths in this package count Unicode code points, which is
+what Python string indexing gives us for free.
 """
 
 from __future__ import annotations
@@ -151,6 +151,13 @@ def file_digest(path: str | Path) -> FileDigest | None:
             newlines += int(np.count_nonzero(octets[:n] == ord("\n")))  # bytes.count is slower
             size += n
     return FileDigest(digest.digest(), newlines + 1, size)
+
+
+def json_digest(value: Any) -> str:
+    """Hex SHA-256 of ``value`` as JSON text (``ensure_ascii=False``), UTF-8 encoded."""
+    import hashlib  # as in file_digest: only a caller that hashes pays for importing it
+
+    return hashlib.sha256(json.dumps(value, ensure_ascii=False).encode("utf-8")).hexdigest()
 
 
 def decode_utf8(data: bytes, where: str) -> str:

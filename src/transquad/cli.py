@@ -13,9 +13,13 @@ writes the same corpus, rejection log and stats as one ``pipeline`` run: each
 subcommand runs the one stage function ``pipeline`` runs at that point.
 ``filter`` writes the pre-filter entries of the rejection log, ``translate``
 and ``postprocess`` never touch it, and ``realign`` keeps those entries and
-replaces any alignment entries. Two checks refuse outside input (exit 1):
+replaces any alignment entries. ``filter`` also writes a manifest beside
+the log (``<rejection log>.manifest.json``): the input's record count and
+the SHA-256 of its sorted qids. Checks refuse outside input (exit 1):
 ``translate`` a record without exactly one answer, and ``realign`` a
-candidate whose qid the log already rejects in the pre-filter.
+candidate whose qid the log already rejects in the pre-filter, or
+candidates and pre-filter entries that together are not the records the
+manifest recorded.
 
 Exit codes: 0 success, 1 data or validation failure, 2 configuration or I/O
 failure.
@@ -29,7 +33,7 @@ import logging
 import sys
 from pathlib import Path
 
-from ._text import atomic_write
+from ._text import INTEGER, STRING, atomic_write, check_fields, json_digest, parse_json
 from .alignment import align_corpus
 from .corpus import compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, TransquadError
@@ -137,12 +141,27 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+# What filter read, as realign checks it: the record count and the qid set.
+_MANIFEST_TYPES = {"records": INTEGER, "qids_sha256": STRING}
+
+
+def _manifest_path(log_path: str) -> Path:
+    return Path(f"{log_path}.manifest.json")
+
+
+def _manifest(qids: list[str]) -> dict:
+    return {"records": len(qids), "qids_sha256": json_digest(sorted(qids))}
+
+
 def _cmd_filter(args) -> int:
     cfg = _require_config(args)
     corpus = load_corpus(args.input or cfg.input_path, cfg.split)
     kept, log = prefilter(corpus, cfg.filter)
     # The log first: a log that cannot be written fails the command before its output.
-    log.write(args.rejection_log or cfg.rejection_log_path)
+    log_path = args.rejection_log or cfg.rejection_log_path
+    log.write(log_path)
+    manifest = _manifest([rec.qid for rec in corpus.records])
+    atomic_write(_manifest_path(log_path), (json.dumps(manifest) + "\n").encode("utf-8"))
     # Spans pass through unchecked, as translate takes them; validate audits them.
     save_corpus(kept, args.output or _derived(cfg, ".filtered.json"))
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
@@ -193,11 +212,33 @@ def _cmd_realign(args) -> int:
                 f"candidate {cand.qid!r} already has a pre-filter entry in {log_path}; "
                 "run filter again to write this corpus's log"
             )
+    _check_manifest(candidates, log, log_path)
     corpus, alignment_log = align_corpus(candidates, split=cfg.split)
     log.extend(alignment_log)
     write_dataset(corpus, log, args.output or cfg.output_path, log_path, cfg.stats_path)
     print(f"aligned {len(corpus)} of {len(candidates)} candidates ({len(alignment_log)} rejected)")
     return 0
+
+
+def _check_manifest(candidates: list, log: RejectionLog, log_path: str) -> None:
+    """Refuse candidates and pre-filter entries that are not the records filter read."""
+    path = _manifest_path(log_path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ValueError(f"no manifest {path} beside the rejection log; run filter first") from None
+    recorded = parse_json(data, str(path))
+    try:
+        check_fields(recorded, "a manifest", _MANIFEST_TYPES)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    qids = [cand.qid for cand in candidates] + [e.qid for e in log]
+    if _manifest(qids) != {key: recorded[key] for key in _MANIFEST_TYPES}:
+        raise ValueError(
+            f"{len(candidates)} candidates and {len(log)} pre-filter entries in {log_path} "
+            f"are not the {recorded['records']} records filter read ({path}); "
+            "run filter again to write this corpus's log"
+        )
 
 
 def _cmd_evaluate(args) -> int:

@@ -15,7 +15,10 @@ parses in a binary sidecar beside it. ``evaluate_predictions``
 sends the pairs to the provider through the model gateway
 (``translation.call_model``) in chunks of ``PAIRS_PER_CHUNK``, so the waits
 of different pairs overlap, and no worker runs out of pairs while another
-still has a long chunk ahead of it.
+still has a long chunk ahead of it. The gateway's ``call`` only waits on the
+model: it fetches a chunk's vectors on a pool thread. Its ``settle`` does the
+local compute: it scores each chunk on the calling thread, in input order,
+while later chunks are still waiting on the model.
 """
 
 from __future__ import annotations
@@ -135,11 +138,14 @@ class EmbeddingProvider:
     and gold normalize to the same tokens one array serves both sides.
 
     Calls for different pairs run on up to ``max_workers`` threads at once,
-    so ``embed`` must be thread-safe. It may raise ``TransientEngineError``
-    to have the pairs of its gateway chunk (``PAIRS_PER_CHUNK`` pairs, the
-    last one fewer) scored again, with backoff. Another
-    ``TransquadError`` (``MissingEmbeddingError``, say) passes through; any
-    other exception ends the evaluation in ``EmbeddingError``.
+    so ``embed`` must be thread-safe; those threads only wait on it, and the
+    vectors are scored on the thread that called ``evaluate_predictions``.
+    ``embed`` may raise ``TransientEngineError`` to have the vectors of its
+    gateway chunk (``PAIRS_PER_CHUNK`` pairs, the last one fewer) fetched
+    again, with backoff. Another ``TransquadError``
+    (``MissingEmbeddingError``, say) passes through; any other exception,
+    or vectors ``bert_score`` cannot score, ends the evaluation in
+    ``EmbeddingError``.
     """
 
     #: How many ``embed`` calls may be in flight at once. A remote model
@@ -427,19 +433,32 @@ class EvalReport:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, allow_nan=False)
 
 
-def _bert_f_for_pair(
+# The model name in the gateway's messages.
+_MODEL = "embedding provider"
+
+_Vectors = tuple[np.ndarray, np.ndarray]
+
+
+def _pair_vectors(
     gold_tokens: list[str], pred_tokens: list[str], embedder: EmbeddingProvider
-) -> float:
-    # Mirror token_f1's edge policy so the report stays total.
-    if not gold_tokens and not pred_tokens:
-        return 1.0
+) -> _Vectors | None:
+    """The vectors of both sides of a pair, or None when a side has no tokens."""
     if not gold_tokens or not pred_tokens:
-        return 0.0
+        return None
     gold_vecs = embedder.embed(gold_tokens)
     # Equal tokens give equal vectors from a deterministic provider; the
     # kernel still runs, so the score is the one two calls would give.
     pred_vecs = gold_vecs if pred_tokens == gold_tokens else embedder.embed(pred_tokens)
-    _, _, f = bert_score(gold_vecs, pred_vecs)
+    return gold_vecs, pred_vecs
+
+
+def _bert_f(gold_tokens: list[str], pred_tokens: list[str], vectors: _Vectors | None) -> float:
+    # Mirror token_f1's edge policy so the report stays total.
+    if not gold_tokens and not pred_tokens:
+        return 1.0
+    if vectors is None:
+        return 0.0
+    _, _, f = bert_score(*vectors)
     return f
 
 
@@ -459,8 +478,11 @@ def evaluate_predictions(
 
     Every pair is checked and normalized before any ``embed`` call. The pairs
     then go through ``call_model`` in chunks of ``PAIRS_PER_CHUNK``, up to
-    ``embedder.max_workers`` at once, and are reported in input order, so
-    the report does not depend on the parallelism.
+    ``embedder.max_workers`` at once. Its ``call`` fetches each chunk's
+    vectors on a pool thread and does nothing else; its ``settle`` scores
+    the chunk on this thread while later chunks still wait on the model.
+    Chunks are scored and reported in input order, so the report does not
+    depend on the parallelism.
     """
     report = EvalReport()
     pairs: list[tuple[str, list[str], list[str]]] = []
@@ -483,15 +505,22 @@ def evaluate_predictions(
                 bert_f=bert_f,
             )
 
+    def score(chunk, vectors) -> None:
+        try:
+            bert_fs = [_bert_f(g, p, v) for (_, g, p), v in zip(chunk, vectors)]
+        except (TypeError, ValueError) as exc:  # vectors np.asarray or bert_score refuse
+            raise EmbeddingError(f"{_MODEL} failed on a chunk of {len(chunk)}: {exc}") from exc
+        settle(chunk, bert_fs)
+
     if embedder is None:
         settle(pairs, [None] * len(pairs))
     else:
         call_model(
-            lambda chunk: [_bert_f_for_pair(g, p, embedder) for _, g, p in chunk],
+            lambda chunk: [_pair_vectors(g, p, embedder) for _, g, p in chunk],
             pairs,
-            "embedding provider",
+            _MODEL,
             lambda message, chunk: EmbeddingError(message),
-            settle,
+            score,
             batch_size=PAIRS_PER_CHUNK,
             max_workers=embedder.max_workers,
         )

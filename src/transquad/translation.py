@@ -27,11 +27,12 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
-from ._text import STRING, check_fields, file_digest, parse_json, read_tsv_table
+from ._text import STRING, check_fields, file_digest, json_digest, parse_json, read_tsv_table
 from .errors import (
     CacheIOError,
     ConfigValidationError,
@@ -87,36 +88,34 @@ class DictionaryEngine(TranslationEngine):
     """Word-by-word translation via a lookup table; unknown words pass through.
 
     Tokens are whitespace-split and rejoined with single spaces, so this is a
-    mock, not a segmenter. An engine read ``from_file`` is named after its
-    table's content, ``dictionary:<SHA-256 hex of the table's bytes>``, so a
-    cache never serves one table's translations to another, nor a table's
-    old translations after it is edited. One built from a mapping is named
-    ``dictionary``.
+    mock, not a segmenter. The engine is named after its table, so a cache
+    never serves one table's translations to another, nor a table's old
+    translations after it is edited: one built from a mapping is
+    ``dictionary:<SHA-256 hex of its sorted entries as JSON>``, and one read
+    ``from_file`` ``dictionary:<SHA-256 hex of the table's bytes>``.
     """
-
-    engine_id = "dictionary"
 
     def __init__(self, table: Mapping[str, str]):
         self.table = dict(table)
+
+    @cached_property
+    def engine_id(self) -> str:
+        # Hashed on first use: from_file puts the file's digest in its place,
+        # so a table read from a file never pays for hashing its entries too.
+        return f"dictionary:{json_digest(sorted(self.table.items()))}"
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DictionaryEngine":
         """Two-column tab-separated file: source term, target term.
 
         A table that is not a regular file (a FIFO) cannot be hashed without
-        being consumed: it is named after the SHA-256 of the entries it parses to.
+        being consumed: it keeps the name of the entries it parses to.
         """
         # Hashed before it is parsed, as TableEmbeddingProvider.from_file does.
         digest = file_digest(path)
         engine = cls(read_tsv_table(path))
-        if digest is None:
-            import hashlib  # as in file_digest: only a table load pays for importing it
-
-            entries = json.dumps(sorted(engine.table.items()), ensure_ascii=False)
-            fingerprint = hashlib.sha256(entries.encode("utf-8")).hexdigest()
-        else:
-            fingerprint = digest.digest.hex()
-        engine.engine_id = f"dictionary:{fingerprint}"
+        if digest is not None:
+            engine.engine_id = f"dictionary:{digest.digest.hex()}"
         return engine
 
     def translate(self, texts, source_lang, target_lang):
@@ -269,6 +268,11 @@ def call_model(
     workers never run dry, and no more replies than that are held at once.
     Once a chunk fails, no later chunk calls the model again: one that has
     not started never starts, and one waiting to retry stops at once.
+
+    ``call`` runs on the pool threads and should only wait on the model;
+    ``settle`` runs on the calling thread, which is otherwise idle while it
+    waits for the oldest chunk, so local compute on the replies belongs
+    there: it then runs while later chunks wait on the model.
 
     Error policy: a TransientEngineError is retried, up to
     ``DEFAULT_MAX_ATTEMPTS`` attempts with a backoff of

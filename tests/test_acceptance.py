@@ -201,6 +201,9 @@ def _random_engine(rng: random.Random):
 @criterion(4, "every emitted span is sound and every record is accounted for")
 def test_criterion_04_span_soundness():
     rng = random.Random(99)
+    # One cache for every run: each table engine is named after its entries,
+    # so no run is served another table's translations.
+    cache = TranslationCache()
     for _ in range(1000):
         corpus = _random_divergent_corpus(rng)
         threshold = rng.choice((0.05, 0.5, 1.0))
@@ -211,9 +214,7 @@ def test_criterion_04_span_soundness():
             FilterConfig(non_latin_letter_ratio_threshold=threshold),
             source_lang="en",
             target_lang="mr",
-            # Fresh per run: every table engine is named "dictionary", so a
-            # shared cache would serve one table's translations to the next.
-            cache=TranslationCache(),
+            cache=cache,
         )
         report = validate_spans(result.corpus)
         assert report.ok, report.violations

@@ -796,6 +796,25 @@ def test_embed_calls_overlap_only_when_the_provider_allows(max_workers, overlaps
     assert list(report.per_question) == [qid for qid, _ in pairs]
 
 
+def test_kernels_run_on_the_calling_thread_while_embed_calls_overlap(monkeypatch):
+    kernel_threads = []
+    kernel = transquad.evaluation.greedy_match
+
+    def recording_kernel(gold, pred):
+        kernel_threads.append(threading.get_ident())
+        return kernel(gold, pred)
+
+    monkeypatch.setattr(transquad.evaluation, "greedy_match", recording_kernel)
+    pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
+    embedder = InFlightTable(TABLE)
+    embedder.max_workers = 4
+    evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+    assert embedder.peak > 1
+    assert set(kernel_threads) == {threading.get_ident()}
+    scorable = [qid for qid, gold in pairs if normalize(gold) and normalize(predictions[qid])]
+    assert len(kernel_threads) == len(scorable)
+
+
 class FailingEmbedder(EmbeddingProvider):
     def __init__(self, exc):
         self.exc = exc
@@ -818,6 +837,13 @@ class RecordingFailingEmbedder(FailingEmbedder):
         return super().embed(tokens)
 
 
+class JunkEmbedder(EmbeddingProvider):
+    """Returns one object per token that is no vector at all."""
+
+    def embed(self, tokens):
+        return [{} for _ in tokens]
+
+
 class ShapelessEmbedder(EmbeddingProvider):
     """Returns one flat array for the whole answer, which bert_score cannot score."""
 
@@ -825,18 +851,24 @@ class ShapelessEmbedder(EmbeddingProvider):
         return np.ones(len(tokens))
 
 
+@pytest.mark.parametrize("max_workers", [1, 4])
 @pytest.mark.parametrize(
     "embedder, message",
     [
         (FailingEmbedder(RuntimeError("model crashed")), "model crashed"),
-        (FailingEmbedder(NotImplementedError()), "embedding provider failed"),
-        (ShapelessEmbedder(), "must be rectangular"),
+        (FailingEmbedder(NotImplementedError()), ""),
+        # Fetched whole, refused by bert_score as the chunk is scored.
+        (ShapelessEmbedder(), "vector lists must be rectangular (one fixed dimension per vector)"),
+        (JunkEmbedder(), "float() argument must be a string or a real number, not 'dict'"),
     ],
 )
-def test_provider_failure_becomes_embedding_error(embedder, message):
+def test_provider_failure_becomes_embedding_error(embedder, message, max_workers):
+    embedder.max_workers = max_workers
     pairs, predictions = many_pairs(2 * DEFAULT_BATCH_SIZE)
-    with pytest.raises(EmbeddingError, match=message):
+    with pytest.raises(EmbeddingError) as err:
         evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+    assert type(err.value) is EmbeddingError
+    assert str(err.value) == f"embedding provider failed on a chunk of {PAIRS_PER_CHUNK}: {message}"
 
 
 def test_missing_embedding_is_an_embedding_error_and_a_lookup_error():
@@ -846,8 +878,11 @@ def test_missing_embedding_is_an_embedding_error_and_a_lookup_error():
     predictions["q200"] = "a zzz"
     embedder = TableEmbeddingProvider(TABLE)
     embedder.max_workers = 4
-    with pytest.raises(MissingEmbeddingError, match="'zzz'"):
+    with pytest.raises(MissingEmbeddingError) as err:
         evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+    # Passed through as raised, not wrapped by the gateway.
+    assert type(err.value) is MissingEmbeddingError
+    assert str(err.value) == "no embedding for token 'zzz'"
 
 
 class FlakyTable(TableEmbeddingProvider):

@@ -2,12 +2,12 @@
 
 The config, the corpus, the exclusion list, the dictionary-engine and
 transliterator tables, the translation cache, the candidates, the rejection
-log, the predictions and the embedding table are each fed one malformation
-per class, through every subcommand that reads them. Each case must end in
-exactly one ``error:`` line on stderr that names the file once, with the
-exit code the README assigns (2 for the config, the exclusion list and any
-I/O failure, 1 for data), and must leave every file as it was: no output
-created or changed.
+log with the manifest ``filter`` writes beside it, the predictions and the
+embedding table are each fed one malformation per class, through every
+subcommand that reads them. Each case must end in exactly one ``error:``
+line on stderr that names the file once, with the exit code the README
+assigns (2 for the config, the exclusion list and any I/O failure, 1 for
+data), and must leave every file as it was: no output created or changed.
 
 JSON and JSON Lines inputs go through one reader, ``_text.parse_json``,
 and plain-text inputs through one line reader, ``_text.text_lines``; tests
@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from transquad._text import json_digest
 from transquad.cli import main
 from transquad.corpus import parse_corpus, serialize_corpus
 from transquad.errors import CacheIOError, ConfigParseError, MalformedDocumentError
@@ -69,6 +70,8 @@ CANDIDATE = {
 }
 ENTRY = {"qid": "q0", "stage": "pre-filter", "reason": "manual-exclusion", "detail": "qid listed"}
 FIRST = CORPUS.records[0]
+# What filter records of a corpus of CANDIDATE's and ENTRY's records.
+MANIFEST = {"records": 2, "qids_sha256": json_digest(sorted([CANDIDATE["qid"], ENTRY["qid"]]))}
 
 
 def without(record: dict, key: str) -> dict:
@@ -154,6 +157,20 @@ INPUTS = {
     "cache": json_lines_input("cache.jsonl", CACHE_LINE, "value", 5, "value"),
     "candidates": json_lines_input("candidates.jsonl", CANDIDATE, "context", 5, "answer"),
     "rejection log": json_lines_input("rejections.jsonl", ENTRY, "qid", 5, "stage"),
+    "manifest": (
+        "rejections.jsonl.manifest.json",
+        json.dumps(MANIFEST).encode("utf-8"),
+        {
+            "not-utf8": b'{"records": 2, "qids_sha256": "\xff"}',
+            "not-json": b'{"records": ',
+            "deep": DEEP,
+            "top-level-type": b"[]",
+            "field-type": json.dumps({**MANIFEST, "records": "2"}).encode("utf-8"),
+            "missing-field": json.dumps(without(MANIFEST, "qids_sha256")).encode("utf-8"),
+            "surrogate": surrogate(MANIFEST, "qids_sha256"),
+            "directory": DIRECTORY,
+        },
+    ),
     "predictions": (
         "pred.json",
         json.dumps({FIRST.qid: FIRST.answers[0].text}).encode("utf-8"),
@@ -196,7 +213,7 @@ COMMANDS = {
     ),
     "realign": (
         ["--config", "config.json", "realign", "--input", "candidates.jsonl"],
-        ["config", "candidates", "rejection log"],
+        ["config", "candidates", "rejection log", "manifest"],
     ),
     "evaluate": (
         ["evaluate", "--gold", "input.json", "--predictions", "pred.json",

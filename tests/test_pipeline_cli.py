@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import hashlib
 import json
 import os
 import stat
@@ -809,6 +810,71 @@ def test_cli_realign_refuses_a_candidate_the_log_rejected_pre_filter(tmp_path, c
     (line,) = captured.err.splitlines()
     assert line.startswith(f"error: candidate {stale!r} ") and str(log_path) in line
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def run_chain_to_realign(tmp_path, corpus):
+    """filter, translate and postprocess ``corpus``; returns the config path and its keys."""
+    write_input(tmp_path, corpus)
+    path, raw = write_config(tmp_path)
+    for command in ("filter", "translate", "postprocess"):
+        assert main(["--config", str(path), command]) == 0
+    return path, raw
+
+
+def assert_realign_refuses(tmp_path, capsys, path, *words):
+    """realign exits 1 with one ``error:`` line holding ``words``, and writes nothing."""
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert main(["--config", str(path), "realign"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    for word in words:
+        assert word in line, line
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_filter_writes_a_manifest_of_what_it_read(tmp_path, capsys):
+    corpus = build_english_corpus(4, seed=3)
+    write_input(tmp_path, corpus)
+    excl = tmp_path / "excl.txt"
+    excl.write_text(corpus.records[1].qid + "\n", encoding="utf-8")
+    path, raw = write_config(tmp_path, filter={"exclusion_list_path": str(excl)})
+    assert main(["--config", str(path), "filter"]) == 0
+    manifest = json.loads(Path(raw["rejection_log_path"] + ".manifest.json").read_bytes())
+    qids = json.dumps(sorted(rec.qid for rec in corpus.records), ensure_ascii=False)
+    assert manifest == {
+        "records": 4,
+        "qids_sha256": hashlib.sha256(qids.encode("utf-8")).hexdigest(),
+    }
+
+
+def test_cli_realign_refuses_a_log_from_another_corpus(tmp_path, capsys):
+    path, raw = run_chain_to_realign(tmp_path, build_english_corpus(4, seed=3))
+    log_path = raw["rejection_log_path"]
+    RejectionLog([RejectionEntry("other-corpus-q", STAGE_PRE_FILTER, "too-short")]).write(log_path)
+    assert_realign_refuses(tmp_path, capsys, path, log_path, "4 records filter read")
+
+
+def test_cli_realign_refuses_candidates_filter_did_not_read(tmp_path, capsys):
+    path, raw = run_chain_to_realign(tmp_path, build_english_corpus(4, seed=3))
+    # filter run again on another corpus of as many records: the log is
+    # empty again, and the manifest is the other corpus's.
+    other_records = build_english_corpus(4, seed=4).records
+    write_input(tmp_path, Corpus(
+        split="train", records=tuple(replace(rec, qid=f"other-{rec.qid}") for rec in other_records)
+    ))
+    other = tmp_path / "other.filtered.json"
+    assert main(["--config", str(path), "filter", "--output", str(other)]) == 0
+    assert_realign_refuses(tmp_path, capsys, path, "4 candidates and 0 pre-filter entries")
+
+
+def test_cli_realign_refuses_a_log_without_a_manifest(tmp_path, capsys):
+    path, raw = run_chain_to_realign(tmp_path, build_english_corpus(4, seed=3))
+    manifest = Path(raw["rejection_log_path"] + ".manifest.json")
+    manifest.unlink()
+    assert_realign_refuses(tmp_path, capsys, path, str(manifest), "run filter first")
 
 
 def test_read_candidates_ignores_the_split_of_older_files(tmp_path):

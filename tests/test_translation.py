@@ -99,7 +99,15 @@ def test_dictionary_engine_from_file_is_named_after_its_table_bytes(tmp_path):
     copy = tmp_path / "copy.tsv"
     copy.write_bytes(table.read_bytes())
     assert DictionaryEngine.from_file(copy).engine_id == DictionaryEngine.from_file(table).engine_id
-    assert DictionaryEngine({"cat": "x"}).engine_id == "dictionary"
+    # One built from a mapping is named after its sorted entries.
+    entries = json.dumps([["cat", "x"]], ensure_ascii=False).encode("utf-8")
+    assert DictionaryEngine({"cat": "x"}).engine_id == (
+        f"dictionary:{hashlib.sha256(entries).hexdigest()}"
+    )
+    assert DictionaryEngine({"cat": "y"}).engine_id != DictionaryEngine({"cat": "x"}).engine_id
+    assert DictionaryEngine({"a": "1", "b": "2"}).engine_id == (
+        DictionaryEngine({"b": "2", "a": "1"}).engine_id
+    )
 
 
 def test_dictionary_engine_from_a_fifo_is_named_after_its_entries(tmp_path):
@@ -306,6 +314,18 @@ def test_one_cache_keeps_two_engines_apart():
         for text in req.texts:
             assert cache.lookup((engine_id, "en", "mr", text)) == value(text)
     assert len(cache) == 4
+
+
+def test_one_cache_keeps_two_dictionary_mappings_apart():
+    req = request(["cat"])
+    cache = TranslationCache()
+    assert translate_batch(req, DictionaryEngine({"cat": "x"}), cache) == ["x"]
+    assert translate_batch(req, DictionaryEngine({"cat": "y"}), cache) == ["y"]
+    # The same entries are the same engine, and are served from the cache.
+    engine = CountingEngine(DictionaryEngine({"cat": "x"}))
+    assert translate_batch(req, engine, cache) == ["x"]
+    assert engine.calls == 0
+    assert len(cache) == 2
 
 
 def test_output_parallel_to_input_with_chunking():
