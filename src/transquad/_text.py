@@ -20,7 +20,7 @@ import stat
 import tempfile
 import unicodedata
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Collection, Iterator, Mapping
 
 from .errors import EncodingError, FieldError
 
@@ -120,21 +120,13 @@ def read_tsv_table(path: str | Path) -> dict[str, str]:
 _HASH_BLOCK = 1 << 18
 
 
-class FileDigest(NamedTuple):
-    digest: bytes  # SHA-256 of the file's bytes
-    lines: int  # "\n" bytes + 1: a bound on the lines, unless other line breaks split lines
-    size: int  # bytes
-
-
-def file_digest(path: str | Path) -> FileDigest | None:
-    """Hash a regular file in blocks, counting its bytes and newlines; None for any other file.
+def file_digest(path: str | Path) -> bytes | None:
+    """The SHA-256 of a regular file's bytes, hashed in blocks; None for any other file.
 
     Hashing a FIFO would consume it, so only a regular file gets a digest. The
     loop stands in for ``hashlib.file_digest``, which Python 3.10 lacks.
     """
     import hashlib  # only a table load pays for importing it
-
-    import numpy as np
 
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
@@ -142,15 +134,12 @@ def file_digest(path: str | Path) -> FileDigest | None:
     except OSError:
         return None  # the reader names the file
     digest = hashlib.sha256()
-    newlines = size = 0
     block = bytearray(_HASH_BLOCK)
-    view, octets = memoryview(block), np.frombuffer(block, dtype=np.uint8)
+    view = memoryview(block)
     with open(path, "rb") as fh:
         while n := fh.readinto(block):
             digest.update(view[:n])
-            newlines += int(np.count_nonzero(octets[:n] == ord("\n")))  # bytes.count is slower
-            size += n
-    return FileDigest(digest.digest(), newlines + 1, size)
+    return digest.digest()
 
 
 def json_digest(value: Any) -> str:

@@ -31,17 +31,17 @@ import argparse
 import json
 import logging
 import sys
-from pathlib import Path
 
 from ._text import INTEGER, STRING, atomic_write, check_fields, json_digest, parse_json
 from .alignment import align_corpus
-from .corpus import compute_stats, load_corpus, save_corpus, validate_spans
+from .corpus import Corpus, compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, TransquadError
 from .evaluation import TableEmbeddingProvider, evaluate_predictions, load_predictions
 from .filtering import STAGE_PRE_FILTER, RejectionLog
 from .pipeline import (
     PipelineConfig,
     load_config,
+    manifest_path,
     postprocess_candidates,
     prefilter,
     read_candidates,
@@ -113,40 +113,34 @@ def _require_config(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config)
 
 
-def _derived(cfg: PipelineConfig, suffix: str) -> str:
-    return str(Path(cfg.output_path).with_suffix(suffix))
+def _input_corpus(args) -> Corpus:
+    """The corpus named on the command line, or else the config's ``input_path``."""
+    if args.input:
+        return load_corpus(args.input, args.split)
+    cfg = _require_config(args)
+    return load_corpus(cfg.input_path, cfg.split)
+
+
+def _report(payload: str, output: str | None) -> int:
+    """Print ``payload``, and write it to ``output`` too when one is given."""
+    print(payload)
+    if output:
+        atomic_write(output, (payload + "\n").encode("utf-8"))
+    return 0
 
 
 def _cmd_validate(args) -> int:
-    if args.input:
-        corpus = load_corpus(args.input, args.split)
-    else:
-        cfg = _require_config(args)
-        corpus = load_corpus(cfg.input_path, cfg.split)
-    report = validate_spans(corpus)
+    report = validate_spans(_input_corpus(args))
     print(json.dumps(report.to_dict(), ensure_ascii=False, indent=2))
     return 0 if report.ok else 1
 
 
 def _cmd_stats(args) -> int:
-    if args.input:
-        corpus = load_corpus(args.input, args.split)
-    else:
-        cfg = _require_config(args)
-        corpus = load_corpus(cfg.input_path, cfg.split)
-    payload = json.dumps(compute_stats(corpus).to_dict(), indent=2)
-    print(payload)
-    if args.output:
-        atomic_write(args.output, (payload + "\n").encode("utf-8"))
-    return 0
+    return _report(json.dumps(compute_stats(_input_corpus(args)).to_dict(), indent=2), args.output)
 
 
 # What filter read, as realign checks it: the record count and the qid set.
 _MANIFEST_TYPES = {"records": INTEGER, "qids_sha256": STRING}
-
-
-def _manifest_path(log_path: str) -> Path:
-    return Path(f"{log_path}.manifest.json")
 
 
 def _manifest(qids: list[str]) -> dict:
@@ -161,16 +155,16 @@ def _cmd_filter(args) -> int:
     log_path = args.rejection_log or cfg.rejection_log_path
     log.write(log_path)
     manifest = _manifest([rec.qid for rec in corpus.records])
-    atomic_write(_manifest_path(log_path), (json.dumps(manifest) + "\n").encode("utf-8"))
+    atomic_write(manifest_path(log_path), (json.dumps(manifest) + "\n").encode("utf-8"))
     # Spans pass through unchecked, as translate takes them; validate audits them.
-    save_corpus(kept, args.output or _derived(cfg, ".filtered.json"))
+    save_corpus(kept, args.output or cfg.filtered_path)
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
     return 0
 
 
 def _cmd_translate(args) -> int:
     cfg = _require_config(args)
-    filtered = load_corpus(args.input or _derived(cfg, ".filtered.json"), cfg.split)
+    filtered = load_corpus(args.input or cfg.filtered_path, cfg.split)
     engine = build_engine(cfg.engine_id)
     with TranslationCache(cfg.cache_path) as cache:
         candidates = translate_records(
@@ -181,7 +175,7 @@ def _cmd_translate(args) -> int:
             cache=cache,
             parallelism=cfg.parallelism,
         )
-    out = args.output or _derived(cfg, ".candidates.jsonl")
+    out = args.output or cfg.candidates_path
     write_candidates(candidates, out)
     print(f"translated {len(candidates)} records -> {out}")
     return 0
@@ -189,10 +183,10 @@ def _cmd_translate(args) -> int:
 
 def _cmd_postprocess(args) -> int:
     cfg = _require_config(args)
-    candidates = read_candidates(args.input or _derived(cfg, ".candidates.jsonl"))
+    candidates = read_candidates(args.input or cfg.candidates_path)
     transliterator = build_transliterator(cfg.transliterator_id)
     fixed = postprocess_candidates(candidates, transliterator, parallelism=cfg.parallelism)
-    out = args.output or _derived(cfg, ".postprocessed.jsonl")
+    out = args.output or cfg.postprocessed_path
     write_candidates(fixed, out)
     print(f"postprocessed {len(fixed)} records -> {out}")
     return 0
@@ -200,7 +194,7 @@ def _cmd_postprocess(args) -> int:
 
 def _cmd_realign(args) -> int:
     cfg = _require_config(args)
-    candidates = read_candidates(args.input or _derived(cfg, ".postprocessed.jsonl"))
+    candidates = read_candidates(args.input or cfg.postprocessed_path)
     # Keep what filter rejected; alignment entries from an earlier realign are replaced.
     log_path = args.rejection_log or cfg.rejection_log_path
     log = RejectionLog([e for e in RejectionLog.read(log_path) if e.stage == STAGE_PRE_FILTER])
@@ -222,7 +216,7 @@ def _cmd_realign(args) -> int:
 
 def _check_manifest(candidates: list, log: RejectionLog, log_path: str) -> None:
     """Refuse candidates and pre-filter entries that are not the records filter read."""
-    path = _manifest_path(log_path)
+    path = manifest_path(log_path)
     try:
         data = path.read_bytes()
     except FileNotFoundError:
@@ -245,12 +239,7 @@ def _cmd_evaluate(args) -> int:
     gold = load_corpus(args.gold, args.split)
     predictions = load_predictions(args.predictions)
     embedder = TableEmbeddingProvider.from_file(args.embeddings) if args.embeddings else None
-    report = evaluate_predictions(gold, predictions, embedder)
-    payload = report.to_json()
-    print(payload)
-    if args.output:
-        atomic_write(args.output, (payload + "\n").encode("utf-8"))
-    return 0
+    return _report(evaluate_predictions(gold, predictions, embedder).to_json(), args.output)
 
 
 def _cmd_pipeline(args) -> int:

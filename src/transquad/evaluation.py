@@ -29,6 +29,7 @@ import os
 import stat
 import struct
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +39,6 @@ import numpy as np
 
 from ._kernels import greedy_match
 from ._text import (
-    FileDigest,
     LazyTable,
     ascii_casefold,
     atomic_write,
@@ -207,13 +207,15 @@ class TableEmbeddingProvider(EmbeddingProvider):
         """One line per token: the token, then its whitespace-separated components.
 
         Blank lines and lines starting with ``#`` are skipped; a later line
-        wins on a duplicate token. The numbers are parsed to the same bits
-        as ``float()``, and a malformed number, a row of another length, a
-        non-finite component (``nan``, ``inf``, which ``float()`` accepts) or
-        a row of zeros raises ValueError naming ``path:lineno``.
+        wins on a duplicate token. Each number is parsed by ``float()``, so
+        every spelling it takes (``1_000``, Devanagari digits) is read, to its
+        bits. A malformed number, a row of another length, a non-finite
+        component (``nan``, ``inf``, which ``float()`` accepts) or a row of
+        zeros raises ValueError naming ``path:lineno``.
 
         A table that parses is kept in a sidecar beside it, ``path`` +
-        ``.tqemb``, which later loads read instead of parsing the text. The
+        ``.tqemb``, which later loads read instead of parsing the text, so
+        the parse runs once per table content. The
         sidecar is keyed by the SHA-256 of the table's bytes, never by its
         size or mtime, and it is used only when whole; any other sidecar is
         ignored and written again. A table or sidecar path that is not a
@@ -222,14 +224,14 @@ class TableEmbeddingProvider(EmbeddingProvider):
         """
         # Hashed before it is parsed: a table replaced in between is parsed
         # anew and kept under the old hash, which it no longer matches.
-        key = file_digest(path)
+        digest = file_digest(path)
         sidecar = Path(f"{path}{_SIDECAR_SUFFIX}")
-        if key is not None:
-            kept = _read_sidecar(sidecar, key.digest)
+        if digest is not None:
+            kept = _read_sidecar(sidecar, digest)
             # Rows the checks refuse are parsed from the text, which names the line.
             if kept is not None and _first_bad_row(kept[1]) is None:
                 return cls._of_rows(*kept)
-        tokens, matrix = _load_table(path, key)
+        tokens, matrix = _load_table(path)
         bad = _first_bad_row(matrix)
         if bad is not None:
             row, finite = bad
@@ -238,8 +240,8 @@ class TableEmbeddingProvider(EmbeddingProvider):
                 raise ValueError(f"{path}:{lineno}: vector for {tokens[row]!r} is all zeros")
             raise ValueError(f"{path}:{lineno}: non-finite vector component")
         provider = cls._of_rows(tokens, matrix)
-        if key is not None:
-            _write_sidecar(sidecar, key.digest, tokens, provider.matrix)
+        if digest is not None:
+            _write_sidecar(sidecar, digest, tokens, provider.matrix)
         return provider
 
     def embed(self, tokens):
@@ -328,47 +330,27 @@ def _write_sidecar(sidecar: Path, digest: bytes, tokens: list[str], matrix: np.n
         pass  # a read-only directory or a full disk: the next load parses again
 
 
-def _load_table(path: str | Path, key: FileDigest | None) -> tuple[list[str], np.ndarray]:
-    """Tokens and vectors of an embedding table, read in one pass where it can be.
+def _load_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """Tokens and vectors of an embedding table, each number parsed with ``float()``.
 
-    The rows stream through one ``np.loadtxt`` call, which parses the
-    numbers in C to the same bits as ``float()``; the generator feeding it
-    keeps the tokens. Given a row bound, loadtxt allocates the matrix once:
-    grown block by block, it leaves heap holes that the next table loaded in
-    the same process may not fit in, and peak memory grows by a table. The
-    bound is the file's line count. Blank and ``#`` lines make it too high,
-    so it is capped at the rows the file's size can hold, each with as many
-    numbers as the first. ``str.splitlines`` breaks lines at more than ``\n``,
-    which can make it too low: unless loadtxt took every row, the file is
-    read again by ``_parse_table``, as it is when loadtxt refuses a row.
+    The rows are appended to one growing ``array("d")``, and the matrix is a
+    view of its buffer: the numbers are never held twice.
     """
-    rows = _table_rows(path)
-    try:
-        first = next(rows, None)
-        if first is None:  # before loadtxt, which warns on no rows
-            raise ValueError(f"{path}: embedding table must not be empty")
-        tokens: list[str] = []
-
-        def numbers() -> Iterator[str]:
-            for _, token, text in itertools.chain([first], rows):
-                tokens.append(token)
-                yield text
-
-        bound = None
-        if key is not None:
-            # A row of d numbers takes at least 2d + 1 characters.
-            bound = min(key.lines, key.size // (2 * len(first[2].split()) + 1) + 1)
+    tokens: list[str] = []
+    flat = array("d")
+    for lineno, token, text in _table_rows(path):
         try:
-            matrix = np.loadtxt(
-                numbers(), dtype=np.float64, comments=None, ndmin=2, max_rows=bound
-            )
-            if next(rows, None) is None and len(tokens) == len(matrix):
-                return tokens, matrix
-        except ValueError:
-            pass
-    finally:
-        rows.close()
-    return _parse_table(path)
+            row = array("d", map(float, text.split()))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if tokens and len(row) != dim:
+            raise ValueError(f"{path}:{lineno}: expected {dim} numbers, found {len(row)}")
+        dim = len(row)
+        tokens.append(token)
+        flat += row
+    if not tokens:
+        raise ValueError(f"{path}: embedding table must not be empty")
+    return tokens, np.frombuffer(flat, dtype=np.float64).reshape(len(tokens), dim)
 
 
 def _table_rows(path: str | Path) -> Iterator[tuple[int, str, str]]:
@@ -378,24 +360,6 @@ def _table_rows(path: str | Path) -> Iterator[tuple[int, str, str]]:
         if len(parts) < 2:
             raise ValueError(f"{path}:{lineno}: expected a token and at least one number")
         yield lineno, parts[0], parts[1]
-
-
-def _parse_table(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Tokens and vectors of an embedding table, each number parsed with ``float()``."""
-    tokens: list[str] = []
-    vectors: list[list[float]] = []
-    for lineno, token, text in _table_rows(path):
-        try:
-            vec = [float(x) for x in text.split()]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if vectors and len(vec) != len(vectors[0]):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(vectors[0])} numbers, found {len(vec)}"
-            )
-        tokens.append(token)
-        vectors.append(vec)
-    return tokens, np.array(vectors, dtype=np.float64)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ every stage takes the split from the config.
 from __future__ import annotations
 
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
@@ -111,21 +112,57 @@ class PipelineConfig:
             raise ConfigValidationError(
                 f"split must be one of {SPLITS}, got {self.split!r}", field="split"
             )
-        paths = [
-            self.input_path,
-            self.output_path,
-            self.rejection_log_path,
-            self.stats_path,
-            self.cache_path,
-        ]
-        if self.filter.exclusion_list_path:
-            paths.append(self.filter.exclusion_list_path)
-        if len(set(paths)) != len(paths):
-            raise ConfigValidationError("all configured paths must be distinct", field="paths")
+        # Every path a run or a stage subcommand reads or writes by default:
+        # a file named twice, under any spelling, would be overwritten.
+        paths = {
+            "input_path": self.input_path,
+            "output_path": self.output_path,
+            "rejection_log_path": self.rejection_log_path,
+            "stats_path": self.stats_path,
+            "cache_path": self.cache_path,
+            "filter.exclusion_list_path": self.filter.exclusion_list_path,
+            "the summary": self.summary_path,
+            "filter's manifest": manifest_path(self.rejection_log_path),
+            "filter's output": self.filtered_path,
+            "translate's output": self.candidates_path,
+            "postprocess's output": self.postprocessed_path,
+        }
+        seen: dict[str, str] = {}
+        for name, path in paths.items():
+            first = seen.setdefault(os.path.realpath(path), name) if path else name
+            if first != name:
+                raise ConfigValidationError(
+                    f"{first} and {name} are the same path {str(path)!r}; "
+                    "all paths must be distinct",
+                    field="paths",
+                )
+
+    def _beside_output(self, suffix: str) -> str:
+        return str(Path(self.output_path).with_suffix(suffix))
 
     @property
     def summary_path(self) -> str:
-        return str(Path(self.output_path).with_suffix(".summary.json"))
+        return self._beside_output(".summary.json")
+
+    @property
+    def filtered_path(self) -> str:
+        """``filter``'s default output, and ``translate``'s default input."""
+        return self._beside_output(".filtered.json")
+
+    @property
+    def candidates_path(self) -> str:
+        """``translate``'s default output, and ``postprocess``'s default input."""
+        return self._beside_output(".candidates.jsonl")
+
+    @property
+    def postprocessed_path(self) -> str:
+        """``postprocess``'s default output, and ``realign``'s default input."""
+        return self._beside_output(".postprocessed.jsonl")
+
+
+def manifest_path(log_path: str | Path) -> Path:
+    """Where ``filter`` records the records it read: beside the rejection log it wrote."""
+    return Path(f"{log_path}.manifest.json")
 
 
 # The JSON type of each config key, in the order a missing key is reported.

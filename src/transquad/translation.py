@@ -115,7 +115,7 @@ class DictionaryEngine(TranslationEngine):
         digest = file_digest(path)
         engine = cls(read_tsv_table(path))
         if digest is not None:
-            engine.engine_id = f"dictionary:{digest.digest.hex()}"
+            engine.engine_id = f"dictionary:{digest.hex()}"
         return engine
 
     def translate(self, texts, source_lang, target_lang):

@@ -343,7 +343,7 @@ def test_table_provider_from_file_gives_float_bits(tmp_path):
         "a": ["0.1", "-2.5e-3", "1E+05", "-0", "1e-310", "-1.7976931348623157e308", "2E-2",
               "4.9e-324"],
         "b": ["1.", ".5", "+3", "-0.0", "1e308", "1e-400", "2.2250738585072011e-308", "7"],
-        # loadtxt refuses these two spellings; float() takes them
+        # spellings float() takes beyond C's strtod: an underscore, Devanagari digits
         "c": ["1_000", "\u0967.\u096b", "1", "2", "3", "4", "5", "6"],
     }
     path = tmp_path / "emb.txt"
@@ -368,32 +368,8 @@ def test_table_provider_from_file_later_duplicate_wins(tmp_path):
     assert provider.embed(["a", "b"]).tolist() == [[5.0, 6.0], [3.0, 4.0]]
 
 
-def test_table_provider_from_file_sizes_the_matrix_once(tmp_path, monkeypatch):
-    # Grown block by block, the matrix leaves heap holes that the next table
-    # may not fit in; given max_rows, loadtxt allocates it once. The bound is
-    # the file's line count, capped by the rows its size can hold: blank and
-    # "#" lines make the count too high, and loadtxt allocates all of it.
-    sizes = []
-    loadtxt = np.loadtxt
-
-    def spy(*args, **kwargs):
-        sizes.append(kwargs.get("max_rows"))
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", spy)
-    path = tmp_path / "emb.txt"
-    path.write_text("# c\nalpha 1 0\n\nbeta 0 1\ngamma 1 1\n", encoding="utf-8")
-    provider = TableEmbeddingProvider.from_file(path)
-    assert sizes == [6]  # five newlines
-    assert provider.embed(["gamma", "alpha"]).tolist() == [[1.0, 1.0], [1.0, 0.0]]
-    blank = tmp_path / "blank.txt"
-    blank.write_text("alpha 1 0\n" + "\n" * 10_000, encoding="utf-8")
-    assert TableEmbeddingProvider.from_file(blank).embed(["alpha"]).tolist() == [[1.0, 0.0]]
-    assert sizes[1] == 10_010 // 5 + 1  # a row of two numbers takes at least five bytes
-
-
 def test_table_provider_from_file_reads_rows_past_the_newline_count(tmp_path):
-    # str.splitlines also breaks lines at \r, so the newline count is too low here.
+    # str.splitlines breaks lines at more than \n: here each break starts a row.
     path = tmp_path / "emb.txt"
     path.write_text("a 1\rb 2\x85c 3\u2028d 4\n", encoding="utf-8", newline="")
     provider = TableEmbeddingProvider.from_file(path)
@@ -419,8 +395,7 @@ def test_second_load_reads_the_sidecar_not_the_text(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the text was parsed again")
 
-    monkeypatch.setattr(np, "loadtxt", refuse)
-    monkeypatch.setattr(transquad.evaluation, "_parse_table", refuse)
+    monkeypatch.setattr(transquad.evaluation, "_load_table", refuse)
     second = TableEmbeddingProvider.from_file(path)
     assert_same_table(second, first)
     assert second.embed(["a"]).tolist() == [[5.0, 6.0]]  # the later duplicate still wins
@@ -544,7 +519,7 @@ def test_table_provider_from_file_names_the_bad_line(tmp_path, text, message):
         ("a 1 2\nb nan 1\n", 2),
         ("# c\na 1 2\n\nb 1 -inf\n", 4),
         ("a 1 2\nb 1 1e400\n", 2),  # overflows to inf
-        ("a 1_0 2\nb 1 2\nc NaN 2\n", 3),  # the float() fallback path
+        ("a 1_0 2\nb 1 2\nc NaN 2\n", 3),  # after a spelling only float() takes
         ("a 1 2\na nan 2\n", 2),  # a duplicate token is refused too
     ],
 )
@@ -572,7 +547,7 @@ def test_table_provider_from_file_rejects_an_empty_table(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("# only a comment\n\n", encoding="utf-8")
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # np.loadtxt warns on empty input
+        warnings.simplefilter("error")  # an empty table is an error, not a warning
         with pytest.raises(ValueError, match="must not be empty") as info:
             TableEmbeddingProvider.from_file(path)
     assert str(info.value).startswith(f"{path}: ")

@@ -410,3 +410,27 @@ def test_threads_are_started_in_one_place():
     replies, outside the window.
     """
     assert find_in_sources(ThreadStarters) == ["translation.py:ThreadPoolExecutor in call_model"]
+
+
+class TableParsers(ScopedFinder):
+    """Every call of numpy's text parsers, and every call of ``_table_rows``."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("loadtxt", "genfromtxt", "fromstring", "_table_rows"):
+            self.record(f"{name} in ")
+        self.generic_visit(node)
+
+
+def test_embedding_tables_are_parsed_in_one_place():
+    """``_load_table`` parses every table text, each number with ``float()``.
+
+    ``from_file`` reads the rows again only to name the line of a bad row. A
+    second parser would have to take exactly the spellings ``float()`` takes,
+    to the same bits, and fall back to the first where it does not.
+    """
+    assert find_in_sources(TableParsers) == [
+        "evaluation.py:_table_rows in from_file",
+        "evaluation.py:_table_rows in _load_table",
+    ]

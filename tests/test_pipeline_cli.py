@@ -109,11 +109,30 @@ def test_config_rejects_unknown_filter_key(tmp_path):
         load_config(path)
 
 
-def test_config_rejects_duplicate_paths(tmp_path):
-    path, _ = write_config(tmp_path, output_path=str(tmp_path / "input.json"))
+@pytest.mark.parametrize(
+    "command, names",
+    [
+        ("pipeline", {"output_path": "input.json"}),
+        # the summary would overwrite the stats
+        ("pipeline", {"output_path": "out.json", "stats_path": "out.summary.json"}),
+        # filter would overwrite its own input with an empty corpus
+        ("filter", {"output_path": "out.json", "input_path": "out.filtered.json"}),
+        ("pipeline", {"output_path": "out.json", "stats_path": "sub/../out.summary.json"}),
+    ],
+    ids=["output-is-input", "stats-is-summary", "input-is-filtered", "spelled-apart"],
+)
+def test_config_rejects_duplicate_paths(tmp_path, capsys, command, names):
+    (tmp_path / "sub").mkdir()
+    path, cfg = write_config(tmp_path, **{key: str(tmp_path / name) for key, name in names.items()})
+    Path(cfg["input_path"]).write_bytes(serialize_corpus(build_english_corpus(3)))
     with pytest.raises(ConfigValidationError) as err:
         load_config(path)
     assert err.value.field == "paths"
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    assert main(["--config", str(path), command]) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_config_rejects_missing_key_and_bad_json(tmp_path):
