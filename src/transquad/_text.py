@@ -6,7 +6,8 @@ plain-text input with the two-column table format that the mock
 translation engine and transliterator both read, the block hash that names
 a table's content and the hash of a JSON value, the one reader of every
 JSON and JSON Lines input (bytes as read from the file, never text) with
-its field-type check, and the atomic file write every output goes through.
+its field-type check, and the atomic, streamed file write every output goes
+through.
 All offsets and lengths in this package count Unicode code points, which is
 what Python string indexing gives us for free.
 """
@@ -20,7 +21,7 @@ import stat
 import tempfile
 import unicodedata
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterator, Mapping
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from .errors import EncodingError, FieldError
 
@@ -236,13 +237,15 @@ def check_fields(
             raise FieldError(f"{prefix + key!r} must be {name}, got {record[key]!r}", prefix + key)
 
 
-def atomic_write(path: str | Path, *chunks: bytes | memoryview) -> None:
-    """Write ``chunks`` to a temp file beside ``path``, then rename it over ``path``.
+def atomic_write(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
+    """Stream ``chunks`` into a temp file beside ``path``, then rename it over ``path``.
 
-    The chunks are written one after another, each as it is: any contiguous
-    buffer will do (``bytes``, a ``memoryview`` of an array), so a large one
-    is never copied into one ``bytes``. A failure at any point leaves the
-    old file, if any, untouched and no temp file behind. A symlink is
+    Each chunk is written as soon as the iterable yields it, so an output
+    produced chunk by chunk (a corpus, a log) is never joined into one
+    ``bytes``; any contiguous buffer will do (``bytes``, a ``memoryview`` of
+    an array). The rename still makes the write atomic: a failure at any
+    point, in the writing or in the iterable producing the chunks, leaves
+    the old file, if any, untouched and no temp file behind. A symlink is
     followed: the file it names is replaced and the link kept. A target
     that exists but is not a regular file (a FIFO, ``/dev/null``) cannot be
     renamed over and is written in place.
@@ -262,7 +265,9 @@ def atomic_write(path: str | Path, *chunks: bytes | memoryview) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except OSError:
+    except BaseException:
+        # Whatever stopped the stream (an encode error, an interrupt), the
+        # half-written temp file must not stay behind.
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise

@@ -21,6 +21,11 @@ candidate whose qid the log already rejects in the pre-filter, or
 candidates and pre-filter entries that together are not the records the
 manifest recorded.
 
+``--input``, ``--output`` and ``--rejection-log`` go through the config's
+distinct-path check (``require_distinct_paths``) in place of the paths they
+override, and ``stats`` and ``evaluate`` refuse an ``--output`` that names
+one of their inputs (exit 2, nothing read or written).
+
 Exit codes: 0 success, 1 data or validation failure, 2 configuration or I/O
 failure.
 """
@@ -31,6 +36,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 
 from ._text import INTEGER, STRING, atomic_write, check_fields, json_digest, parse_json
 from .alignment import align_corpus
@@ -45,6 +51,7 @@ from .pipeline import (
     postprocess_candidates,
     prefilter,
     read_candidates,
+    require_distinct_paths,
     run_pipeline,
     translate_records,
     write_candidates,
@@ -113,19 +120,51 @@ def _require_config(args: argparse.Namespace) -> PipelineConfig:
     return load_config(args.config)
 
 
-def _input_corpus(args) -> Corpus:
-    """The corpus named on the command line, or else the config's ``input_path``."""
+def _input_corpus(args, output: str | None = None) -> Corpus:
+    """The corpus named on the command line, or else the config's ``input_path``.
+
+    ``output``, the file the command writes if any, must not name it.
+    """
     if args.input:
-        return load_corpus(args.input, args.split)
-    cfg = _require_config(args)
-    return load_corpus(cfg.input_path, cfg.split)
+        name, path, split = "the input", args.input, args.split
+    else:
+        cfg = _require_config(args)
+        name, path, split = "input_path", cfg.input_path, cfg.split
+    require_distinct_paths({name: path, "--output": output})
+    return load_corpus(path, split)
+
+
+def _check_overrides(
+    cfg: PipelineConfig,
+    source: str | None,
+    flags: list[tuple[str, str | None, str | Path | None]],
+) -> None:
+    """Refuse overrides under which a command would overwrite a file it reads or writes.
+
+    ``flags`` names each config path the command writes, or reads beside
+    what it writes, with the flag that overrides it, if any, and the flag's
+    value (None when the flag is not given). With the overrides in their
+    place, the config's paths must stay distinct, as the config itself
+    checks them, and ``--input`` (``source``) must name none of those
+    paths. It may name any other path of the config: reading one harms
+    nothing.
+    """
+    paths = cfg.paths
+    for role, flag, value in flags:
+        if value:
+            del paths[role]
+            paths[flag] = value
+    require_distinct_paths(paths)
+    if source:
+        used = (flag if value else role for role, flag, value in flags)
+        require_distinct_paths({"--input": source, **{name: paths[name] for name in used}})
 
 
 def _report(payload: str, output: str | None) -> int:
     """Print ``payload``, and write it to ``output`` too when one is given."""
     print(payload)
     if output:
-        atomic_write(output, (payload + "\n").encode("utf-8"))
+        atomic_write(output, [(payload + "\n").encode("utf-8")])
     return 0
 
 
@@ -136,7 +175,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    return _report(json.dumps(compute_stats(_input_corpus(args)).to_dict(), indent=2), args.output)
+    corpus = _input_corpus(args, args.output)
+    return _report(json.dumps(compute_stats(corpus).to_dict(), indent=2), args.output)
 
 
 # What filter read, as realign checks it: the record count and the qid set.
@@ -147,15 +187,27 @@ def _manifest(qids: list[str]) -> dict:
     return {"records": len(qids), "qids_sha256": json_digest(sorted(qids))}
 
 
+def _log_flags(args) -> list[tuple[str, str, str | Path | None]]:
+    """``--rejection-log`` and the manifest beside it, as ``_check_overrides`` takes them."""
+    log = args.rejection_log
+    return [
+        ("rejection_log_path", "--rejection-log", log),
+        ("filter's manifest", "the manifest of --rejection-log", log and manifest_path(log)),
+    ]
+
+
 def _cmd_filter(args) -> int:
     cfg = _require_config(args)
+    _check_overrides(
+        cfg, args.input, [("filter's output", "--output", args.output), *_log_flags(args)]
+    )
     corpus = load_corpus(args.input or cfg.input_path, cfg.split)
     kept, log = prefilter(corpus, cfg.filter)
     # The log first: a log that cannot be written fails the command before its output.
     log_path = args.rejection_log or cfg.rejection_log_path
     log.write(log_path)
     manifest = _manifest([rec.qid for rec in corpus.records])
-    atomic_write(manifest_path(log_path), (json.dumps(manifest) + "\n").encode("utf-8"))
+    atomic_write(manifest_path(log_path), [(json.dumps(manifest) + "\n").encode("utf-8")])
     # Spans pass through unchecked, as translate takes them; validate audits them.
     save_corpus(kept, args.output or cfg.filtered_path)
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
@@ -164,6 +216,7 @@ def _cmd_filter(args) -> int:
 
 def _cmd_translate(args) -> int:
     cfg = _require_config(args)
+    _check_overrides(cfg, args.input, [("translate's output", "--output", args.output)])
     filtered = load_corpus(args.input or cfg.filtered_path, cfg.split)
     engine = build_engine(cfg.engine_id)
     with TranslationCache(cfg.cache_path) as cache:
@@ -183,6 +236,7 @@ def _cmd_translate(args) -> int:
 
 def _cmd_postprocess(args) -> int:
     cfg = _require_config(args)
+    _check_overrides(cfg, args.input, [("postprocess's output", "--output", args.output)])
     candidates = read_candidates(args.input or cfg.candidates_path)
     transliterator = build_transliterator(cfg.transliterator_id)
     fixed = postprocess_candidates(candidates, transliterator, parallelism=cfg.parallelism)
@@ -194,6 +248,11 @@ def _cmd_postprocess(args) -> int:
 
 def _cmd_realign(args) -> int:
     cfg = _require_config(args)
+    _check_overrides(
+        cfg,
+        args.input,
+        [("output_path", "--output", args.output), *_log_flags(args), ("stats_path", None, None)],
+    )
     candidates = read_candidates(args.input or cfg.postprocessed_path)
     # Keep what filter rejected; alignment entries from an earlier realign are replaced.
     log_path = args.rejection_log or cfg.rejection_log_path
@@ -236,6 +295,12 @@ def _check_manifest(candidates: list, log: RejectionLog, log_path: str) -> None:
 
 
 def _cmd_evaluate(args) -> int:
+    require_distinct_paths({
+        "--gold": args.gold,
+        "--predictions": args.predictions,
+        "--embeddings": args.embeddings,
+        "--output": args.output,
+    })
     gold = load_corpus(args.gold, args.split)
     predictions = load_predictions(args.predictions)
     embedder = TableEmbeddingProvider.from_file(args.embeddings) if args.embeddings else None

@@ -6,11 +6,12 @@ as Python string indices. Parsing takes the file's bytes and is structural
 is a semantic question answered by :func:`validate_spans`, so invalid files
 can still be loaded, audited and written back.
 
-Serialization is deterministic and checks no span: serializing the same
-corpus twice yields byte-identical documents, and
-``parse_corpus(serialize_corpus(c))`` preserves every record. Unknown fields
-on qa objects (e.g. ``is_impossible``) are kept and re-emitted; unknown fields
-at the document/article/paragraph level are dropped with a warning.
+Serialization is deterministic, streamed one article at a time, and checks
+no span: serializing the same corpus twice yields byte-identical documents,
+and ``parse_corpus(b"".join(serialize_corpus(c)))`` preserves every record.
+Unknown fields on qa objects (e.g. ``is_impossible``) are kept and
+re-emitted; unknown fields at the document/article/paragraph level are
+dropped with a warning.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -200,34 +203,46 @@ def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
     return Corpus(split=split, records=tuple(records), version=str(doc.get("version", "1.1")))
 
 
-def serialize_corpus(corpus: Corpus) -> bytes:
-    """Emit deterministic SQuAD v1.1 JSON (UTF-8 bytes).
+# One encoder for every chunk: ``json.dumps`` with options builds a new one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
+def serialize_corpus(corpus: Corpus) -> Iterator[bytes]:
+    """Emit deterministic SQuAD v1.1 JSON as UTF-8 chunks, one per article.
+
+    The chunks are the document's head (``{"version":...,"data":[``), each
+    article in turn, a ``,`` between two articles, and the closing ``]}``;
+    joined, they are the bytes of
+    ``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))``. Only one
+    article is built at a time, so a writer that streams the chunks
+    (``save_corpus``, ``pipeline.write_dataset``, both through
+    ``atomic_write``) never holds the document whole.
 
     Consecutive records sharing a title become one article, and within it
     consecutive records sharing a context become one paragraph, so
-    parse_corpus(serialize_corpus(c)) preserves record order for any corpus,
-    grouped or not. Spans are written as they are, sound or not: checking
-    them is ``validate_spans``'s job, which ``pipeline.write_dataset`` runs
-    before every final output.
+    parse_corpus(b"".join(serialize_corpus(c))) preserves record order for
+    any corpus, grouped or not. Spans are written as they are, sound or
+    not: checking them is ``validate_spans``'s job, which
+    ``pipeline.write_dataset`` runs before every final output.
     """
-    data: list[dict[str, Any]] = []
-    for rec in corpus.records:
-        if not data or data[-1]["title"] != rec.title:
-            data.append({"title": rec.title, "paragraphs": []})
-        paragraphs = data[-1]["paragraphs"]
-        if not paragraphs or paragraphs[-1]["context"] != rec.context:
-            paragraphs.append({"context": rec.context, "qas": []})
-        qa: dict[str, Any] = {
-            "id": rec.qid,
-            "question": rec.question,
-            "answers": [{"text": a.text, "answer_start": a.start} for a in rec.answers],
-        }
-        for key in sorted(rec.extra):
-            qa[key] = rec.extra[key]
-        paragraphs[-1]["qas"].append(qa)
-
-    doc = {"version": corpus.version, "data": data}
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    yield f'{{"version":{_ENCODER.encode(corpus.version)},"data":['.encode("utf-8")
+    for i, (title, records) in enumerate(groupby(corpus.records, attrgetter("title"))):
+        paragraphs: list[dict[str, Any]] = []
+        for rec in records:
+            if not paragraphs or paragraphs[-1]["context"] != rec.context:
+                paragraphs.append({"context": rec.context, "qas": []})
+            qa: dict[str, Any] = {
+                "id": rec.qid,
+                "question": rec.question,
+                "answers": [{"text": a.text, "answer_start": a.start} for a in rec.answers],
+            }
+            for key in sorted(rec.extra):
+                qa[key] = rec.extra[key]
+            paragraphs[-1]["qas"].append(qa)
+        if i:
+            yield b","
+        yield _ENCODER.encode({"title": title, "paragraphs": paragraphs}).encode("utf-8")
+    yield b"]}"
 
 
 def validate_spans(corpus: Corpus) -> ValidationReport:
@@ -288,4 +303,5 @@ def load_corpus(path: str | Path, split: str) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Stream ``serialize_corpus``'s chunks to ``path``, atomically."""
     atomic_write(path, serialize_corpus(corpus))

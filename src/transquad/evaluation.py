@@ -325,7 +325,7 @@ def _write_sidecar(sidecar: Path, digest: bytes, tokens: list[str], matrix: np.n
     rows = np.ascontiguousarray(matrix, dtype="<f8")
     head = _SIDECAR_MAGIC + _SIDECAR_HEADER.pack(digest, *rows.shape, len(block))
     try:
-        atomic_write(sidecar, head, block, memoryview(rows))
+        atomic_write(sidecar, (head, block, memoryview(rows)))
     except OSError:
         pass  # a read-only directory or a full disk: the next load parses again
 

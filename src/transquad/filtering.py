@@ -110,12 +110,10 @@ class RejectionLog:
             counts[entry.reason] = counts.get(entry.reason, 0) + 1
         return counts
 
-    def to_jsonl(self) -> str:
-        """One JSON object per line: qid, stage, reason, detail."""
-        return "".join(json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in self.entries)
-
     def write(self, path: str | Path) -> None:
-        atomic_write(path, self.to_jsonl().encode("utf-8"))
+        """Stream one JSON object per line (qid, stage, reason, detail) to ``path``, atomically."""
+        lines = (json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in self.entries)
+        atomic_write(path, (line.encode("utf-8") for line in lines))
 
     @classmethod
     def read(cls, path: str | Path) -> RejectionLog:

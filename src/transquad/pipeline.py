@@ -23,8 +23,10 @@ an in-memory one if need be. A ``run_pipeline`` failure is a PipelineError
 naming the stage it failed in (``_stage``): setup, parse, filter,
 translate, postprocess, realign or write.
 
-Outputs are written atomically (temp file + rename), so an aborted run never
-leaves a truncated dataset behind. With deterministic engines a fixed config
+Outputs are streamed chunk by chunk into a temp file that is then renamed
+over the target, so an aborted run never leaves a truncated dataset behind
+and no output is held whole in memory; each stage's input is dropped once
+the next stage has consumed it. With deterministic engines a fixed config
 produces byte-identical corpus/log/stats across runs, whatever the
 parallelism.
 
@@ -112,9 +114,12 @@ class PipelineConfig:
             raise ConfigValidationError(
                 f"split must be one of {SPLITS}, got {self.split!r}", field="split"
             )
-        # Every path a run or a stage subcommand reads or writes by default:
-        # a file named twice, under any spelling, would be overwritten.
-        paths = {
+        require_distinct_paths(self.paths)
+
+    @property
+    def paths(self) -> dict[str, str | Path | None]:
+        """Every path a run or a stage subcommand reads or writes by default, by name."""
+        return {
             "input_path": self.input_path,
             "output_path": self.output_path,
             "rejection_log_path": self.rejection_log_path,
@@ -127,15 +132,6 @@ class PipelineConfig:
             "translate's output": self.candidates_path,
             "postprocess's output": self.postprocessed_path,
         }
-        seen: dict[str, str] = {}
-        for name, path in paths.items():
-            first = seen.setdefault(os.path.realpath(path), name) if path else name
-            if first != name:
-                raise ConfigValidationError(
-                    f"{first} and {name} are the same path {str(path)!r}; "
-                    "all paths must be distinct",
-                    field="paths",
-                )
 
     def _beside_output(self, suffix: str) -> str:
         return str(Path(self.output_path).with_suffix(suffix))
@@ -158,6 +154,22 @@ class PipelineConfig:
     def postprocessed_path(self) -> str:
         """``postprocess``'s default output, and ``realign``'s default input."""
         return self._beside_output(".postprocessed.jsonl")
+
+
+def require_distinct_paths(paths: Mapping[str, str | Path | None]) -> None:
+    """Refuse two names in ``paths`` that name one file, under any spelling.
+
+    A file named twice would be overwritten: an output over an input, or one
+    output over another. A name whose path is None or empty is not checked.
+    """
+    seen: dict[str, str] = {}
+    for name, path in paths.items():
+        first = seen.setdefault(os.path.realpath(path), name) if path else name
+        if first != name:
+            raise ConfigValidationError(
+                f"{first} and {name} are the same path {str(path)!r}; all paths must be distinct",
+                field="paths",
+            )
 
 
 def manifest_path(log_path: str | Path) -> Path:
@@ -421,11 +433,13 @@ def run_corpus_pipeline(
 ) -> PipelineResult:
     """The in-memory pipeline core: every stage between parse and serialize.
 
-    A failure raises PipelineError naming its stage: ``filter``,
-    ``translate``, ``postprocess`` or ``realign``.
+    Each stage's input is dropped once the next stage has consumed it, so a
+    later stage can reuse its memory. A failure raises PipelineError naming
+    its stage: ``filter``, ``translate``, ``postprocess`` or ``realign``.
     """
     with _stage("filter"):
         kept, log = prefilter(corpus, filter_cfg)
+    filtered_count = len(kept)
     scanned: dict[str, Residuals] = {}  # filled while translating, read by postprocess
     with _stage("translate"):
         candidates = translate_records(
@@ -437,10 +451,12 @@ def run_corpus_pipeline(
             parallelism=parallelism,
             scanned=scanned,
         )
+    del kept
     with _stage("postprocess"):
         candidates = postprocess_candidates(
             candidates, transliterator, parallelism=parallelism, scanned=scanned
         )
+    del scanned
     with _stage("realign"):
         aligned, alignment_log = align_corpus(candidates, split=corpus.split)
     log.extend(alignment_log)
@@ -448,7 +464,7 @@ def run_corpus_pipeline(
         corpus=aligned,
         rejection_log=log,
         input_count=len(corpus),
-        filtered_count=len(kept),
+        filtered_count=filtered_count,
     )
 
 
@@ -466,7 +482,9 @@ def write_dataset(
     """Check every span, then write the corpus, the rejection log and the stats, each atomically.
 
     Nothing is written when the check fails. This is the one span check
-    before output: serialization writes spans as they are.
+    before output: serialization writes spans as they are. The corpus and
+    the log are streamed to disk chunk by chunk, so neither is ever held as
+    one document.
     """
     report = validate_spans(corpus)
     if not report.ok:
@@ -475,7 +493,7 @@ def write_dataset(
         )
     atomic_write(output_path, serialize_corpus(corpus))
     log.write(rejection_log_path)
-    atomic_write(stats_path, _json_bytes(compute_stats(corpus).to_dict()))
+    atomic_write(stats_path, [_json_bytes(compute_stats(corpus).to_dict())])
 
 
 def run_pipeline(
@@ -507,6 +525,8 @@ def run_pipeline(
             cache=cache,
             parallelism=cfg.parallelism,
         )
+    # The source corpus and the cache's entries are dead: write reuses their memory.
+    del corpus, cache
     with _stage("write"):
         write_dataset(
             result.corpus,
@@ -522,32 +542,28 @@ def run_pipeline(
             rejected_by_reason=result.rejection_log.counts_by_reason(),
             wall_time=time.perf_counter() - started,
         )
-        atomic_write(cfg.summary_path, _json_bytes(summary.to_dict()))
+        atomic_write(cfg.summary_path, [_json_bytes(summary.to_dict())])
     return summary
 
 
 # -- candidates JSONL: the interchange format between stage subcommands --
 
 
-def write_candidates(candidates: list[AlignmentCandidate], path: str | Path) -> None:
-    atomic_write(
-        path,
-        "".join(
-            json.dumps(
-                {
-                    "qid": cand.qid,
-                    "title": cand.title,
-                    "question": cand.translated_question,
-                    "context": cand.translated_context,
-                    "answer": cand.translated_answer,
-                    "original_relative_position": cand.original_relative_position,
-                },
-                ensure_ascii=False,
-            )
-            + "\n"
-            for cand in candidates
-        ).encode("utf-8"),
-    )
+def write_candidates(candidates: Sequence[AlignmentCandidate], path: str | Path) -> None:
+    """Stream one JSON object per candidate and line to ``path``, atomically."""
+    atomic_write(path, (_candidate_line(cand) for cand in candidates))
+
+
+def _candidate_line(cand: AlignmentCandidate) -> bytes:
+    record = {
+        "qid": cand.qid,
+        "title": cand.title,
+        "question": cand.translated_question,
+        "context": cand.translated_context,
+        "answer": cand.translated_answer,
+        "original_relative_position": cand.original_relative_position,
+    }
+    return (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 # Candidate keys and the JSON type each must have; title may be missing. Keys

@@ -227,7 +227,7 @@ def test_criterion_04_span_soundness():
 @criterion(5, "identity engines reproduce a 50-record fixture with zero rejections")
 def test_criterion_05_identity_oracle(tmp_path):
     corpus = build_english_corpus(50, seed=50)
-    (tmp_path / "input.json").write_bytes(serialize_corpus(corpus))
+    (tmp_path / "input.json").write_bytes(b"".join(serialize_corpus(corpus)))
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(
         json.dumps(
@@ -312,18 +312,18 @@ def test_criterion_07_one_hot_reduction():
 @criterion(8, "parse/serialize round-trip is the identity and byte-stable")
 def test_criterion_08_round_trip(golden_squad_bytes):
     corpus = parse_corpus(golden_squad_bytes, "train")
-    first = serialize_corpus(corpus)
+    first = b"".join(serialize_corpus(corpus))
     reparsed = parse_corpus(first, "train")
     assert reparsed.records == corpus.records
     assert reparsed.version == corpus.version
-    second = serialize_corpus(reparsed)
+    second = b"".join(serialize_corpus(reparsed))
     assert second == first
 
 
 @criterion(9, "a warm cache means zero engine calls and byte-identical outputs")
 def test_criterion_09_cache_behavior(tmp_path):
     corpus = build_english_corpus(25, seed=13)
-    (tmp_path / "input.json").write_bytes(serialize_corpus(corpus))
+    (tmp_path / "input.json").write_bytes(b"".join(serialize_corpus(corpus)))
     engine = CountingEngine(IdentityEngine())
     outputs = []
     for name in ("cold", "warm"):

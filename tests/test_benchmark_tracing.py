@@ -28,7 +28,7 @@ _spec.loader.exec_module(spans)
 
 def test_tracer_wraps_every_name_and_undoes(tmp_path):
     corpus = build_english_corpus(40, seed=4)
-    (tmp_path / "in.json").write_bytes(serialize_corpus(corpus))
+    (tmp_path / "in.json").write_bytes(b"".join(serialize_corpus(corpus)))
     cfg = config_from_dict(
         {
             "input_path": str(tmp_path / "in.json"),

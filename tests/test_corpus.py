@@ -206,14 +206,14 @@ def test_offsets_are_code_points_not_bytes():
 
 
 def test_serialize_empty_corpus_round_trips():
-    out = serialize_corpus(Corpus(split="train", records=()))
+    out = b"".join(serialize_corpus(Corpus(split="train", records=())))
     assert len(parse_corpus(out, "train")) == 0
 
 
 def test_serialize_emits_answer_start_707():
     context = "y" * 707 + "मिसी इलियट"
     rec = make_record("q1", context, "मिसी इलियट", start=707)
-    out = serialize_corpus(Corpus(split="train", records=(rec,)))
+    out = b"".join(serialize_corpus(Corpus(split="train", records=(rec,))))
     assert b'"answer_start":707' in out
 
 
@@ -224,27 +224,27 @@ def test_serialize_writes_invalid_spans_as_they_are():
     )
     corpus = Corpus(split="train", records=(rec,))
     assert not validate_spans(corpus).ok
-    out = serialize_corpus(corpus)
+    out = b"".join(serialize_corpus(corpus))
     assert b'"answers":[{"text":"zzz","answer_start":7}]' in out
     assert parse_corpus(out, "train").records == corpus.records
 
 
 def test_round_trip_on_50_record_fixture():
     corpus = build_english_corpus(50)
-    first = serialize_corpus(corpus)
+    first = b"".join(serialize_corpus(corpus))
     reparsed = parse_corpus(first, "train")
     assert reparsed.records == corpus.records
-    second = serialize_corpus(reparsed)
+    second = b"".join(serialize_corpus(reparsed))
     assert second == first  # byte-for-byte stable on the second pass
 
 
 def test_round_trip_golden_fixture(golden_squad_bytes):
     corpus = parse_corpus(golden_squad_bytes, "train")
-    out = serialize_corpus(corpus)
+    out = b"".join(serialize_corpus(corpus))
     again = parse_corpus(out, "train")
     assert again.records == corpus.records
     assert again.version == corpus.version
-    assert serialize_corpus(again) == out
+    assert b"".join(serialize_corpus(again)) == out
 
 
 # -- validate_spans --

@@ -198,7 +198,9 @@ def test_rejection_log_jsonl_round_trip(tmp_path):
     log = RejectionLog()
     log.append(RejectionEntry("q1", "pre-filter", "manual-exclusion", "qid listed"))
     log.append(RejectionEntry("q2", "alignment", "answer-not-found"))
-    lines = log.to_jsonl().strip().split("\n")
+    path = tmp_path / "rej.jsonl"
+    log.write(path)
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
     assert json.loads(lines[0]) == {
         "qid": "q1",
         "stage": "pre-filter",
@@ -208,8 +210,6 @@ def test_rejection_log_jsonl_round_trip(tmp_path):
     assert json.loads(lines[1])["detail"] is None
     assert log.counts_by_reason() == {"manual-exclusion": 1, "answer-not-found": 1}
 
-    path = tmp_path / "rej.jsonl"
-    log.write(path)
     assert RejectionLog.read(path).entries == log.entries
     assert len(RejectionLog.read(tmp_path / "absent.jsonl")) == 0
     path.write_text(lines[0].replace("pre-filter", "made-up-stage") + "\n", encoding="utf-8")

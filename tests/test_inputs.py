@@ -117,7 +117,7 @@ INPUTS = {
     ),
     "corpus": (
         "input.json",
-        serialize_corpus(CORPUS),
+        b"".join(serialize_corpus(CORPUS)),
         {
             "not-utf8": b'{"version": "\xff", "data": []}',
             "not-json": b'{"data": [',
@@ -125,7 +125,7 @@ INPUTS = {
             "top-level-type": b"[]",
             "field-type": b'{"version": "1.1", "data": {}}',
             "missing-field": b'{"version": "1.1"}',
-            "surrogate": surrogate(json.loads(serialize_corpus(CORPUS)), "version"),
+            "surrogate": surrogate(json.loads(b"".join(serialize_corpus(CORPUS))), "version"),
             "directory": DIRECTORY,
         },
     ),

@@ -9,6 +9,7 @@ import json
 import os
 import stat
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -74,7 +75,7 @@ def write_config(tmp_path, **overrides):
 
 
 def write_input(tmp_path, corpus):
-    (tmp_path / "input.json").write_bytes(serialize_corpus(corpus))
+    (tmp_path / "input.json").write_bytes(b"".join(serialize_corpus(corpus)))
 
 
 # -- load_config --
@@ -124,7 +125,7 @@ def test_config_rejects_unknown_filter_key(tmp_path):
 def test_config_rejects_duplicate_paths(tmp_path, capsys, command, names):
     (tmp_path / "sub").mkdir()
     path, cfg = write_config(tmp_path, **{key: str(tmp_path / name) for key, name in names.items()})
-    Path(cfg["input_path"]).write_bytes(serialize_corpus(build_english_corpus(3)))
+    Path(cfg["input_path"]).write_bytes(b"".join(serialize_corpus(build_english_corpus(3))))
     with pytest.raises(ConfigValidationError) as err:
         load_config(path)
     assert err.value.field == "paths"
@@ -132,6 +133,51 @@ def test_config_rejects_duplicate_paths(tmp_path, capsys, command, names):
     assert main(["--config", str(path), command]) == 2
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # filter would leave its own input holding the rejection log
+        ["filter", "--rejection-log", "in.json"],
+        ["filter", "--output", "in.json"],
+        ["filter", "--input", "out.filtered.json"],
+        # translate would replace its own default input with candidates
+        ["translate", "--output", "out.filtered.json"],
+        ["translate", "--input", "out.candidates.jsonl"],
+        ["postprocess", "--output", "sub/../out.candidates.jsonl"],
+        # realign would write the corpus, then the log over it
+        ["realign", "--output", "rej.jsonl"],
+        ["realign", "--rejection-log", "out.json"],
+        ["realign", "--output", "in.json"],
+        ["stats", "in.json", "--output", "in.json"],
+        ["stats", "--output", "sub/../in.json"],
+        ["evaluate", "--gold", "in.json", "--predictions", "pred.json", "--output", "pred.json"],
+        ["evaluate", "--gold", "in.json", "--predictions", "pred.json", "--output", "in.json"],
+        ["evaluate", "--gold", "in.json", "--predictions", "pred.json",
+         "--embeddings", "emb.txt", "--output", "emb.txt"],
+    ],
+    ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+)
+def test_cli_refuses_an_override_that_names_another_of_its_paths(tmp_path, capsys, argv):
+    """The config's distinct-path check, run again with the command line's paths in place."""
+    (tmp_path / "sub").mkdir()
+    names = {"input_path": "in.json", "output_path": "out.json", "rejection_log_path": "rej.jsonl"}
+    path, _ = write_config(tmp_path, **{key: str(tmp_path / name) for key, name in names.items()})
+    (tmp_path / "in.json").write_bytes(b"".join(serialize_corpus(build_english_corpus(3))))
+    for command in ("filter", "translate", "postprocess", "realign"):
+        assert main(["--config", str(path), command]) == 0
+    (tmp_path / "pred.json").write_text('{"q0": "river"}', encoding="utf-8")
+    (tmp_path / "emb.txt").write_text("river 1 0\n", encoding="utf-8")
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = [str(tmp_path / arg) if "." in arg else arg for arg in argv]
+    assert main(["--config", str(path), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "all paths must be distinct" in line
     assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
@@ -756,7 +802,7 @@ def test_cli_filter_passes_spans_through_as_translate_and_pipeline_do(tmp_path, 
     first = corpus.records[0]
     far = replace(first, answers=(replace(first.answers[0], start=1_000_000),))
     corpus = replace(corpus, records=(far, *corpus.records[1:]))
-    (tmp_path / "input.json").write_bytes(serialize_corpus(corpus))
+    (tmp_path / "input.json").write_bytes(b"".join(serialize_corpus(corpus)))
     path, _ = write_config(tmp_path)
     for command in ("filter", "translate", "pipeline"):
         assert main(["--config", str(path), command]) == 0, capsys.readouterr().err
@@ -933,7 +979,7 @@ def test_cli_evaluate(tmp_path, capsys):
         version=corpus.version,
     )
     gold_path = tmp_path / "gold.json"
-    gold_path.write_bytes(serialize_corpus(collapsed))
+    gold_path.write_bytes(b"".join(serialize_corpus(collapsed)))
     answers = {r.qid: r.answers[0].text for r in collapsed.records}
     pred_path = tmp_path / "pred.json"
     pred_path.write_text(json.dumps(answers), encoding="utf-8")
@@ -1032,7 +1078,7 @@ def test_cli_evaluate_missing_embedding_on_a_pool_thread_exits_1(tmp_path, monke
         make_record(f"q{i}", f"alpha beta {i}", "alpha beta", start=0) for i in range(300)
     ]
     gold_path = tmp_path / "gold.json"
-    gold_path.write_bytes(serialize_corpus(Corpus(split="test", records=tuple(records))))
+    gold_path.write_bytes(b"".join(serialize_corpus(Corpus(split="test", records=tuple(records)))))
     predictions = {rec.qid: "beta" for rec in records}
     predictions["q290"] = "alpha gamma"
     (tmp_path / "pred.json").write_text(json.dumps(predictions), encoding="utf-8")
@@ -1069,7 +1115,7 @@ def test_cli_evaluate_missing_embedding_on_a_pool_thread_exits_1(tmp_path, monke
 def test_cli_failed_report_write_leaves_the_old_file(tmp_path, monkeypatch, capsys, command):
     corpus = build_english_corpus(3)
     gold_path = tmp_path / "gold.json"
-    gold_path.write_bytes(serialize_corpus(replace(corpus, split="test")))
+    gold_path.write_bytes(b"".join(serialize_corpus(replace(corpus, split="test"))))
     pred_path = tmp_path / "pred.json"
     pred_path.write_text(json.dumps({r.qid: r.answers[0].text for r in corpus.records}))
     out = tmp_path / "reports" / "report.json"
@@ -1131,6 +1177,53 @@ def test_failed_write_leaves_the_old_file_intact(tmp_path, monkeypatch, name):
     assert write_each_output(tmp_path, name).read_bytes() != b"old contents\n"
 
 
+def test_a_stream_that_fails_midway_leaves_the_old_file_intact(tmp_path):
+    path = tmp_path / "corpus.json"
+    path.write_bytes(b"old contents\n")
+
+    def chunks():
+        yield b"new contents"
+        raise ValueError("no more chunks")
+
+    with pytest.raises(ValueError, match="no more chunks"):
+        transquad._text.atomic_write(path, chunks())
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]  # no .corpus.json.* left
+
+
+def test_an_encode_error_in_a_later_article_leaves_the_old_corpus_intact(tmp_path):
+    """A lone surrogate built in code fails the second article's chunk, mid-write."""
+    path = tmp_path / "corpus.json"
+    path.write_bytes(b"old contents\n")
+    good = make_record("q1", "plain context", "plain", title="first")
+    bad = make_record("q2", "odd \ud800 context", "odd", title="second")
+    with pytest.raises(UnicodeEncodeError):
+        transquad.corpus.save_corpus(Corpus(split="train", records=(good, bad)), path)
+    assert path.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.json"]
+
+
+def test_write_dataset_holds_one_article_at_a_time_not_the_document(tmp_path):
+    """Peak memory of the write is bounded by the largest article's JSON, not the corpus's."""
+    records = tuple(
+        make_record(f"q{i}", f"answer{i} " + "x" * 50_000, f"answer{i}", title=f"article {i}")
+        for i in range(40)
+    )
+    corpus = Corpus(split="train", records=records)
+    article = max(len(json.dumps({"title": r.title, "context": r.context})) for r in records)
+    outputs = [tmp_path / name for name in ("out.json", "log.jsonl", "stats.json")]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        write_dataset(corpus, RejectionLog(), *outputs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    document = outputs[0].stat().st_size
+    assert document > 35 * article
+    assert peak < 4 * article, (peak, article, document)
+
+
 def test_write_through_a_symlink_keeps_the_link(tmp_path):
     real = tmp_path / "real"
     real.mkdir()
@@ -1176,7 +1269,7 @@ def test_write_to_a_fifo_writes_in_place(tmp_path):
     log.write(fifo)
     reader.join(timeout=10)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
-    assert received == [log.to_jsonl().encode("utf-8")]
+    assert received == [b'{"qid": "q1", "stage": "pre-filter", "reason": "too-short", "detail": null}\n']
     assert [p.name for p in tmp_path.iterdir()] == ["rejections.jsonl"]
 
 

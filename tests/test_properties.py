@@ -582,10 +582,10 @@ def corpora(draw):
 @settings(max_examples=100, deadline=None)  # drawing a corpus is the slow part
 @given(corpora())
 def test_serialize_then_parse_gives_the_corpus_back(corpus):
-    raw = serialize_corpus(corpus)
+    raw = b"".join(serialize_corpus(corpus))
     again = parse_corpus(raw, corpus.split)
     assert again == corpus
-    assert serialize_corpus(again) == raw
+    assert b"".join(serialize_corpus(again)) == raw
 
 
 def pipeline_corpus(seed: int):
@@ -608,7 +608,7 @@ OUTPUTS = ("output_path", "rejection_log_path", "stats_path")
 def pipeline_config(root: Path, seed: int, parallelism: int) -> dict:
     """Write the inputs of a run on ``pipeline_corpus(seed)`` under ``root``; returns its config."""
     corpus = pipeline_corpus(seed)
-    (root / "input.json").write_bytes(serialize_corpus(corpus))
+    (root / "input.json").write_bytes(b"".join(serialize_corpus(corpus)))
     table = {w: d for w, d in zip(ENGLISH_WORDS, DEVANAGARI_WORDS)}
     table.update({r.answers[0].text: f"उत्तर{i}" for i, r in enumerate(corpus.records)})
     (root / "dict.tsv").write_text(
