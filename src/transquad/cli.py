@@ -24,7 +24,8 @@ manifest recorded.
 ``--input``, ``--output`` and ``--rejection-log`` go through the config's
 distinct-path check (``require_distinct_paths``) in place of the paths they
 override, and ``stats`` and ``evaluate`` refuse an ``--output`` that names
-one of their inputs (exit 2, nothing read or written).
+one of their inputs, or for ``evaluate`` the sidecar of ``--embeddings``
+(exit 2, nothing read or written).
 
 Exit codes: 0 success, 1 data or validation failure, 2 configuration or I/O
 failure.
@@ -42,7 +43,12 @@ from ._text import INTEGER, STRING, atomic_write, check_fields, json_digest, par
 from .alignment import align_corpus
 from .corpus import Corpus, compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, TransquadError
-from .evaluation import TableEmbeddingProvider, evaluate_predictions, load_predictions
+from .evaluation import (
+    TableEmbeddingProvider,
+    evaluate_predictions,
+    load_predictions,
+    sidecar_path,
+)
 from .filtering import STAGE_PRE_FILTER, RejectionLog
 from .pipeline import (
     PipelineConfig,
@@ -299,6 +305,8 @@ def _cmd_evaluate(args) -> int:
         "--gold": args.gold,
         "--predictions": args.predictions,
         "--embeddings": args.embeddings,
+        # from_file writes the parsed table there.
+        "the sidecar of --embeddings": args.embeddings and sidecar_path(args.embeddings),
         "--output": args.output,
     })
     gold = load_corpus(args.gold, args.split)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, NoReturn
 
 from ._text import ARRAY, INTEGER, STRING, atomic_write, check_fields, parse_json
 from .errors import (
@@ -50,6 +50,8 @@ _ARTICLE_FIELDS = {"title": STRING, "paragraphs": ARRAY}
 _PARAGRAPH_FIELDS = {"context": STRING, "qas": ARRAY}
 _QA_FIELDS = {"id": STRING, "question": STRING, "answers": ARRAY}
 _ANSWER_FIELDS = {"text": STRING, "answer_start": INTEGER}
+# The array key under each node that holds the next node, outermost first.
+_CHILD_ARRAYS = ("data", "paragraphs", "qas", "answers")
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,23 @@ class StatsReport:
         }
 
 
+def _node_path(indices: tuple[int, ...]) -> str:
+    """``data[i].paragraphs[j].qas[k].answers[m]``, cut to ``indices``; ``$`` for the document."""
+    return ".".join(f"{key}[{i}]" for key, i in zip(_CHILD_ARRAYS, indices)) or "$"
+
+
 def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
     """Parse SQuAD v1.1 JSON bytes into a Corpus, preserving document order.
 
     Raises MalformedDocumentError (with the path to the offending node) on
     schema violations and EncodingError on non-UTF-8 input; each message
     starts with ``where``, the file the bytes came from.
+
+    A qa or answer node, of which a corpus has thousands, has its field
+    types tested inline; ``check_fields`` runs only on a node that fails
+    that test, to write the error. JSON yields only exact types, so
+    ``type(x) is str`` is the test ``check_fields`` makes. Node paths are
+    built only for an error or a warning.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -145,60 +158,69 @@ def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
     except ValueError as exc:
         raise MalformedDocumentError(str(exc)) from exc
 
-    def require(condition: bool, message: str, path: str) -> None:
-        if not condition:
-            raise MalformedDocumentError(f"{where}: {message}", path)
+    def refuse(message: str, *indices: int) -> NoReturn:
+        raise MalformedDocumentError(f"{where}: {message}", _node_path(indices))
+
+    def check(node: Any, what: str, fields: Mapping, *indices: int, optional=()) -> None:
+        try:
+            check_fields(node, what, fields, optional)
+        except FieldError as exc:
+            raise MalformedDocumentError(f"{where}: {exc}", _node_path(indices)) from exc
 
     records: list[QaRecord] = []
     seen_qids: set[str] = set()
-    path = "$"  # the node being checked, which a FieldError names
-    try:
-        check_fields(doc, "the document", _DOCUMENT_FIELDS, optional=("version",))
-        for key in doc.keys() - _DOCUMENT_FIELDS.keys():
-            logger.warning("dropping unknown document-level field %r", key)
-        for ai, article in enumerate(doc["data"]):
-            path = apath = f"data[{ai}]"
-            check_fields(article, "an article", _ARTICLE_FIELDS, optional=("title",))
-            title = article.get("title", "")
-            for key in article.keys() - _ARTICLE_FIELDS.keys():
-                logger.warning("dropping unknown article-level field %r at %s", key, apath)
+    check(doc, "the document", _DOCUMENT_FIELDS, optional=("version",))
+    for key in doc.keys() - _DOCUMENT_FIELDS.keys():
+        logger.warning("dropping unknown document-level field %r", key)
+    for ai, article in enumerate(doc["data"]):
+        check(article, "an article", _ARTICLE_FIELDS, ai, optional=("title",))
+        title = article.get("title", "")
+        for key in article.keys() - _ARTICLE_FIELDS.keys():
+            logger.warning("dropping unknown article-level field %r at %s", key, _node_path((ai,)))
 
-            for pi, para in enumerate(article["paragraphs"]):
-                path = ppath = f"{apath}.paragraphs[{pi}]"
-                check_fields(para, "a paragraph", _PARAGRAPH_FIELDS)
-                context = para["context"]
-                require(context != "", "context must be non-empty", ppath)
-                for key in para.keys() - _PARAGRAPH_FIELDS.keys():
-                    logger.warning("dropping unknown paragraph-level field %r at %s", key, ppath)
+        for pi, para in enumerate(article["paragraphs"]):
+            check(para, "a paragraph", _PARAGRAPH_FIELDS, ai, pi)
+            context = para["context"]
+            if context == "":
+                refuse("context must be non-empty", ai, pi)
+            for key in para.keys() - _PARAGRAPH_FIELDS.keys():
+                logger.warning(
+                    "dropping unknown paragraph-level field %r at %s", key, _node_path((ai, pi))
+                )
 
-                for qi, qa in enumerate(para["qas"]):
-                    path = qpath = f"{ppath}.qas[{qi}]"
-                    check_fields(qa, "a qa", _QA_FIELDS)
-                    qid = qa["id"]
-                    require(qid != "", "'id' must not be empty", qpath)
-                    require(qa["question"] != "", "'question' must not be empty", qpath)
-                    require(qa["answers"] != [], "'answers' must not be empty", qpath)
-                    require(qid not in seen_qids, f"duplicate question id {qid!r}", qpath)
-                    seen_qids.add(qid)
+            for qi, qa in enumerate(para["qas"]):
+                if not (
+                    type(qa) is dict
+                    and type(qa.get("id")) is str
+                    and type(qa.get("question")) is str
+                    and type(qa.get("answers")) is list
+                ):
+                    check(qa, "a qa", _QA_FIELDS, ai, pi, qi)
+                qid, question, answers = qa["id"], qa["question"], qa["answers"]
+                if qid == "":
+                    refuse("'id' must not be empty", ai, pi, qi)
+                if question == "":
+                    refuse("'question' must not be empty", ai, pi, qi)
+                if not answers:
+                    refuse("'answers' must not be empty", ai, pi, qi)
+                if qid in seen_qids:
+                    refuse(f"duplicate question id {qid!r}", ai, pi, qi)
+                seen_qids.add(qid)
 
-                    spans: list[AnswerSpan] = []
-                    for xi, ans in enumerate(qa["answers"]):
-                        path = f"{qpath}.answers[{xi}]"
-                        check_fields(ans, "an answer", _ANSWER_FIELDS)
-                        spans.append(AnswerSpan(text=ans["text"], start=ans["answer_start"]))
+                spans: list[AnswerSpan] = []
+                for xi, ans in enumerate(answers):
+                    if not (
+                        type(ans) is dict
+                        and type(ans.get("text")) is str
+                        and type(ans.get("answer_start")) is int
+                    ):
+                        check(ans, "an answer", _ANSWER_FIELDS, ai, pi, qi, xi)
+                    spans.append(AnswerSpan(ans["text"], ans["answer_start"]))
 
-                    records.append(
-                        QaRecord(
-                            qid=qid,
-                            question=qa["question"],
-                            context=context,
-                            answers=tuple(spans),
-                            title=title,
-                            extra={k: qa[k] for k in sorted(qa.keys() - _QA_FIELDS.keys())},
-                        )
-                    )
-    except FieldError as exc:
-        raise MalformedDocumentError(f"{where}: {exc}", path) from exc
+                extra = {}
+                if len(qa) > len(_QA_FIELDS):  # fields past the known ones are kept
+                    extra = {k: qa[k] for k in sorted(qa.keys() - _QA_FIELDS.keys())}
+                records.append(QaRecord(qid, question, context, tuple(spans), title, extra))
 
     return Corpus(split=split, records=tuple(records), version=str(doc.get("version", "1.1")))
 

@@ -12,11 +12,13 @@ vectors and does greedy max-cosine matching with uniform token weights (no
 idf, no baseline rescaling). Embeddings come from any EmbeddingProvider; a
 table-backed provider is included for offline use, and keeps each table it
 parses in a binary sidecar beside it. ``evaluate_predictions``
-sends the pairs to the provider through the model gateway
-(``translation.call_model``) in chunks of ``PAIRS_PER_CHUNK``, so the waits
-of different pairs overlap, and no worker runs out of pairs while another
-still has a long chunk ahead of it. The gateway's ``call`` only waits on the
-model: it fetches a chunk's vectors on a pool thread. Its ``settle`` does the
+checks every pair first, then sends the pairs to the provider through the
+model gateway (``translation.call_model``) in chunks of ``PAIRS_PER_CHUNK``,
+so the waits of different pairs overlap, and no worker runs out of pairs
+while another still has a long chunk ahead of it. The gateway's ``call``
+normalizes its chunk's answers and fetches their vectors on a pool thread,
+so the first model call waits on one chunk's normalization, not the whole
+run's, and the rest overlaps the model. Its ``settle`` does the remaining
 local compute: it scores each chunk on the calling thread, in input order,
 while later chunks are still waiting on the model.
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import stat
 import struct
@@ -32,6 +35,7 @@ import unicodedata
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -138,8 +142,10 @@ class EmbeddingProvider:
     and gold normalize to the same tokens one array serves both sides.
 
     Calls for different pairs run on up to ``max_workers`` threads at once,
-    so ``embed`` must be thread-safe; those threads only wait on it, and the
-    vectors are scored on the thread that called ``evaluate_predictions``.
+    so ``embed`` must be thread-safe. Those threads normalize each pair
+    just before its ``embed`` calls and otherwise only wait on the model;
+    the vectors are scored on the thread that called
+    ``evaluate_predictions``.
     ``embed`` may raise ``TransientEngineError`` to have the vectors of its
     gateway chunk (``PAIRS_PER_CHUNK`` pairs, the last one fewer) fetched
     again, with backoff. Another ``TransquadError``
@@ -225,7 +231,7 @@ class TableEmbeddingProvider(EmbeddingProvider):
         # Hashed before it is parsed: a table replaced in between is parsed
         # anew and kept under the old hash, which it no longer matches.
         digest = file_digest(path)
-        sidecar = Path(f"{path}{_SIDECAR_SUFFIX}")
+        sidecar = sidecar_path(path)
         if digest is not None:
             kept = _read_sidecar(sidecar, digest)
             # Rows the checks refuse are parsed from the text, which names the line.
@@ -283,6 +289,11 @@ def _first_bad_row(matrix: np.ndarray) -> tuple[int, bool] | None:
 _SIDECAR_SUFFIX = ".tqemb"
 _SIDECAR_MAGIC = b"transquad embedding table 1\n"
 _SIDECAR_HEADER = struct.Struct("<32sQQQ")
+
+
+def sidecar_path(table_path: str | Path) -> Path:
+    """Where ``TableEmbeddingProvider.from_file`` keeps the parsed table: beside it."""
+    return Path(f"{table_path}{_SIDECAR_SUFFIX}")
 
 
 def _read_sidecar(sidecar: Path, digest: bytes) -> tuple[list[str], np.ndarray] | None:
@@ -377,14 +388,17 @@ class EvalReport:
     mean_f1: float | None = None
     mean_bert_f: float | None = None
 
+    def _aggregate(self) -> dict:
+        return {
+            "scored": len(self.per_question),
+            "exact_match": self.mean_em,
+            "f1": self.mean_f1,
+            "bert_f": self.mean_bert_f,
+        }
+
     def to_dict(self) -> dict:
         return {
-            "aggregate": {
-                "scored": len(self.per_question),
-                "exact_match": self.mean_em,
-                "f1": self.mean_f1,
-                "bert_f": self.mean_bert_f,
-            },
+            "aggregate": self._aggregate(),
             "per_question": {
                 qid: {"em": s.em, "f1": s.f1, "bert_f": s.bert_f}
                 for qid, s in self.per_question.items()
@@ -393,8 +407,46 @@ class EvalReport:
         }
 
     def to_json(self) -> str:
-        # A non-finite score would be written as bare NaN, which is not JSON.
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2, allow_nan=False)
+        """The report as JSON, indented by two.
+
+        The text is that of
+        ``json.dumps(self.to_dict(), ensure_ascii=False, indent=2, allow_nan=False)``,
+        but CPython's C encoder serves only ``indent=None``, so that call would
+        run the pure-Python encoder over every per-question entry. Only the
+        aggregate goes through it here; each entry and skipped qid is
+        written directly, each qid by the string encoder ``json`` itself
+        uses and each score by ``_json_score``. A non-finite score raises
+        the ValueError ``json.dumps`` raises, since bare NaN is not JSON.
+        """
+        head = json.dumps(
+            {"aggregate": self._aggregate()}, ensure_ascii=False, indent=2, allow_nan=False
+        )
+        entries = ",\n".join(
+            f'    {encode_basestring(qid)}: {{\n'
+            f'      "em": {_json_score(s.em)},\n'
+            f'      "f1": {_json_score(s.f1)},\n'
+            f'      "bert_f": {_json_score(s.bert_f)}\n'
+            "    }"
+            for qid, s in self.per_question.items()
+        )
+        skipped = ",\n".join(f"    {encode_basestring(qid)}" for qid in self.skipped)
+        per_question = f"{{\n{entries}\n  }}" if entries else "{}"
+        skipped = f"[\n{skipped}\n  ]" if skipped else "[]"
+        # head ends in the document's closing "\n}", which goes after the rest.
+        return f'{head[:-2]},\n  "per_question": {per_question},\n  "skipped": {skipped}\n}}'
+
+
+def _json_score(value: float | None) -> str:
+    """A score as ``json.dumps(..., allow_nan=False)`` writes it: null, or a number's repr."""
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # The model name in the gateway's messages.
@@ -437,19 +489,21 @@ def evaluate_predictions(
     Aggregates are plain means over the scored questions; skipped questions
     are excluded, not zero-filled, and reported so the choice is auditable.
     BERTScore is omitted entirely when no embedder is supplied. Each side of
-    a pair is normalized once, and each distinct normalized answer of a pair
-    is embedded once.
+    a pair is normalized once (again only if the provider asks for its
+    chunk to be retried), and each distinct normalized answer of a pair is
+    embedded once.
 
-    Every pair is checked and normalized before any ``embed`` call. The pairs
-    then go through ``call_model`` in chunks of ``PAIRS_PER_CHUNK``, up to
-    ``embedder.max_workers`` at once. Its ``call`` fetches each chunk's
-    vectors on a pool thread and does nothing else; its ``settle`` scores
-    the chunk on this thread while later chunks still wait on the model.
-    Chunks are scored and reported in input order, so the report does not
-    depend on the parallelism.
+    Every pair is checked (one gold answer, a string prediction) before
+    any ``embed`` call. The pairs then go
+    through ``call_model`` in chunks of ``PAIRS_PER_CHUNK``, up to
+    ``embedder.max_workers`` at once. Its ``call`` normalizes each pair of
+    its chunk and fetches the pair's vectors, on a pool thread; its
+    ``settle`` scores the chunk on this thread while later chunks still
+    wait on the model. Chunks are scored and reported in input order, so
+    the report does not depend on the parallelism.
     """
     report = EvalReport()
-    pairs: list[tuple[str, list[str], list[str]]] = []
+    pairs: list[tuple[str, str, str]] = []
     for rec in gold.records:
         if len(rec.answers) != 1:
             raise ValueError(
@@ -459,28 +513,41 @@ def evaluate_predictions(
         if rec.qid not in predictions:
             report.skipped.append(rec.qid)
             continue
-        pairs.append((rec.qid, normalize(rec.answers[0].text), normalize(predictions[rec.qid])))
+        prediction = predictions[rec.qid]
+        # Refused here, before a pool thread's normalize would blame the provider.
+        if not isinstance(prediction, str):
+            raise ValueError(f"prediction for {rec.qid!r} must be a string, got {prediction!r}")
+        pairs.append((rec.qid, rec.answers[0].text, prediction))
 
-    def settle(chunk, bert_fs) -> None:
-        for (qid, gold_tokens, pred_tokens), bert_f in zip(chunk, bert_fs):
-            report.per_question[qid] = QuestionScore(
-                em=int(gold_tokens == pred_tokens),
-                f1=_tokens_f1(gold_tokens, pred_tokens),
-                bert_f=bert_f,
-            )
+    def record(qid: str, gold_tokens: list[str], pred_tokens: list[str], bert_f) -> None:
+        report.per_question[qid] = QuestionScore(
+            em=int(gold_tokens == pred_tokens),
+            f1=_tokens_f1(gold_tokens, pred_tokens),
+            bert_f=bert_f,
+        )
 
-    def score(chunk, vectors) -> None:
+    def fetch(chunk):
+        replies = []
+        for _, gold_text, pred_text in chunk:
+            gold_tokens, pred_tokens = normalize(gold_text), normalize(pred_text)
+            vectors = _pair_vectors(gold_tokens, pred_tokens, embedder)
+            replies.append((gold_tokens, pred_tokens, vectors))
+        return replies
+
+    def score(chunk, replies) -> None:
         try:
-            bert_fs = [_bert_f(g, p, v) for (_, g, p), v in zip(chunk, vectors)]
+            bert_fs = [_bert_f(*reply) for reply in replies]
         except (TypeError, ValueError) as exc:  # vectors np.asarray or bert_score refuse
             raise EmbeddingError(f"{_MODEL} failed on a chunk of {len(chunk)}: {exc}") from exc
-        settle(chunk, bert_fs)
+        for (qid, _, _), (gold_tokens, pred_tokens, _), bert_f in zip(chunk, replies, bert_fs):
+            record(qid, gold_tokens, pred_tokens, bert_f)
 
     if embedder is None:
-        settle(pairs, [None] * len(pairs))
+        for qid, gold_text, pred_text in pairs:
+            record(qid, normalize(gold_text), normalize(pred_text), None)
     else:
         call_model(
-            lambda chunk: [_pair_vectors(g, p, embedder) for _, g, p in chunk],
+            fetch,
             pairs,
             _MODEL,
             lambda message, chunk: EmbeddingError(message),

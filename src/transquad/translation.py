@@ -269,10 +269,12 @@ def call_model(
     Once a chunk fails, no later chunk calls the model again: one that has
     not started never starts, and one waiting to retry stops at once.
 
-    ``call`` runs on the pool threads and should only wait on the model;
-    ``settle`` runs on the calling thread, which is otherwise idle while it
-    waits for the oldest chunk, so local compute on the replies belongs
-    there: it then runs while later chunks wait on the model.
+    ``call`` runs on the pool threads and should mostly wait on the model;
+    preparing its own chunk's inputs there (the evaluator normalizes its
+    answers) keeps that work off the first model call's path. ``settle``
+    runs on the calling thread, which is otherwise idle while it waits for
+    the oldest chunk, so local compute on the replies belongs there: it
+    then runs while later chunks wait on the model.
 
     Error policy: a TransientEngineError is retried, up to
     ``DEFAULT_MAX_ATTEMPTS`` attempts with a backoff of

@@ -109,57 +109,143 @@ def assert_refused_at(doc, path: str) -> None:
     assert re.fullmatch(re.escape(path) + r"(\.\w+)?", err.value.path), err.value.path
 
 
-@pytest.mark.parametrize(
-    "path, key, value",
-    [
-        # key None: the node itself is replaced by ``value``.
-        ("$", None, []),
-        ("$", "data", DELETE),
-        ("$", "data", {}),
-        ("data[0]", None, "t"),
-        ("data[0]", "paragraphs", DELETE),
-        ("data[0]", "paragraphs", None),
-        ("data[0]", "title", 3),
-        ("data[0].paragraphs[0]", None, 1),
-        ("data[0].paragraphs[0]", "context", DELETE),
-        ("data[0].paragraphs[0]", "context", ["abc"]),
-        ("data[0].paragraphs[0]", "context", ""),
-        ("data[0].paragraphs[0]", "qas", DELETE),
-        ("data[0].paragraphs[0]", "qas", {}),
-        ("data[0].paragraphs[0].qas[0]", None, None),
-        ("data[0].paragraphs[0].qas[0]", "id", DELETE),
-        ("data[0].paragraphs[0].qas[0]", "id", 1),
-        ("data[0].paragraphs[0].qas[0]", "id", ""),
-        ("data[0].paragraphs[0].qas[0]", "question", DELETE),
-        ("data[0].paragraphs[0].qas[0]", "question", False),
-        ("data[0].paragraphs[0].qas[0]", "question", ""),
-        ("data[0].paragraphs[0].qas[0]", "answers", DELETE),
-        ("data[0].paragraphs[0].qas[0]", "answers", "a"),
-        ("data[0].paragraphs[0].qas[0]", "answers", []),
-        ("data[0].paragraphs[0].qas[0].answers[0]", None, "a"),
-        ("data[0].paragraphs[0].qas[0].answers[0]", "text", DELETE),
-        ("data[0].paragraphs[0].qas[0].answers[0]", "text", 0),
-        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", DELETE),
-        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", True),
-        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", 0.0),
-        ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", "0"),
-    ],
-)
-def test_parse_refuses_each_schema_violation_at_its_node(path, key, value):
-    doc = single_qa_doc("abc", [{"text": "a", "answer_start": 0}])
+# One schema violation per row: the node at ``path`` (one of NODE_PATHS) is
+# broken by setting ``key`` to ``value`` (DELETE removes it; key None
+# replaces the node itself), and the parser's message names ``detail``.
+SCHEMA_VIOLATIONS = [
+    ("$", None, [], "the document must be a JSON object, got list"),
+    ("$", "data", DELETE, "missing key 'data'"),
+    ("$", "data", {}, "'data' must be an array, got {}"),
+    ("data[0]", None, "t", "an article must be a JSON object, got str"),
+    ("data[0]", "paragraphs", DELETE, "missing key 'paragraphs'"),
+    ("data[0]", "paragraphs", None, "'paragraphs' must be an array, got None"),
+    ("data[0]", "title", 3, "'title' must be a string, got 3"),
+    ("data[0].paragraphs[0]", None, 1, "a paragraph must be a JSON object, got int"),
+    ("data[0].paragraphs[0]", "context", DELETE, "missing key 'context'"),
+    ("data[0].paragraphs[0]", "context", ["abc"], "'context' must be a string, got ['abc']"),
+    ("data[0].paragraphs[0]", "context", "", "context must be non-empty"),
+    ("data[0].paragraphs[0]", "qas", DELETE, "missing key 'qas'"),
+    ("data[0].paragraphs[0]", "qas", {}, "'qas' must be an array, got {}"),
+    ("data[0].paragraphs[0].qas[0]", None, None, "a qa must be a JSON object, got NoneType"),
+    ("data[0].paragraphs[0].qas[0]", "id", DELETE, "missing key 'id'"),
+    ("data[0].paragraphs[0].qas[0]", "id", 1, "'id' must be a string, got 1"),
+    ("data[0].paragraphs[0].qas[0]", "id", "", "'id' must not be empty"),
+    ("data[0].paragraphs[0].qas[0]", "question", DELETE, "missing key 'question'"),
+    ("data[0].paragraphs[0].qas[0]", "question", False, "'question' must be a string, got False"),
+    ("data[0].paragraphs[0].qas[0]", "question", "", "'question' must not be empty"),
+    ("data[0].paragraphs[0].qas[0]", "answers", DELETE, "missing key 'answers'"),
+    ("data[0].paragraphs[0].qas[0]", "answers", "a", "'answers' must be an array, got 'a'"),
+    ("data[0].paragraphs[0].qas[0]", "answers", [], "'answers' must not be empty"),
+    ("data[0].paragraphs[0].qas[0].answers[0]", None, "a",
+     "an answer must be a JSON object, got str"),
+    ("data[0].paragraphs[0].qas[0].answers[0]", "text", DELETE, "missing key 'text'"),
+    ("data[0].paragraphs[0].qas[0].answers[0]", "text", 0, "'text' must be a string, got 0"),
+    ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", DELETE,
+     "missing key 'answer_start'"),
+    ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", True,
+     "'answer_start' must be an integer, got True"),
+    ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", 0.0,
+     "'answer_start' must be an integer, got 0.0"),
+    ("data[0].paragraphs[0].qas[0].answers[0]", "answer_start", "0",
+     "'answer_start' must be an integer, got '0'"),
+]
+
+
+def break_node(doc, indices, path, key, value):
+    """``doc`` with its node at ``indices`` broken as a SCHEMA_VIOLATIONS row says."""
     nodes = [doc]
-    for array in CHILD_ARRAYS:
-        nodes.append(nodes[-1][array][0])
+    for array, index in zip(CHILD_ARRAYS, indices):
+        nodes.append(nodes[-1][array][index])
     depth = NODE_PATHS.index(path)
     if key is None and depth == 0:
-        doc = value
-    elif key is None:
-        nodes[depth - 1][CHILD_ARRAYS[depth - 1]][0] = value
+        return value
+    if key is None:
+        nodes[depth - 1][CHILD_ARRAYS[depth - 1]][indices[depth - 1]] = value
     elif value is DELETE:
         del nodes[depth][key]
     else:
         nodes[depth][key] = value
-    assert_refused_at(doc, path)
+    return doc
+
+
+@pytest.mark.parametrize("path, key, value", [row[:3] for row in SCHEMA_VIOLATIONS])
+def test_parse_refuses_each_schema_violation_at_its_node(path, key, value):
+    doc = single_qa_doc("abc", [{"text": "a", "answer_start": 0}])
+    assert_refused_at(break_node(doc, (0, 0, 0, 0), path, key, value), path)
+
+
+# A node at a non-zero index on every level, each with sound siblings before
+# it: data[1].paragraphs[2].qas[1].answers[1], and the nodes above it.
+LATER = (1, 2, 1, 1)
+LATER_PATHS = (
+    "$",
+    "data[1]",
+    "data[1].paragraphs[2]",
+    "data[1].paragraphs[2].qas[1]",
+    "data[1].paragraphs[2].qas[1].answers[1]",
+)
+
+
+def later_doc():
+    def qa(qid, answers=1):
+        return {
+            "id": qid,
+            "question": "who?",
+            "answers": [{"text": "a", "answer_start": 0} for _ in range(answers)],
+        }
+
+    def para(*qas):
+        return {"context": "abc", "qas": list(qas)}
+
+    return {
+        "version": "1.1",
+        "data": [
+            {"title": "t0", "paragraphs": [para(qa("q0"))]},
+            {
+                "title": "t1",
+                "paragraphs": [para(qa("q1")), para(qa("q2")), para(qa("q3"), qa("q4", 2))],
+            },
+        ],
+    }
+
+
+@pytest.mark.parametrize("path, key, value, detail", SCHEMA_VIOLATIONS)
+def test_parse_names_the_later_node_of_each_schema_violation(path, key, value, detail):
+    """Node paths are built only for an error; each still names the node that failed."""
+    later_path = LATER_PATHS[NODE_PATHS.index(path)]
+    with pytest.raises(MalformedDocumentError) as err:
+        doc = break_node(later_doc(), LATER, path, key, value)
+        parse_corpus(doc_bytes(doc), "train", "corpus.json")
+    assert err.value.path == later_path
+    assert str(err.value) == f"corpus.json: {detail} (at {later_path})"
+
+
+def test_parse_names_a_later_duplicate_qid():
+    doc = later_doc()
+    doc["data"][1]["paragraphs"][2]["qas"][1]["id"] = "q1"
+    with pytest.raises(MalformedDocumentError) as err:
+        parse_corpus(doc_bytes(doc), "train", "corpus.json")
+    assert err.value.path == "data[1].paragraphs[2].qas[1]"
+    assert str(err.value) == (
+        "corpus.json: duplicate question id 'q1' (at data[1].paragraphs[2].qas[1])"
+    )
+
+
+def test_parse_warnings_name_the_later_node(caplog):
+    doc = later_doc()
+    doc["note"] = 1
+    doc["data"][1]["note"] = 2
+    doc["data"][1]["paragraphs"][2]["note"] = 3
+    doc["data"][1]["paragraphs"][2]["qas"][1]["is_impossible"] = False
+    with caplog.at_level("WARNING", logger="transquad.corpus"):
+        corpus = parse_corpus(doc_bytes(doc), "train")
+    assert caplog.messages == [
+        "dropping unknown document-level field 'note'",
+        "dropping unknown article-level field 'note' at data[1]",
+        "dropping unknown paragraph-level field 'note' at data[1].paragraphs[2]",
+    ]
+    # Only the qa that holds a fourth field keeps it.
+    assert [rec.extra for rec in corpus.records] == [{}] * 4 + [{"is_impossible": False}]
 
 
 def test_parse_rejects_duplicate_qids():

@@ -692,6 +692,17 @@ def test_evaluate_requires_collapsed_gold():
     assert embedder.calls == []
 
 
+def test_evaluate_refuses_a_prediction_that_is_not_a_string():
+    # Normalized on a pool thread, it would otherwise fail as the provider's error.
+    pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
+    predictions[pairs[-1][0]] = 3
+    embedder = CountingEmbedder(TableEmbeddingProvider(TABLE))
+    embedder.max_workers = 4
+    with pytest.raises(ValueError, match=f"prediction for '{pairs[-1][0]}' must be a string, got 3"):
+        evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+    assert embedder.calls == []
+
+
 # -- evaluate_predictions through the model gateway --
 
 TABLE = {"a": [1.0, 0.0, 0.0], "b": [0.0, 1.0, 0.0], "c": [0.0, 0.0, 1.0], "d": [1.0, 1.0, 0.0]}
@@ -769,6 +780,32 @@ def test_embed_calls_overlap_only_when_the_provider_allows(max_workers, overlaps
     if not overlaps:
         assert embedder.calls == want
     assert list(report.per_question) == [qid for qid, _ in pairs]
+
+
+def test_normalization_overlaps_the_model(monkeypatch):
+    """Each chunk is normalized on its pool thread, so the first model call waits on few."""
+    normalized = []
+    original = transquad.evaluation.normalize
+    monkeypatch.setattr(
+        transquad.evaluation, "normalize", lambda text: normalized.append(text) or original(text)
+    )
+
+    class FirstCallTable(InFlightTable):
+        def embed(self, tokens):
+            with self._lock:
+                if not self.calls:
+                    self.normalized_before_first_call = len(normalized)
+            return super().embed(tokens)
+
+    pairs, predictions = many_pairs(3 * DEFAULT_BATCH_SIZE)
+    embedder = FirstCallTable(TABLE)
+    embedder.max_workers = 4
+    evaluate_predictions(gold_corpus(pairs), predictions, embedder)
+    # Two sides of each pair of the chunks in flight, at most two per worker.
+    bound = 2 * PAIRS_PER_CHUNK * 2 * embedder.max_workers
+    assert bound == 128
+    assert embedder.normalized_before_first_call <= bound
+    assert len(normalized) == 2 * len(pairs)
 
 
 def test_kernels_run_on_the_calling_thread_while_embed_calls_overlap(monkeypatch):

@@ -157,6 +157,13 @@ def test_config_rejects_duplicate_paths(tmp_path, capsys, command, names):
         ["evaluate", "--gold", "in.json", "--predictions", "pred.json", "--output", "in.json"],
         ["evaluate", "--gold", "in.json", "--predictions", "pred.json",
          "--embeddings", "emb.txt", "--output", "emb.txt"],
+        # the report would sit where the next load writes the parsed table
+        ["evaluate", "--gold", "in.json", "--predictions", "pred.json",
+         "--embeddings", "emb.txt", "--output", "emb.txt.tqemb"],
+        ["evaluate", "--gold", "in.json", "--predictions", "pred.json",
+         "--embeddings", "emb.txt", "--output", "sub/../emb.txt.tqemb"],
+        ["evaluate", "--gold", "emb.txt.tqemb", "--predictions", "pred.json",
+         "--embeddings", "emb.txt"],
     ],
     ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
 )
@@ -1036,6 +1043,31 @@ def test_cli_evaluate_with_embeddings(tmp_path, capsys):
     assert (tmp_path / "emb.txt.tqemb").is_file()
     assert run_evaluate_with_embeddings(tmp_path, "alpha") == 0
     assert capsys.readouterr().out == parsed
+
+
+def test_cli_evaluate_refuses_a_report_over_the_embeddings_sidecar(tmp_path, capsys):
+    """The next load would find no sidecar there, and write the table over the report."""
+    assert run_evaluate_with_embeddings(tmp_path, "alpha") == 0
+    sidecar = tmp_path / "emb.txt.tqemb"
+    assert sidecar.is_file()
+    capsys.readouterr()
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    argv = [
+        "evaluate",
+        "--gold", str(tmp_path / "gold.json"),
+        "--predictions", str(tmp_path / "pred.json"),
+        "--embeddings", str(tmp_path / "emb.txt"),
+        "--output", str(sidecar),
+    ]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line == (
+        f"error: the sidecar of --embeddings and --output are the same path {str(sidecar)!r}; "
+        "all paths must be distinct"
+    )
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cli_evaluate_token_missing_from_embeddings_exits_1(tmp_path, capsys):

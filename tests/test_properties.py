@@ -10,8 +10,9 @@ on ASCII text, the BERTScore kernel against ``np.linalg.norm`` and
 ``ndarray.mean`` to the bit, the evaluator against per-pair
 EM, F1 and BERTScore at any number of workers, the embedding-table loader
 against ``float()``, the plain-text line reader against ``splitlines`` on
-the whole text, and the rejection log reader against its writer on any qid
-text. Realignment must emit only sound spans and keep every answer its
+the whole text, the rejection log reader against its writer on any qid
+text, and the evaluation report's writer against ``json.dumps`` on any qid
+and score. Realignment must emit only sound spans and keep every answer its
 context holds, and a corpus with any unknown qa-level fields must survive
 serialize and parse unchanged.
 The pipeline's outputs must not depend on how the translation gateway
@@ -357,6 +358,70 @@ def test_evaluate_predictions_equals_per_pair_reference(drawn, copies, max_worke
     embedder.max_workers = max_workers
     got = evaluate_predictions(gold, predictions, embedder)
     assert got.to_json() == reference_report(pairs, predictions, embedder).to_json()
+
+
+# Scores at the edges of how JSON writes a number, then any int or finite float.
+SCORE = st.one_of(
+    st.sampled_from([None, 0, 1, -0.0, 5e-324, 1e16, 1e22]),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Qids holding what the string encoder must escape, or must not.
+QID_SPECIAL = '"\\\x00\x08\n\x1f\x7f\u2028\u2029कखमराठी१'
+QID = st.text(alphabet=st.one_of(st.sampled_from(QID_SPECIAL), st.characters()), max_size=10)
+
+
+@st.composite
+def reports(draw) -> EvalReport:
+    qids = draw(st.lists(QID, unique=True, max_size=6))
+    return EvalReport(
+        per_question={
+            qid: QuestionScore(em=draw(SCORE), f1=draw(SCORE), bert_f=draw(SCORE)) for qid in qids
+        },
+        skipped=draw(st.lists(QID, max_size=4)),
+        mean_em=draw(SCORE),
+        mean_f1=draw(SCORE),
+        mean_bert_f=draw(SCORE),
+    )
+
+
+def dumps(report: EvalReport) -> str:
+    return json.dumps(report.to_dict(), ensure_ascii=False, indent=2, allow_nan=False)
+
+
+@PROPERTY
+@given(reports())
+@example(EvalReport())
+@example(EvalReport(skipped=["q"]))
+@example(EvalReport(per_question={"q": QuestionScore(em=1, f1=-0.0, bert_f=None)}))
+@example(EvalReport(
+    per_question={'"\\\x01\u2028मराठी': QuestionScore(em=0, f1=5e-324, bert_f=1e22)},
+    mean_em=1e16,
+))
+def test_report_json_is_the_text_of_json_dumps(report):
+    assert report.to_json() == dumps(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["em", "f1", "bert_f", "mean_em", "mean_f1", "mean_bert_f"])
+def test_report_json_refuses_non_finite_scores_as_json_dumps_does(field, bad):
+    scores = {"em": 1, "f1": 0.5, "bert_f": 0.25}
+    report = EvalReport(
+        per_question={"q0": QuestionScore(**scores), "q1": QuestionScore(**scores)},
+        skipped=["q2"],
+        mean_em=1.0,
+        mean_f1=0.5,
+        mean_bert_f=0.25,
+    )
+    if field.startswith("mean_"):
+        setattr(report, field, bad)
+    else:
+        report.per_question["q1"] = replace(report.per_question["q1"], **{field: bad})
+    with pytest.raises(ValueError, match="not JSON compliant") as err:
+        report.to_json()
+    with pytest.raises(ValueError) as want:
+        dumps(report)
+    assert str(err.value) == str(want.value)
 
 
 def spellings(x: float):
