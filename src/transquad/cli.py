@@ -14,18 +14,22 @@ subcommand runs the one stage function ``pipeline`` runs at that point.
 ``filter`` writes the pre-filter entries of the rejection log, ``translate``
 and ``postprocess`` never touch it, and ``realign`` keeps those entries and
 replaces any alignment entries. ``filter`` also writes a manifest beside
-the log (``<rejection log>.manifest.json``): the input's record count and
-the SHA-256 of its sorted qids. Checks refuse outside input (exit 1):
-``translate`` a record without exactly one answer, and ``realign`` a
-candidate whose qid the log already rejects in the pre-filter, or
-candidates and pre-filter entries that together are not the records the
-manifest recorded.
+the log (``<rejection log>.manifest.json``; its format is in
+``pipeline.write_manifest``): the input's record count and the SHA-256 of
+its sorted qids. Checks refuse outside input (exit 1): ``translate`` a
+record without exactly one answer, and ``realign`` a candidate whose qid
+the log already rejects in the pre-filter, or candidates and pre-filter
+entries that together are not the records the manifest recorded
+(``pipeline.check_manifest``).
 
-``--input``, ``--output`` and ``--rejection-log`` go through the config's
-distinct-path check (``require_distinct_paths``) in place of the paths they
-override, and ``stats`` and ``evaluate`` refuse an ``--output`` that names
-one of their inputs, or for ``evaluate`` the sidecar of ``--embeddings``
-(exit 2, nothing read or written).
+One table, ``_STAGES``, names the paths each stage command reads and
+writes, by their names in ``PipelineConfig.paths``; the four subparsers are
+built from it, and ``_stage_paths`` resolves every path of a command in one
+place. ``--input``, ``--output`` and ``--rejection-log`` go through the
+config's distinct-path check (``require_distinct_paths``) in place of the
+paths they override, and ``stats`` and ``evaluate`` refuse an ``--output``
+that names one of their inputs, or for ``evaluate`` the sidecar of
+``--embeddings`` (exit 2, nothing read or written).
 
 Exit codes: 0 success, 1 data or validation failure, 2 configuration or I/O
 failure.
@@ -39,7 +43,7 @@ import logging
 import sys
 from pathlib import Path
 
-from ._text import INTEGER, STRING, atomic_write, check_fields, json_digest, parse_json
+from ._text import atomic_write
 from .alignment import align_corpus
 from .corpus import Corpus, compute_stats, load_corpus, save_corpus, validate_spans
 from .errors import ConfigError, ConfigValidationError, TransquadError
@@ -52,6 +56,7 @@ from .evaluation import (
 from .filtering import STAGE_PRE_FILTER, RejectionLog
 from .pipeline import (
     PipelineConfig,
+    check_manifest,
     load_config,
     manifest_path,
     postprocess_candidates,
@@ -62,11 +67,41 @@ from .pipeline import (
     translate_records,
     write_candidates,
     write_dataset,
+    write_manifest,
 )
 from .script_tools import build_transliterator
 from .translation import TranslationCache, build_engine
 
 logger = logging.getLogger("transquad")
+
+
+# Each stage command: its help, the name in ``PipelineConfig.paths`` of the
+# path it reads (``--input``), then of the paths it writes, or reads beside
+# what it writes: its output (``--output``) first, then as the command needs
+# them the rejection log (``--rejection-log``), filter's manifest beside that
+# log, and the stats. The names are the ones refusal messages use.
+_STAGES = {
+    "filter": (
+        "collapse answers, then apply the content filter",
+        "input_path",
+        ("filter's output", "rejection_log_path", "filter's manifest"),
+    ),
+    "translate": (
+        "translate every field of the filtered corpus",
+        "filter's output",
+        ("translate's output",),
+    ),
+    "postprocess": (
+        "transliterate Latin residue and localize digits",
+        "translate's output",
+        ("postprocess's output",),
+    ),
+    "realign": (
+        "recompute answer starts and emit the final corpus",
+        "postprocess's output",
+        ("output_path", "rejection_log_path", "filter's manifest", "stats_path"),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,27 +122,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="train", choices=("train", "test"))
     p.add_argument("--output", help="also write the report to this path")
 
-    p = sub.add_parser("filter", help="collapse answers, then apply the content filter")
-    p.add_argument("--input", help="override config input_path")
-    p.add_argument("--output", help="filtered corpus path (default: <output_path>.filtered.json)")
-    p.add_argument("--rejection-log", help="override config rejection_log_path")
-
-    p = sub.add_parser("translate", help="translate every field of the filtered corpus")
-    p.add_argument("--input", help="filtered corpus (default: <output_path>.filtered.json)")
-    p.add_argument("--output", help="candidates JSONL (default: <output_path>.candidates.jsonl)")
-
-    p = sub.add_parser("postprocess", help="transliterate Latin residue and localize digits")
-    p.add_argument("--input", help="candidates JSONL (default: <output_path>.candidates.jsonl)")
-    p.add_argument(
-        "--output", help="candidates JSONL (default: <output_path>.postprocessed.jsonl)"
-    )
-
-    p = sub.add_parser("realign", help="recompute answer starts and emit the final corpus")
-    p.add_argument(
-        "--input", help="candidates JSONL (default: <output_path>.postprocessed.jsonl)"
-    )
-    p.add_argument("--output", help="override config output_path")
-    p.add_argument("--rejection-log", help="override config rejection_log_path")
+    for command, (summary, read, written) in _STAGES.items():
+        p = sub.add_parser(command, help=summary)
+        p.add_argument("--input", help=f"read this in place of {read}")
+        p.add_argument("--output", help=f"write this in place of {written[0]}")
+        if "rejection_log_path" in written:
+            p.add_argument(
+                "--rejection-log",
+                help="write this in place of rejection_log_path, and filter's manifest beside it",
+            )
 
     p = sub.add_parser("evaluate", help="score predictions with EM, F1, and BERTScore")
     p.add_argument("--gold", required=True, help="gold corpus (SQuAD JSON, collapsed answers)")
@@ -140,30 +163,36 @@ def _input_corpus(args, output: str | None = None) -> Corpus:
     return load_corpus(path, split)
 
 
-def _check_overrides(
-    cfg: PipelineConfig,
-    source: str | None,
-    flags: list[tuple[str, str | None, str | Path | None]],
-) -> None:
-    """Refuse overrides under which a command would overwrite a file it reads or writes.
+def _stage_paths(args) -> tuple[PipelineConfig, list[str | Path]]:
+    """The config, then the path a stage command reads and each path it writes, as in ``_STAGES``.
 
-    ``flags`` names each config path the command writes, or reads beside
-    what it writes, with the flag that overrides it, if any, and the flag's
-    value (None when the flag is not given). With the overrides in their
-    place, the config's paths must stay distinct, as the config itself
-    checks them, and ``--input`` (``source``) must name none of those
-    paths. It may name any other path of the config: reading one harms
-    nothing.
+    A flag's path takes the place of the config path it overrides, under the
+    flag's name. The config's paths must stay distinct with the overrides in
+    place, as the config itself checks them, and ``--input`` must name none
+    of the paths the command writes. It may name any other path of the
+    config: reading one harms nothing.
     """
+    cfg = _require_config(args)
+    _, read, written = _STAGES[args.command]
+    log = getattr(args, "rejection_log", None)
+    flags = {
+        written[0]: ("--output", args.output),
+        "rejection_log_path": ("--rejection-log", log),
+        "filter's manifest": ("the manifest of --rejection-log", log and manifest_path(log)),
+    }
     paths = cfg.paths
-    for role, flag, value in flags:
+    names = []
+    for name in written:
+        flag, value = flags.get(name, (name, None))
         if value:
-            del paths[role]
+            del paths[name]
             paths[flag] = value
+        names.append(flag if value else name)
     require_distinct_paths(paths)
-    if source:
-        used = (flag if value else role for role, flag, value in flags)
-        require_distinct_paths({"--input": source, **{name: paths[name] for name in used}})
+    if args.input:
+        require_distinct_paths({"--input": args.input, **{name: paths[name] for name in names}})
+        paths[read] = args.input
+    return cfg, [paths[name] for name in (read, *names)]
 
 
 def _report(payload: str, output: str | None) -> int:
@@ -185,45 +214,22 @@ def _cmd_stats(args) -> int:
     return _report(json.dumps(compute_stats(corpus).to_dict(), indent=2), args.output)
 
 
-# What filter read, as realign checks it: the record count and the qid set.
-_MANIFEST_TYPES = {"records": INTEGER, "qids_sha256": STRING}
-
-
-def _manifest(qids: list[str]) -> dict:
-    return {"records": len(qids), "qids_sha256": json_digest(sorted(qids))}
-
-
-def _log_flags(args) -> list[tuple[str, str, str | Path | None]]:
-    """``--rejection-log`` and the manifest beside it, as ``_check_overrides`` takes them."""
-    log = args.rejection_log
-    return [
-        ("rejection_log_path", "--rejection-log", log),
-        ("filter's manifest", "the manifest of --rejection-log", log and manifest_path(log)),
-    ]
-
-
 def _cmd_filter(args) -> int:
-    cfg = _require_config(args)
-    _check_overrides(
-        cfg, args.input, [("filter's output", "--output", args.output), *_log_flags(args)]
-    )
-    corpus = load_corpus(args.input or cfg.input_path, cfg.split)
+    cfg, (source, out, log_path, _) = _stage_paths(args)
+    corpus = load_corpus(source, cfg.split)
     kept, log = prefilter(corpus, cfg.filter)
     # The log first: a log that cannot be written fails the command before its output.
-    log_path = args.rejection_log or cfg.rejection_log_path
     log.write(log_path)
-    manifest = _manifest([rec.qid for rec in corpus.records])
-    atomic_write(manifest_path(log_path), [(json.dumps(manifest) + "\n").encode("utf-8")])
+    write_manifest(log_path, [rec.qid for rec in corpus.records])
     # Spans pass through unchecked, as translate takes them; validate audits them.
-    save_corpus(kept, args.output or cfg.filtered_path)
+    save_corpus(kept, out)
     print(f"kept {len(kept)} of {len(corpus)} records ({len(log)} rejected)")
     return 0
 
 
 def _cmd_translate(args) -> int:
-    cfg = _require_config(args)
-    _check_overrides(cfg, args.input, [("translate's output", "--output", args.output)])
-    filtered = load_corpus(args.input or cfg.filtered_path, cfg.split)
+    cfg, (source, out) = _stage_paths(args)
+    filtered = load_corpus(source, cfg.split)
     engine = build_engine(cfg.engine_id)
     with TranslationCache(cfg.cache_path) as cache:
         candidates = translate_records(
@@ -234,34 +240,25 @@ def _cmd_translate(args) -> int:
             cache=cache,
             parallelism=cfg.parallelism,
         )
-    out = args.output or cfg.candidates_path
     write_candidates(candidates, out)
     print(f"translated {len(candidates)} records -> {out}")
     return 0
 
 
 def _cmd_postprocess(args) -> int:
-    cfg = _require_config(args)
-    _check_overrides(cfg, args.input, [("postprocess's output", "--output", args.output)])
-    candidates = read_candidates(args.input or cfg.candidates_path)
+    cfg, (source, out) = _stage_paths(args)
+    candidates = read_candidates(source)
     transliterator = build_transliterator(cfg.transliterator_id)
     fixed = postprocess_candidates(candidates, transliterator, parallelism=cfg.parallelism)
-    out = args.output or cfg.postprocessed_path
     write_candidates(fixed, out)
     print(f"postprocessed {len(fixed)} records -> {out}")
     return 0
 
 
 def _cmd_realign(args) -> int:
-    cfg = _require_config(args)
-    _check_overrides(
-        cfg,
-        args.input,
-        [("output_path", "--output", args.output), *_log_flags(args), ("stats_path", None, None)],
-    )
-    candidates = read_candidates(args.input or cfg.postprocessed_path)
+    cfg, (source, out, log_path, _, stats_path) = _stage_paths(args)
+    candidates = read_candidates(source)
     # Keep what filter rejected; alignment entries from an earlier realign are replaced.
-    log_path = args.rejection_log or cfg.rejection_log_path
     log = RejectionLog([e for e in RejectionLog.read(log_path) if e.stage == STAGE_PRE_FILTER])
     # A pre-filter entry for a candidate means the log is not this corpus's.
     rejected = {e.qid for e in log}
@@ -271,33 +268,12 @@ def _cmd_realign(args) -> int:
                 f"candidate {cand.qid!r} already has a pre-filter entry in {log_path}; "
                 "run filter again to write this corpus's log"
             )
-    _check_manifest(candidates, log, log_path)
+    check_manifest(log_path, candidates, log)
     corpus, alignment_log = align_corpus(candidates, split=cfg.split)
     log.extend(alignment_log)
-    write_dataset(corpus, log, args.output or cfg.output_path, log_path, cfg.stats_path)
+    write_dataset(corpus, log, out, log_path, stats_path)
     print(f"aligned {len(corpus)} of {len(candidates)} candidates ({len(alignment_log)} rejected)")
     return 0
-
-
-def _check_manifest(candidates: list, log: RejectionLog, log_path: str) -> None:
-    """Refuse candidates and pre-filter entries that are not the records filter read."""
-    path = manifest_path(log_path)
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise ValueError(f"no manifest {path} beside the rejection log; run filter first") from None
-    recorded = parse_json(data, str(path))
-    try:
-        check_fields(recorded, "a manifest", _MANIFEST_TYPES)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    qids = [cand.qid for cand in candidates] + [e.qid for e in log]
-    if _manifest(qids) != {key: recorded[key] for key in _MANIFEST_TYPES}:
-        raise ValueError(
-            f"{len(candidates)} candidates and {len(log)} pre-filter entries in {log_path} "
-            f"are not the {recorded['records']} records filter read ({path}); "
-            "run filter again to write this corpus's log"
-        )
 
 
 def _cmd_evaluate(args) -> int:

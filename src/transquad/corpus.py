@@ -147,7 +147,9 @@ def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
     types tested inline; ``check_fields`` runs only on a node that fails
     that test, to write the error. JSON yields only exact types, so
     ``type(x) is str`` is the test ``check_fields`` makes. Node paths are
-    built only for an error or a warning.
+    built only for an error or a warning. An unknown article- or
+    paragraph-level field is dropped with one warning per level and key,
+    naming the first node that holds it and how many more do.
     """
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
@@ -169,6 +171,8 @@ def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
 
     records: list[QaRecord] = []
     seen_qids: set[str] = set()
+    # (level, key) -> [the first node's indices, how many nodes hold the key]
+    dropped: dict[tuple[str, str], list] = {}
     check(doc, "the document", _DOCUMENT_FIELDS, optional=("version",))
     for key in doc.keys() - _DOCUMENT_FIELDS.keys():
         logger.warning("dropping unknown document-level field %r", key)
@@ -176,7 +180,7 @@ def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
         check(article, "an article", _ARTICLE_FIELDS, ai, optional=("title",))
         title = article.get("title", "")
         for key in article.keys() - _ARTICLE_FIELDS.keys():
-            logger.warning("dropping unknown article-level field %r at %s", key, _node_path((ai,)))
+            dropped.setdefault(("article", key), [(ai,), 0])[1] += 1
 
         for pi, para in enumerate(article["paragraphs"]):
             check(para, "a paragraph", _PARAGRAPH_FIELDS, ai, pi)
@@ -184,9 +188,7 @@ def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
             if context == "":
                 refuse("context must be non-empty", ai, pi)
             for key in para.keys() - _PARAGRAPH_FIELDS.keys():
-                logger.warning(
-                    "dropping unknown paragraph-level field %r at %s", key, _node_path((ai, pi))
-                )
+                dropped.setdefault(("paragraph", key), [(ai, pi), 0])[1] += 1
 
             for qi, qa in enumerate(para["qas"]):
                 if not (
@@ -222,6 +224,12 @@ def parse_corpus(raw: bytes, split: str, where: str = "input") -> Corpus:
                     extra = {k: qa[k] for k in sorted(qa.keys() - _QA_FIELDS.keys())}
                 records.append(QaRecord(qid, question, context, tuple(spans), title, extra))
 
+    # One line per level and key, whatever the corpus size.
+    for (level, key), (indices, count) in dropped.items():
+        more = f" and {count - 1} more {level}s" if count > 1 else ""
+        logger.warning(
+            "dropping unknown %s-level field %r at %s%s", level, key, _node_path(indices), more
+        )
     return Corpus(split=split, records=tuple(records), version=str(doc.get("version", "1.1")))
 
 

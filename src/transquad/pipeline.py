@@ -33,7 +33,10 @@ parallelism.
 Stage commands exchange intermediate state as "candidates" JSON Lines: one
 object per record with qid, title, question, context, answer, and the
 answer's relative position in the source context. The split is not in it:
-every stage takes the split from the config.
+every stage takes the split from the config. ``PipelineConfig.paths`` names
+every default path, the stage commands' intermediate files among them, and
+``filter``'s manifest beside the rejection log is written and checked here
+(``write_manifest``, ``check_manifest``).
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from ._text import (
-    INTEGER, NUMBER, STRING, STRING_OR_NULL, atomic_write, check_fields, json_lines, parse_json
+    INTEGER, NUMBER, STRING, STRING_OR_NULL,
+    atomic_write, check_fields, json_digest, json_lines, parse_json,
 )
 from .alignment import AlignmentCandidate, align_corpus
 from .corpus import (
@@ -114,11 +118,21 @@ class PipelineConfig:
             raise ConfigValidationError(
                 f"split must be one of {SPLITS}, got {self.split!r}", field="split"
             )
+        # The paths beside the output take its name: one without a name has none to give.
+        if not Path(self.output_path).name:
+            raise ConfigValidationError(
+                f"'output_path' must be a path with a file name, got {self.output_path!r}",
+                field="output_path",
+            )
         require_distinct_paths(self.paths)
 
     @property
     def paths(self) -> dict[str, str | Path | None]:
-        """Every path a run or a stage subcommand reads or writes by default, by name."""
+        """Every path a run or a stage subcommand reads or writes by default, by name.
+
+        The names are those refusal messages use; the CLI's stage table
+        (``cli._STAGES``) names each stage command's paths by them.
+        """
         return {
             "input_path": self.input_path,
             "output_path": self.output_path,
@@ -128,9 +142,9 @@ class PipelineConfig:
             "filter.exclusion_list_path": self.filter.exclusion_list_path,
             "the summary": self.summary_path,
             "filter's manifest": manifest_path(self.rejection_log_path),
-            "filter's output": self.filtered_path,
-            "translate's output": self.candidates_path,
-            "postprocess's output": self.postprocessed_path,
+            "filter's output": self._beside_output(".filtered.json"),
+            "translate's output": self._beside_output(".candidates.jsonl"),
+            "postprocess's output": self._beside_output(".postprocessed.jsonl"),
         }
 
     def _beside_output(self, suffix: str) -> str:
@@ -139,21 +153,6 @@ class PipelineConfig:
     @property
     def summary_path(self) -> str:
         return self._beside_output(".summary.json")
-
-    @property
-    def filtered_path(self) -> str:
-        """``filter``'s default output, and ``translate``'s default input."""
-        return self._beside_output(".filtered.json")
-
-    @property
-    def candidates_path(self) -> str:
-        """``translate``'s default output, and ``postprocess``'s default input."""
-        return self._beside_output(".candidates.jsonl")
-
-    @property
-    def postprocessed_path(self) -> str:
-        """``postprocess``'s default output, and ``realign``'s default input."""
-        return self._beside_output(".postprocessed.jsonl")
 
 
 def require_distinct_paths(paths: Mapping[str, str | Path | None]) -> None:
@@ -175,6 +174,42 @@ def require_distinct_paths(paths: Mapping[str, str | Path | None]) -> None:
 def manifest_path(log_path: str | Path) -> Path:
     """Where ``filter`` records the records it read: beside the rejection log it wrote."""
     return Path(f"{log_path}.manifest.json")
+
+
+# What filter read, as realign checks it: the record count and the qid set.
+_MANIFEST_TYPES = {"records": INTEGER, "qids_sha256": STRING}
+
+
+def _manifest(qids: list[str]) -> dict:
+    return {"records": len(qids), "qids_sha256": json_digest(sorted(qids))}
+
+
+def write_manifest(log_path: str | Path, qids: list[str]) -> None:
+    """Record the qids ``filter`` read in the manifest beside its rejection log."""
+    atomic_write(manifest_path(log_path), [(json.dumps(_manifest(qids)) + "\n").encode("utf-8")])
+
+
+def check_manifest(
+    log_path: str | Path, candidates: Sequence[AlignmentCandidate], log: RejectionLog
+) -> None:
+    """Refuse candidates and pre-filter entries that are not the records filter read."""
+    path = manifest_path(log_path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise ValueError(f"no manifest {path} beside the rejection log; run filter first") from None
+    recorded = parse_json(data, str(path))
+    try:
+        check_fields(recorded, "a manifest", _MANIFEST_TYPES)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    qids = [cand.qid for cand in candidates] + [e.qid for e in log]
+    if _manifest(qids) != {key: recorded[key] for key in _MANIFEST_TYPES}:
+        raise ValueError(
+            f"{len(candidates)} candidates and {len(log)} pre-filter entries in {log_path} "
+            f"are not the {recorded['records']} records filter read ({path}); "
+            "run filter again to write this corpus's log"
+        )
 
 
 # The JSON type of each config key, in the order a missing key is reported.

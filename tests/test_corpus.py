@@ -248,6 +248,28 @@ def test_parse_warnings_name_the_later_node(caplog):
     assert [rec.extra for rec in corpus.records] == [{}] * 4 + [{"is_impossible": False}]
 
 
+def test_parse_warns_once_per_level_and_key_however_many_nodes(caplog):
+    paragraphs = [
+        {"context": "abc", "qas": [], "note": i, **({"extra": 0} if i == 7 else {})}
+        for i in range(50)
+    ]
+    doc = {
+        "version": "1.1",
+        "data": [
+            {"title": f"t{ai}", "note": ai, "paragraphs": paragraphs[ai::20] if ai else []}
+            for ai in range(20)
+        ],
+    }
+    with caplog.at_level("WARNING", logger="transquad.corpus"):
+        parse_corpus(doc_bytes(doc), "train")
+    assert caplog.messages == [
+        "dropping unknown article-level field 'note' at data[0] and 19 more articles",
+        "dropping unknown paragraph-level field 'note' at data[1].paragraphs[0] "
+        "and 46 more paragraphs",
+        "dropping unknown paragraph-level field 'extra' at data[7].paragraphs[0]",
+    ]
+
+
 def test_parse_rejects_duplicate_qids():
     doc = single_qa_doc("abc", [{"text": "a", "answer_start": 0}])
     doc["data"][0]["paragraphs"][0]["qas"].append(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import collections
 import functools
 import hashlib
@@ -214,6 +215,10 @@ def test_config_rejects_missing_key_and_bad_json(tmp_path):
         ({"filter": {"non_latin_letter_ratio_threshold": None}},
          "filter.non_latin_letter_ratio_threshold"),
         ({"filter": {"exclusion_list_path": 3}}, "filter.exclusion_list_path"),
+        # the paths beside the output take its file name
+        ({"output_path": ""}, "output_path"),
+        ({"output_path": "."}, "output_path"),
+        ({"output_path": "/"}, "output_path"),
     ],
 )
 def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, override, field):
@@ -727,6 +732,63 @@ def test_cli_stage_chain_matches_pipeline(tmp_path, capsys):
         assert stat.S_IMODE(os.stat(written_path).st_mode) == 0o666 & ~umask, written_path
 
 
+def test_cli_stage_chain_through_overrides_alone_matches_pipeline(tmp_path, capsys):
+    """Every stage path on the command line, away from the config's defaults."""
+    corpus = build_english_corpus(8, seed=6)
+    records = list(corpus.records)
+    # Record 2 is rejected at realign: its answer is fused with a suffix in the context.
+    answer = records[2].answers[0].text
+    records[2] = replace(records[2], context=records[2].context.replace(answer, answer + "tail"))
+    source = tmp_path / "source.json"
+    source.write_bytes(b"".join(serialize_corpus(replace(corpus, records=tuple(records)))))
+    table = tmp_path / "dict.tsv"
+    table.write_text(f"{answer}\tअनुवाद\n", encoding="utf-8")
+    excl = tmp_path / "excl.txt"
+    excl.write_text(records[0].qid + "\n", encoding="utf-8")
+    settings = {"engine_id": f"dictionary:{table}", "filter": {"exclusion_list_path": str(excl)}}
+    path, raw = write_config(tmp_path, **settings)
+    moved = tmp_path / "moved"
+    moved.mkdir()
+    chain = [
+        ["filter", "--input", source, "--output", moved / "kept.json",
+         "--rejection-log", moved / "log.jsonl"],
+        ["translate", "--input", moved / "kept.json", "--output", moved / "translated.jsonl"],
+        ["postprocess", "--input", moved / "translated.jsonl", "--output", moved / "fixed.jsonl"],
+        ["realign", "--input", moved / "fixed.jsonl", "--output", moved / "out.json",
+         "--rejection-log", moved / "log.jsonl"],
+    ]
+    for argv in chain:
+        assert main(["--config", str(path), *map(str, argv)]) == 0, capsys.readouterr().err
+    # The manifest followed the log, and no stage touched a default path it has a flag for.
+    assert (moved / "log.jsonl.manifest.json").exists()
+    defaults = ["output.json", "rejections.jsonl", "rejections.jsonl.manifest.json",
+                "output.filtered.json", "output.candidates.jsonl", "output.postprocessed.jsonl"]
+    assert [name for name in defaults if (tmp_path / name).exists()] == []
+    assert {e.qid: e.reason for e in RejectionLog.read(moved / "log.jsonl")} == {
+        records[0].qid: "manual-exclusion",
+        records[2].qid: "answer-not-found",
+    }
+
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    path2, raw2 = write_config(
+        tmp_path,
+        input_path=str(source),
+        output_path=str(direct / "output.json"),
+        rejection_log_path=str(direct / "rej.jsonl"),
+        stats_path=str(direct / "stats.json"),
+        cache_path=str(direct / "cache.jsonl"),
+        **settings,
+    )
+    assert main(["--config", str(path2), "pipeline"]) == 0
+    for chained, piped in [
+        (moved / "out.json", raw2["output_path"]),
+        (moved / "log.jsonl", raw2["rejection_log_path"]),
+        (raw["stats_path"], raw2["stats_path"]),
+    ]:
+        assert Path(chained).read_bytes() == Path(piped).read_bytes(), chained
+
+
 def test_cli_postprocess_exits_1_on_a_permanent_transliterator_failure(
     tmp_path, capsys, monkeypatch
 ):
@@ -905,6 +967,25 @@ def assert_realign_refuses(tmp_path, capsys, path, *words):
     for word in words:
         assert word in line, line
     assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "--output", "output.filtered.json"],
+        ["filter", "--rejection-log", "rejections.jsonl"],
+        ["translate", "--output", "output.candidates.jsonl"],
+        ["postprocess", "--output", "output.postprocessed.jsonl"],
+        ["realign", "--output", "output.json"],
+        ["realign", "--rejection-log", "rejections.jsonl"],
+    ],
+    ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+)
+def test_cli_override_may_name_the_path_it_replaces(tmp_path, capsys, argv):
+    path, _ = run_chain_to_realign(tmp_path, build_english_corpus(4, seed=3))
+    command, flag, name = argv
+    assert main(["--config", str(path), command, flag, str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_filter_writes_a_manifest_of_what_it_read(tmp_path, capsys):
@@ -1303,6 +1384,27 @@ def test_write_to_a_fifo_writes_in_place(tmp_path):
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert received == [b'{"qid": "q1", "stage": "pre-filter", "reason": "too-short", "detail": null}\n']
     assert [p.name for p in tmp_path.iterdir()] == ["rejections.jsonl"]
+
+
+def test_stage_paths_are_resolved_in_one_place():
+    """No ``args.x or cfg.y`` in ``cli.py``: ``_stage_paths`` resolves every stage path."""
+
+    def operand(node: ast.expr) -> str | None:
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return {"args": "args", "cfg": "config"}.get(node.value.id)
+        if isinstance(node, ast.Subscript) and ast.unparse(node.value) == "paths":
+            return "config"
+        return None
+
+    tree = ast.parse(Path(transquad.cli.__file__).read_text(encoding="utf-8"))
+    pairs = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+        for left, right in zip(node.values, node.values[1:])
+        if {operand(left), operand(right)} == {"args", "config"}
+    ]
+    assert pairs == []
 
 
 def test_cli_stage_command_requires_config(tmp_path, capsys):
