@@ -82,6 +82,9 @@ class LazyTable(dict):
         return value
 
 
+_TEXT_BLOCK = 1 << 16  # characters read at a time
+
+
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """``(lineno, line)`` for each data line of a plain-text UTF-8 input.
 
@@ -92,9 +95,13 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     they are on is not known.
     """
     with Path(path).open(encoding="utf-8-sig") as fh:
-        # splitlines on each line the file yields: the same lines, and line
-        # numbers, as splitlines on the whole text.
-        lines = (line for physical in fh for line in physical.splitlines())
+        # A block of text read through to the end of its line: reading
+        # translates "\r\n" and "\r" to "\n", so each block ends at a break
+        # or at the end of the file, no line runs on into the next block, and
+        # splitlines on each block gives the lines, and line numbers, of
+        # splitlines on the whole text.
+        blocks = iter(lambda: fh.read(_TEXT_BLOCK) + fh.readline(), "")
+        lines = (line for block in blocks for line in block.splitlines())
         try:
             for lineno, line in enumerate(lines, 1):
                 if line.strip() and not line.startswith("#"):

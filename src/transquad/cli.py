@@ -166,11 +166,14 @@ def _input_corpus(args, output: str | None = None) -> Corpus:
 def _stage_paths(args) -> tuple[PipelineConfig, list[str | Path]]:
     """The config, then the path a stage command reads and each path it writes, as in ``_STAGES``.
 
-    A flag's path takes the place of the config path it overrides, under the
-    flag's name. The config's paths must stay distinct with the overrides in
-    place, as the config itself checks them, and ``--input`` must name none
-    of the paths the command writes. It may name any other path of the
-    config: reading one harms nothing.
+    A flag's path is checked under the flag's name, beside the config path
+    it overrides unless both name one file, and takes its place in what is
+    returned. The config's paths must stay distinct with the overrides
+    added, as the config itself checks them, so no flag names a file the
+    config gives another part (the log of ``--rejection-log`` over the
+    config's own manifest, say), and ``--input`` must name none of the paths
+    the command writes. It may name any other path of the config: reading
+    one harms nothing.
     """
     cfg = _require_config(args)
     _, read, written = _STAGES[args.command]
@@ -185,7 +188,8 @@ def _stage_paths(args) -> tuple[PipelineConfig, list[str | Path]]:
     for name in written:
         flag, value = flags.get(name, (name, None))
         if value:
-            del paths[name]
+            if Path(value).resolve() == Path(paths[name]).resolve():
+                del paths[name]
             paths[flag] = value
         names.append(flag if value else name)
     require_distinct_paths(paths)

@@ -13,8 +13,8 @@ idf, no baseline rescaling). Embeddings come from any EmbeddingProvider; a
 table-backed provider is included for offline use, and keeps each table it
 parses in a binary sidecar beside it. ``evaluate_predictions``
 checks every pair first, then sends the pairs to the provider through the
-model gateway (``translation.call_model``) in chunks of ``PAIRS_PER_CHUNK``,
-so the waits of different pairs overlap, and no worker runs out of pairs
+model gateway (``translation.call_model``) in chunks of at most
+``PAIRS_PER_CHUNK``, as many per worker, so the waits of different pairs overlap, and no worker runs out of pairs
 while another still has a long chunk ahead of it. The gateway's ``call``
 normalizes its chunk's answers and fetches their vectors on a pool thread,
 so the first model call waits on one chunk's normalization, not the whole
@@ -147,11 +147,11 @@ class EmbeddingProvider:
     the vectors are scored on the thread that called
     ``evaluate_predictions``.
     ``embed`` may raise ``TransientEngineError`` to have the vectors of its
-    gateway chunk (``PAIRS_PER_CHUNK`` pairs, the last one fewer) fetched
-    again, with backoff. Another ``TransquadError``
-    (``MissingEmbeddingError``, say) passes through; any other exception,
-    or vectors ``bert_score`` cannot score, ends the evaluation in
-    ``EmbeddingError``.
+    gateway chunk (at most ``PAIRS_PER_CHUNK`` pairs, the chunks' sizes
+    within one of each other) fetched again, with backoff. Another
+    ``TransquadError`` (``MissingEmbeddingError``, say) passes through; any
+    other exception, or vectors ``bert_score`` cannot score, ends the
+    evaluation in ``EmbeddingError``.
     """
 
     #: How many ``embed`` calls may be in flight at once. A remote model
@@ -495,7 +495,7 @@ def evaluate_predictions(
 
     Every pair is checked (one gold answer, a string prediction) before
     any ``embed`` call. The pairs then go
-    through ``call_model`` in chunks of ``PAIRS_PER_CHUNK``, up to
+    through ``call_model`` in chunks of at most ``PAIRS_PER_CHUNK``, up to
     ``embedder.max_workers`` at once. Its ``call`` normalizes each pair of
     its chunk and fetches the pair's vectors, on a pool thread; its
     ``settle`` scores the chunk on this thread while later chunks still

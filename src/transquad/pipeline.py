@@ -3,17 +3,23 @@
 Stage order: parse -> prefilter (collapse_answers, then filter_corpus) ->
 translate_records (context, question and answer of every record through one
 request queue, each text translated on its own) -> postprocess_candidates
-(scan_residuals, one batched transliteration of the distinct Latin tokens,
-then transliterate_residuals and localize_digits, once per distinct text)
+(scan_residuals, one batched transliteration of the distinct Latin tokens
+not transliterated yet, then transliterate_residuals and localize_digits,
+once per distinct text)
 -> align_corpus -> write_dataset. Collapsing first means only one answer per
 record is ever translated; translating each text on its own, never the
 answer as part of its context, is what makes the answer-not-found rejection
 meaningful.
 
-In ``run_corpus_pipeline`` the scan of each engine output runs as soon as its
-chunk settles, while later chunks are still at the engine, and
-postprocess_candidates scans only the rest: the cache hits, or every text
-when the ``postprocess`` subcommand runs on its own.
+In ``run_corpus_pipeline`` a record is postprocessed and realigned as soon as
+all three of its texts are known, cache hits first, then the records each
+engine chunk completes as it settles, while later chunks are still at the
+engine: ``postprocess_candidates`` and ``align_corpus`` run once per group of
+such records, sharing one transliteration table, so a token still goes to
+the transliterator once per run, and the mixed-script warning is one line
+per run. After the last engine reply only that chunk's records and the
+write remain. The ``postprocess`` and ``realign`` subcommands run the same
+two functions once, on every record.
 
 ``run_pipeline`` and the CLI's stage subcommands call the same stage
 functions, one stage per subcommand (``filter`` runs ``prefilter``,
@@ -25,10 +31,9 @@ translate, postprocess, realign or write.
 
 Outputs are streamed chunk by chunk into a temp file that is then renamed
 over the target, so an aborted run never leaves a truncated dataset behind
-and no output is held whole in memory; each stage's input is dropped once
-the next stage has consumed it. With deterministic engines a fixed config
-produces byte-identical corpus/log/stats across runs, whatever the
-parallelism.
+and no output is held whole in memory; the source corpus is dropped before
+the write. With deterministic engines a fixed config produces
+byte-identical corpus/log/stats across runs, whatever the parallelism.
 
 Stage commands exchange intermediate state as "candidates" JSON Lines: one
 object per record with qid, title, question, context, answer, and the
@@ -47,7 +52,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ._text import (
     INTEGER, NUMBER, STRING, STRING_OR_NULL,
@@ -75,7 +80,6 @@ from .errors import (
 )
 from .filtering import FilterConfig, RejectionLog, filter_corpus
 from .script_tools import (
-    Residuals,
     Transliterator,
     build_transliterator,
     localize_digits,
@@ -322,7 +326,7 @@ def translate_records(
     target_lang: str,
     cache: TranslationCache,
     parallelism: int = DEFAULT_MAX_WORKERS,
-    scanned: dict[str, Residuals] | None = None,
+    on_settled: Callable[[list[AlignmentCandidate]], None] | None = None,
 ) -> list[AlignmentCandidate]:
     """Translate every context, question and answer through one ``translate_batch`` call.
 
@@ -332,9 +336,10 @@ def translate_records(
     would give. Each candidate carries its source record's relative answer
     position.
 
-    Given ``scanned``, each distinct engine output is scanned into it
-    (``scan_residuals``) as soon as its chunk settles, so the scans overlap
-    the engine calls still in flight; ``postprocess_candidates`` reads them.
+    ``on_settled(candidates)`` receives the candidates in consecutive
+    groups, in input order, each as soon as all three texts of its records
+    are known (cache hits first), while later chunks may still be at the
+    engine.
 
     Every record must carry exactly one answer (``prefilter`` collapses
     them); any other raises ValueError naming its qid before anything is
@@ -348,11 +353,31 @@ def translate_records(
             )
     if not records:
         return []
+    candidates: list[AlignmentCandidate] = []
+    texts: list[str] = []  # the outputs of the records not yet complete
 
-    def scan_settled(outputs: list[str]) -> None:
-        for text in outputs:
-            if text not in scanned:
-                scanned[text] = scan_residuals(text)
+    def settled(outputs: list[str]) -> None:
+        texts.extend(outputs)
+        done = len(candidates)
+        # One candidate per whole (context, question, answer) triple.
+        for ctx, question, answer in zip(texts[0::3], texts[1::3], texts[2::3]):
+            rec = records[len(candidates)]
+            # Clamp: the relative position is only a tie-break hint, so a source
+            # span that is itself out of bounds must not abort the run.
+            relative = rec.answers[0].start / len(rec.context) if rec.context else 0.0
+            candidates.append(
+                AlignmentCandidate(
+                    qid=rec.qid,
+                    translated_context=ctx,
+                    translated_question=question,
+                    translated_answer=answer,
+                    original_relative_position=min(1.0, max(0.0, relative)),
+                    title=rec.title,
+                )
+            )
+        del texts[: 3 * (len(candidates) - done)]
+        if on_settled is not None and len(candidates) > done:
+            on_settled(candidates[done:])
 
     request = TranslationRequest(
         texts=tuple(
@@ -361,28 +386,7 @@ def translate_records(
         source_lang=source_lang,
         target_lang=target_lang,
     )
-    out = translate_batch(
-        request,
-        engine,
-        cache,
-        max_workers=parallelism,
-        on_settled=None if scanned is None else scan_settled,
-    )
-    candidates = []
-    for rec, ctx, question, answer in zip(records, out[0::3], out[1::3], out[2::3]):
-        # Clamp: the relative position is only a tie-break hint, so a source
-        # span that is itself out of bounds must not abort the run.
-        relative = rec.answers[0].start / len(rec.context) if rec.context else 0.0
-        candidates.append(
-            AlignmentCandidate(
-                qid=rec.qid,
-                translated_context=ctx,
-                translated_question=question,
-                translated_answer=answer,
-                original_relative_position=min(1.0, max(0.0, relative)),
-                title=rec.title,
-            )
-        )
+    translate_batch(request, engine, cache, max_workers=parallelism, on_settled=settled)
     return candidates
 
 
@@ -391,30 +395,34 @@ def postprocess_candidates(
     transliterator: Transliterator,
     *,
     parallelism: int = DEFAULT_MAX_WORKERS,
-    scanned: Mapping[str, Residuals] | None = None,
+    table: dict[str, str] | None = None,
+    mixed: list[str] | None = None,
 ) -> list[AlignmentCandidate]:
     """Transliterate Latin residue and localize digits in all three translated fields.
 
-    Each distinct text is scanned once: texts in ``scanned`` (filled by
-    ``translate_records``) are not scanned again, the rest are scanned here.
-    The stage's distinct Latin tokens go through ``call_model`` together,
-    then each distinct text is substituted and digit-localized once.
-    Mixed-script tokens left alone are reported in one warning, counted once
-    per field that holds them.
+    Each distinct text is scanned once. Its distinct Latin tokens that
+    ``table`` does not hold yet go through ``call_model`` together, and
+    their transliterations are added to it; then each distinct text is
+    substituted and digit-localized once. Mixed-script tokens left alone,
+    counted once per field that holds them, are added to ``mixed`` when it
+    is given, for the caller to report; otherwise they are reported here in
+    one warning. A run that postprocesses its candidates group by group
+    passes every group the same ``table`` and ``mixed``, so each token goes
+    to the transliterator once per run and the run logs one warning.
     """
     fields = [
         (cand.translated_context, cand.translated_question, cand.translated_answer)
         for cand in candidates
     ]
-    scanned = scanned or {}
-    scans = {
-        text: scanned[text] if text in scanned else scan_residuals(text)
-        for text in dict.fromkeys(t for f in fields for t in f)
-    }
-    tokens = list(
-        dict.fromkeys(text[start:end] for text, (latin, _) in scans.items() for start, end in latin)
-    )
-    table: dict[str, str] = {}
+    table = {} if table is None else table
+    scans = {text: scan_residuals(text) for text in dict.fromkeys(t for f in fields for t in f)}
+    tokens = [
+        token
+        for token in dict.fromkeys(
+            text[start:end] for text, (latin, _) in scans.items() for start, end in latin
+        )
+        if token not in table
+    ]
     call_model(
         transliterator.transliterate,
         tokens,
@@ -429,7 +437,11 @@ def postprocess_candidates(
         text: localize_digits(transliterate_residuals(text, latin, table))
         for text, (latin, _) in scans.items()
     }
-    warn_mixed_tokens([token for f in fields for text in f for token in scans[text][1]])
+    found = [token for f in fields for text in f for token in scans[text][1]]
+    if mixed is None:
+        warn_mixed_tokens(found)
+    else:
+        mixed.extend(found)
     return [
         replace(
             cand,
@@ -468,35 +480,44 @@ def run_corpus_pipeline(
 ) -> PipelineResult:
     """The in-memory pipeline core: every stage between parse and serialize.
 
-    Each stage's input is dropped once the next stage has consumed it, so a
-    later stage can reuse its memory. A failure raises PipelineError naming
-    its stage: ``filter``, ``translate``, ``postprocess`` or ``realign``.
+    Each group of records ``translate_records`` hands on is postprocessed
+    and realigned at once, while later chunks are still at the engine; the
+    groups share one transliteration table, and their mixed-script tokens
+    are reported in one warning once every group is done. A failure raises
+    PipelineError naming its stage: ``filter``, ``translate``,
+    ``postprocess`` or ``realign``, the last two also while the engine is
+    still translating. Nothing is written here.
     """
     with _stage("filter"):
         kept, log = prefilter(corpus, filter_cfg)
     filtered_count = len(kept)
-    scanned: dict[str, Residuals] = {}  # filled while translating, read by postprocess
+    table: dict[str, str] = {}
+    mixed: list[str] = []
+    records: list[QaRecord] = []
+
+    def finish(candidates: list[AlignmentCandidate]) -> None:
+        with _stage("postprocess"):
+            candidates = postprocess_candidates(
+                candidates, transliterator, parallelism=parallelism, table=table, mixed=mixed
+            )
+        with _stage("realign"):
+            aligned, alignment_log = align_corpus(candidates, split=corpus.split)
+        records.extend(aligned.records)
+        log.extend(alignment_log)
+
     with _stage("translate"):
-        candidates = translate_records(
+        translate_records(
             kept.records,
             engine,
             source_lang=source_lang,
             target_lang=target_lang,
             cache=cache,
             parallelism=parallelism,
-            scanned=scanned,
+            on_settled=finish,
         )
-    del kept
-    with _stage("postprocess"):
-        candidates = postprocess_candidates(
-            candidates, transliterator, parallelism=parallelism, scanned=scanned
-        )
-    del scanned
-    with _stage("realign"):
-        aligned, alignment_log = align_corpus(candidates, split=corpus.split)
-    log.extend(alignment_log)
+    warn_mixed_tokens(mixed)
     return PipelineResult(
-        corpus=aligned,
+        corpus=Corpus(split=corpus.split, records=tuple(records)),
         rejection_log=log,
         input_count=len(corpus),
         filtered_count=filtered_count,

@@ -1,7 +1,8 @@
 """One gateway for the remote models, plus engines, cache and dedup for translation.
 
-``call_model`` sends a list to a model in chunks, with retries and a thread
-pool that is never handed more than two chunks per worker at once. It
+``call_model`` sends a list to a model in balanced chunks, as many per worker,
+with retries and a thread pool that is never handed more than two chunks
+per worker at once. It
 serves all three remote models: the translation engine, the
 transliterator and the embedding model behind BERTScore
 (``evaluation.evaluate_predictions``). No real MT model lives here: engines
@@ -259,13 +260,20 @@ def call_model(
 ) -> None:
     """Send ``items`` to a model in chunks; ``settle(chunk, outputs)`` receives each reply.
 
-    Chunks of at most ``batch_size`` items go out in input order, up to
-    ``max_workers`` at once, and are settled in input order as they arrive:
-    results do not depend on the parallelism or the chunking, and a failure
-    on a later chunk leaves every earlier one settled. At most
-    ``2 * max_workers`` chunks are submitted and not yet settled: the next
-    chunk is submitted before the oldest is waited on and settled, so the
-    workers never run dry, and no more replies than that are held at once.
+    The chunk count is ``ceil(len(items) / batch_size)``; with more than one
+    chunk and more than one worker it is rounded up to a multiple of
+    ``max_workers`` (but never past one item per chunk), so every worker
+    makes as many calls as the others and none sits idle at the end. The
+    items are cut into that many chunks in input order, with sizes that
+    differ by at most one, so none holds more than ``batch_size``.
+
+    Chunks go out in input order, up to ``max_workers`` at once, and are
+    settled in input order as they arrive: results do not depend on the
+    parallelism or the chunking, and a failure on a later chunk leaves every
+    earlier one settled. At most ``2 * max_workers`` chunks are submitted
+    and not yet settled: the next chunk is submitted before the oldest is
+    waited on and settled, so the workers never run dry, and no more replies
+    than that are held at once.
     Once a chunk fails, no later chunk calls the model again: one that has
     not started never starts, and one waiting to retry stops at once.
 
@@ -286,7 +294,14 @@ def call_model(
     ``error(message, chunk)``; ``model`` names the model in the message.
     """
 
-    chunks = [items[j : j + batch_size] for j in range(0, len(items), batch_size)]
+    count = -(-len(items) // batch_size)
+    if count > 1:  # a multiple of max_workers, and at most one chunk per item
+        count = min(len(items), -(-count // max_workers) * max_workers)
+    size, longer = divmod(len(items), count or 1)  # the first ``longer`` chunks hold one more
+    chunks = [
+        items[j * size + min(j, longer) : (j + 1) * size + min(j + 1, longer)]
+        for j in range(count)
+    ]
     # The index of the first chunk that failed, and -1 once the call ends (a
     # settle that fails ends it). A chunk after it makes no further model
     # call, and its future is never read: the failure before it in input
@@ -375,9 +390,11 @@ def translate_batch(
     ``call_model``, which takes the keyword arguments (``batch_size``,
     ``max_workers``, ...), and each chunk is cached as it is settled, so an
     engine failure on a later chunk keeps every earlier one cached.
-    ``on_settled(outputs)`` then receives the chunk's engine outputs, on the
-    calling thread, while later chunks may still be in flight; cache hits
-    never reach it.
+    ``on_settled(outputs)`` receives the output list in consecutive slices,
+    on the calling thread, each as soon as all of its texts are known: the
+    cache hits before the first miss, before any engine call, then after
+    each chunk is cached the outputs it completes, while later chunks may
+    still be in flight.
     """
     texts = list(request.texts)
     results: list[str | None] = [None] * len(texts)
@@ -389,18 +406,26 @@ def translate_batch(
             results[i] = hit
         else:
             pending.setdefault(text, []).append(i)
+    misses = list(pending)
+    settled = known = 0  # misses settled; outputs handed to on_settled
 
     def settle(chunk: list[str], out: list[str]) -> None:
+        nonlocal settled, known
         cache.store_many(((*prefix, source), value) for source, value in zip(chunk, out))
         for source, value in zip(chunk, out):
             for i in pending[source]:
                 results[i] = value
-        if on_settled is not None:
-            on_settled(out)
+        settled += len(chunk)
+        # Every output before the first miss not yet settled is known.
+        upto = pending[misses[settled]][0] if settled < len(misses) else len(texts)
+        if on_settled is not None and upto > known:
+            on_settled(results[known:upto])
+        known = upto
 
+    settle([], [])  # the cache hits before the first miss
     call_model(
         lambda chunk: engine.translate(chunk, request.source_lang, request.target_lang),
-        list(pending),
+        misses,
         f"engine {engine.engine_id!r}",
         lambda message, chunk: EngineError(message),
         settle,

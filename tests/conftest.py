@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 import threading
 from pathlib import Path
@@ -81,6 +83,23 @@ class CountingEmbedder(EmbeddingProvider):
     def embed(self, tokens):
         self.calls.append(list(tokens))
         return self.inner.embed(tokens)
+
+
+def gateway_chunks(items: list, batch_size: int, max_workers: int) -> list[list]:
+    """The chunks ``call_model`` sends ``items`` in, by its rule, written out plainly.
+
+    ``ceil(n / batch_size)`` chunks, rounded up to a multiple of
+    ``max_workers`` when there are several chunks and several workers, but
+    no more chunks than items; cut in input order, the longer ones first,
+    with sizes that differ by at most one.
+    """
+    n = len(items)
+    count = math.ceil(n / batch_size)
+    if count > 1 and max_workers > 1:
+        count = min(n, math.ceil(count / max_workers) * max_workers)
+    sizes = [n // count + 1] * (n % count) + [n // count] * (count - n % count) if count else []
+    ends = list(itertools.accumulate(sizes))
+    return [items[end - size : end] for size, end in zip(sizes, ends)]
 
 
 def alpha_suffix(i: int) -> str:

@@ -412,6 +412,33 @@ def test_threads_are_started_in_one_place():
     assert find_in_sources(ThreadStarters) == ["translation.py:ThreadPoolExecutor in call_model"]
 
 
+class StageSteps(ScopedFinder):
+    """Every call of the per-text postprocess steps and of the per-candidate realign."""
+
+    def visit_Call(self, node: ast.Call) -> None:
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("transliterate_residuals", "localize_digits", "realign"):
+            self.record(f"{name} in ")
+        self.generic_visit(node)
+
+
+def test_postprocess_and_realign_steps_run_in_one_place():
+    """The steps of a record's postprocess and realign run only in their stage functions.
+
+    ``pipeline`` runs those stages once per group of settled records, and
+    the stage commands once on everything, both through
+    ``postprocess_candidates`` and ``align_corpus``. A second caller of the
+    steps would be a second implementation of a stage, free to drift from
+    the one the other path runs.
+    """
+    assert find_in_sources(StageSteps) == [
+        "alignment.py:realign in align_corpus",
+        "pipeline.py:localize_digits in postprocess_candidates",
+        "pipeline.py:transliterate_residuals in postprocess_candidates",
+    ]
+
+
 class TableParsers(ScopedFinder):
     """Every call of numpy's text parsers, and every call of ``_table_rows``."""
 

@@ -54,7 +54,14 @@ from transquad.translation import (
     translate_batch,
 )
 
-from conftest import CountingEngine, UppercaseEngine, build_english_corpus, make_record
+from conftest import (
+    CountingEngine,
+    UppercaseEngine,
+    alpha_suffix,
+    build_english_corpus,
+    gateway_chunks,
+    make_record,
+)
 
 
 def write_config(tmp_path, **overrides):
@@ -142,6 +149,9 @@ def test_config_rejects_duplicate_paths(tmp_path, capsys, command, names):
     [
         # filter would leave its own input holding the rejection log
         ["filter", "--rejection-log", "in.json"],
+        # filter would write its log over the config's manifest, which realign then reads
+        ["filter", "--rejection-log", "rej.jsonl.manifest.json"],
+        ["realign", "--rejection-log", "rej.jsonl.manifest.json"],
         ["filter", "--output", "in.json"],
         ["filter", "--input", "out.filtered.json"],
         # translate would replace its own default input with candidates
@@ -421,18 +431,18 @@ def test_cli_pipeline_failure_names_its_stage(tmp_path, capsys, monkeypatch, sta
     assert not (tmp_path / "output.json").exists()
 
 
-CHUNK = 8  # texts per engine call in the tests below
+CHUNK = 8  # at most this many texts per engine call in the tests below
 
 
-def engine_chunks(corpus: Corpus) -> list[list[str]]:
-    """The engine calls a cold run makes on ``corpus``: its distinct texts, ``CHUNK`` at a time.
+def engine_chunks(corpus: Corpus, parallelism: int) -> list[list[str]]:
+    """The engine calls a cold run makes on ``corpus``: its distinct texts, cut by the gateway.
 
     Records of ``build_english_corpus`` pass the default filter, and every
     text of theirs is distinct.
     """
     texts = [t for r in corpus.records for t in (r.context, r.question, r.answers[0].text)]
     assert len(set(texts)) == len(texts)
-    return [texts[i : i + CHUNK] for i in range(0, len(texts), CHUNK)]
+    return gateway_chunks(texts, CHUNK, parallelism)
 
 
 def run_outputs(tmp_path, name, engine, parallelism):
@@ -469,8 +479,8 @@ def test_crash_on_chunk_k_then_rerun_matches_an_uninterrupted_run(
     tmp_path, monkeypatch, parallelism, k
 ):
     corpus = build_english_corpus(12, seed=13)
-    chunks = engine_chunks(corpus)
-    assert len(chunks) == 5
+    chunks = engine_chunks(corpus, parallelism)
+    assert len(chunks) == (5 if parallelism == 1 else 6)  # 36 texts
     write_input(tmp_path, corpus)
     monkeypatch.setattr(
         transquad.pipeline, "translate_batch", functools.partial(translate_batch, batch_size=CHUNK)
@@ -493,49 +503,148 @@ def test_crash_on_chunk_k_then_rerun_matches_an_uninterrupted_run(
 
 
 def test_each_text_is_scanned_once_and_while_the_engine_runs(tmp_path, monkeypatch):
+    """Each record is postprocessed and realigned once its three texts are known.
+
+    On a cold run, the records of the first chunk are scanned, transliterated
+    and aligned before the last chunk comes back from the engine; on a warm
+    one, every record is a cache hit and no chunk goes to the engine.
+    """
     corpus = build_english_corpus(12, seed=14)
-    chunks = engine_chunks(corpus)
+    chunks = engine_chunks(corpus, parallelism=2)
     assert len(chunks) >= 3
-    first = {t.upper() for t in chunks[0]}
+    completed = corpus.records[: len(chunks[0]) // 3]  # by the first chunk
+    assert completed
+    first_records = {rec.qid for rec in completed}
+    first = {t.upper() for rec in completed for t in (rec.context, rec.question, rec.answers[0].text)}
     write_input(tmp_path, corpus)
     monkeypatch.setattr(
         transquad.pipeline, "translate_batch", functools.partial(translate_batch, batch_size=CHUNK)
     )
     events = []
     lock = threading.Lock()
-    first_scanned = threading.Event()
-    real_scan = transquad.pipeline.scan_residuals
+    first_aligned = threading.Event()
+    pipeline = transquad.pipeline
+    real_scan, real_translit, real_align = (
+        pipeline.scan_residuals, pipeline.transliterate_residuals, pipeline.align_corpus
+    )
 
     def scan(text):
         with lock:
             events.append(("scan", text))
-            if first <= {t for kind, t in events if kind == "scan"}:
-                first_scanned.set()
         return real_scan(text)
 
+    def transliterate(text, latin, table):
+        with lock:
+            events.append(("transliterate", text))
+        return real_translit(text, latin, table)
+
+    def align(candidates, split):
+        with lock:
+            events.extend(("align", cand.qid) for cand in candidates)
+            if first_records <= {qid for kind, qid in events if kind == "align"}:
+                first_aligned.set()
+        return real_align(candidates, split=split)
+
     class GatedEngine(UppercaseEngine):
-        """Holds the last chunk back until the first chunk's texts are scanned (or 5 s)."""
+        """Holds the last chunk back until the first chunk's records are aligned (or 5 s)."""
 
         def translate(self, texts, source_lang, target_lang):
             if list(texts) == chunks[-1]:
-                first_scanned.wait(timeout=5)
+                first_aligned.wait(timeout=5)
             out = super().translate(texts, source_lang, target_lang)
             with lock:
                 events.append(("returned", texts[0]))
             return out
 
-    monkeypatch.setattr(transquad.pipeline, "scan_residuals", scan)
+    monkeypatch.setattr(pipeline, "scan_residuals", scan)
+    monkeypatch.setattr(pipeline, "transliterate_residuals", transliterate)
+    monkeypatch.setattr(pipeline, "align_corpus", align)
     outputs = {t.upper() for chunk in chunks for t in chunk}
+    qids = collections.Counter(rec.qid for rec in corpus.records)
     for run in ("cold", "warm"):
         events.clear()
+        first_aligned.clear()
         run_outputs(tmp_path, run, GatedEngine(), parallelism=2)
-        scans = collections.Counter(t for kind, t in events if kind == "scan")
-        assert scans == collections.Counter(outputs), run
+        for kind, want in (("scan", outputs), ("transliterate", outputs), ("align", qids)):
+            assert collections.Counter(t for k, t in events if k == kind) == collections.Counter(
+                want
+            ), (run, kind)
         if run == "cold":
             last_return = events.index(("returned", chunks[-1][0]))
             assert all(events.index(("scan", t)) < last_return for t in first)
+            assert all(events.index(("transliterate", t)) < last_return for t in first)
+            assert all(events.index(("align", qid)) < last_return for qid in first_records)
         else:
             assert not any(kind == "returned" for kind, _ in events)
+
+
+class FailingOnSecondCallTransliterator(IdentityTransliterator):
+    """Passes tokens through, but refuses for good on its second call."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def transliterate(self, tokens):
+        self.calls += 1
+        if self.calls == 2:
+            raise TransliterationError("service refused the request")
+        return super().transliterate(tokens)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_transliterator_failing_mid_run_names_postprocess_and_keeps_settled_chunks(
+    tmp_path, capsys, monkeypatch, parallelism
+):
+    # Every record holds a Latin token, so each settled group calls the transliterator.
+    corpus = build_english_corpus(12, seed=15)
+    chunks = engine_chunks(corpus, parallelism)
+    write_input(tmp_path, corpus)
+    path, raw = write_config(tmp_path, parallelism=parallelism)
+    monkeypatch.setattr(
+        transquad.pipeline, "translate_batch", functools.partial(translate_batch, batch_size=CHUNK)
+    )
+    monkeypatch.setattr(
+        transquad.pipeline, "build_transliterator", lambda tid: FailingOnSecondCallTransliterator()
+    )
+    assert main(["--config", str(path), "pipeline"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: stage 'postprocess' failed: service refused the request"
+    ]
+    for key in ("output_path", "rejection_log_path", "stats_path"):
+        assert not Path(raw[key]).exists()
+    assert not (tmp_path / "output.summary.json").exists()
+    # The first chunk completes records 0 and 1, the second records 2 to 4 (at
+    # parallelism 1) or 2 and 3, whose group fails: both chunks were cached first.
+    stored = Path(raw["cache_path"]).read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["source_text"] for line in stored] == chunks[0] + chunks[1]
+
+
+def test_a_run_of_many_chunks_logs_one_mixed_token_warning(tmp_path, monkeypatch, caplog):
+    # 30 contexts, each with one mixed token, asked about 40 times.
+    records = [
+        make_record(
+            f"q{alpha_suffix(i)}",
+            f"the river x{chr(0x0915 + i % 30)} flows past old stone bridges",
+            "river",
+            question=f"which river {alpha_suffix(i)}",
+        )
+        for i in range(40)
+    ]
+    texts = {t for rec in records for t in (rec.context, rec.question, "river")}
+    assert len(gateway_chunks(list(texts), CHUNK, 2)) == 10  # 71 distinct texts
+    write_input(tmp_path, Corpus(split="train", records=tuple(records)))
+    path, _ = write_config(tmp_path, parallelism=2)
+    monkeypatch.setattr(
+        transquad.pipeline, "translate_batch", functools.partial(translate_batch, batch_size=CHUNK)
+    )
+    with caplog.at_level("WARNING", logger="transquad"):
+        run_pipeline(load_config(path))
+    (record,) = caplog.records
+    # One per field that holds one; the first ten distinct are quoted.
+    assert record.getMessage() == (
+        "left 40 mixed-script token(s) untouched; sample: "
+        + repr([f"x{chr(0x0915 + i)}" for i in range(MIXED_SAMPLE_SIZE)])
+    )
 
 
 def test_pipeline_validates_spans_once(tmp_path, monkeypatch):

@@ -10,7 +10,8 @@ on ASCII text, the BERTScore kernel against ``np.linalg.norm`` and
 ``ndarray.mean`` to the bit, the evaluator against per-pair
 EM, F1 and BERTScore at any number of workers, the embedding-table loader
 against ``float()``, the plain-text line reader against ``splitlines`` on
-the whole text, the rejection log reader against its writer on any qid
+the whole text at any block size, the gateway's chunks against its rule,
+the rejection log reader against its writer on any qid
 text, and the evaluation report's writer against ``json.dumps`` on any qid
 and score. Realignment must emit only sound spans and keep every answer its
 context holds, and a corpus with any unknown qa-level fields must survive
@@ -35,7 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
-from transquad import cli, evaluation, pipeline, script_tools
+from transquad import _text, cli, evaluation, pipeline, script_tools
 from transquad._kernels import greedy_match
 from transquad._text import ascii_casefold, text_lines
 from transquad.alignment import AlignmentCandidate, align_corpus, strip_trailing_period
@@ -73,11 +74,17 @@ from transquad.script_tools import (
     scan_residuals,
     transliterate_residuals,
 )
-from transquad.translation import DEFAULT_BATCH_SIZE, translate_batch
+from transquad.translation import DEFAULT_BATCH_SIZE, call_model, translate_batch
 
 import reference_metrics
 import reference_scripts as reference
-from conftest import DEVANAGARI_WORDS, ENGLISH_WORDS, alpha_suffix, build_english_corpus
+from conftest import (
+    DEVANAGARI_WORDS,
+    ENGLISH_WORDS,
+    alpha_suffix,
+    build_english_corpus,
+    gateway_chunks,
+)
 
 SPECIAL = (
     " \t\n\r\x0b\x0c\x1c\x1d\x85\u00a0\u1680\u2000\u2028\u2029\u202f\u3000"  # whitespace
@@ -518,6 +525,62 @@ def test_text_lines_reads_the_lines_splitlines_gives(tmp_path_factory, lines, la
     ]
     stripped = {line.strip() for _, line in whole}
     assert load_exclusion_list(path) == {s for s in stripped if s and not s.startswith("#")}
+
+
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """What ``text_lines`` must give for ``text``: ``splitlines`` on all of it, then filtered."""
+    whole = enumerate(text.removeprefix("\ufeff").splitlines(), 1)
+    return [(lineno, line) for lineno, line in whole if line.strip() and not line.startswith("#")]
+
+
+@PROPERTY
+@given(st.lists(st.tuples(LINE, LINE_BREAK), max_size=8), st.booleans(), st.integers(1, 7))
+@example([("ab", "\r\n"), ("cd", "\x85"), ("", "\r"), ("ef", "\n")], True, 2)
+@example([("a", "\r"), ("", "\r\n"), ("b", "\u2028")], False, 1)
+@example([("abc", "\x85"), ("# d", "\r\n")], True, 3)
+def test_text_lines_in_any_block_size_reads_the_lines_splitlines_gives(
+    tmp_path_factory, lines, last_break, block
+):
+    """Whatever the block size, a break or a line cut between two blocks reads as one."""
+    text = "".join(line + brk for line, brk in lines)
+    if lines and not last_break:
+        text = text[: -len(lines[-1][1])]
+    path = tmp_path_factory.mktemp("blocks") / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(_text, "_TEXT_BLOCK", block):
+        assert list(text_lines(path)) == data_lines(text)
+
+
+@pytest.mark.parametrize("pad", [8191, 8190, 65535, 65534])
+@pytest.mark.parametrize("brk", ["\r\n", "\x85", "\r"])
+def test_text_lines_keeps_a_break_cut_between_two_reads(tmp_path, pad, brk):
+    """A two-byte break across the file's 8 KiB reads, or a break at the 64 Ki-character block."""
+    text = "x" * pad + brk + "y" + brk + "\r" + "z" * pad + "\n\n#c"
+    path = tmp_path / "input.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert list(text_lines(path)) == data_lines(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 400), st.integers(1, 50), st.integers(1, 5))
+@example(3384, 128, 2)  # mt-latency: 28 chunks of 120 or 121 texts, 14 per worker
+@example(2970, 8, 4)  # eval-latency: 372 chunks of 7 or 8 pairs
+@example(3, 2, 4)  # more workers than items: one item per chunk
+def test_call_model_cuts_balanced_chunks_in_input_order(n, batch_size, max_workers):
+    items = list(range(n))
+    settled = []
+    call_model(list, items, "model", lambda message, chunk: RuntimeError(message),
+               lambda chunk, out: settled.append(chunk), batch_size=batch_size,
+               max_workers=max_workers)
+    assert sum(settled, []) == items
+    sizes = [len(chunk) for chunk in settled]
+    assert all(0 < size <= batch_size for size in sizes)
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    count = math.ceil(n / batch_size)
+    if count > 1 and max_workers > 1:
+        count = min(n, math.ceil(count / max_workers) * max_workers)
+    assert len(settled) == count
+    assert settled == gateway_chunks(items, batch_size, max_workers)  # the longer ones first
 
 
 ENTRY = st.tuples(

@@ -22,6 +22,7 @@ from transquad.errors import (
     TransientEngineError,
 )
 from transquad.translation import (
+    DEFAULT_MAX_WORKERS,
     DictionaryEngine,
     IdentityEngine,
     TranslationCache,
@@ -32,7 +33,7 @@ from transquad.translation import (
     translate_batch,
 )
 
-from conftest import CountingEngine, UppercaseEngine
+from conftest import CountingEngine, UppercaseEngine, gateway_chunks
 
 
 def request(texts):
@@ -245,14 +246,15 @@ def test_cache_writes_and_flushes_once_per_chunk(tmp_path, monkeypatch):
         opened.append(CountingFile(real_open(self, *args, **kwargs)))
         return opened[-1]
 
-    texts = [f"word{i}" for i in range(10)]  # chunks of 4: 0-3, 4-7, 8-9
+    texts = [f"word{i}" for i in range(10)]  # 4 chunks at 4 workers: 0-2, 3-5, 6-7, 8-9
+    assert len(gateway_chunks(texts, 4, DEFAULT_MAX_WORKERS)) == 4
     with TranslationCache(path) as cache:
         monkeypatch.setattr(Path, "open", counting_open)
         translate_batch(request(texts), UppercaseEngine(), cache, batch_size=4)
         cache.store_many([])
         monkeypatch.undo()
     assert len(opened) == 1
-    assert (opened[0].writes, opened[0].flushes) == (3, 3)
+    assert (opened[0].writes, opened[0].flushes) == (4, 4)
     with TranslationCache(path) as reopened:
         assert len(reopened) == 10
         assert reopened.lookup(("uppercase", "en", "mr", "word9")) == "WORD9"
@@ -345,7 +347,8 @@ def test_engine_chunks_keep_input_order(max_workers):
                           max_workers=max_workers)
     assert out == [t.upper() for t in texts]
     unique = texts[:12]
-    want = [unique[0:5], unique[5:10], unique[10:12]]
+    want = gateway_chunks(unique, 5, max_workers)  # 4, 4 and 4
+    assert [len(chunk) for chunk in want] == [4, 4, 4]
     assert sorted(engine.sent, key=lambda chunk: unique.index(chunk[0])) == want
     if max_workers == 1:
         assert engine.sent == want
@@ -355,7 +358,9 @@ def test_engine_chunks_keep_input_order(max_workers):
 def test_on_settled_gets_each_chunk_after_it_is_cached(max_workers):
     texts = [f"w{i}" for i in range(9)] + ["w2"]
     cache = TranslationCache()
-    cache.store_many([(("uppercase", "en", "mr", "w4"), "W4")])  # a hit never reaches the hook
+    # A hit is handed on with the outputs around it; the repeat of w2 once the
+    # last chunk settles, as it is the last output.
+    cache.store_many([(("uppercase", "en", "mr", "w4"), "W4")])
     settled = []
 
     def on_settled(outputs):
@@ -365,7 +370,34 @@ def test_on_settled_gets_each_chunk_after_it_is_cached(max_workers):
     out = translate_batch(request(texts), UppercaseEngine(), cache, batch_size=3,
                           max_workers=max_workers, on_settled=on_settled)
     assert out == [t.upper() for t in texts]
-    assert settled == [["W0", "W1", "W2"], ["W3", "W5", "W6"], ["W7", "W8"]]
+    # Misses go in 3 chunks of at most 3: w0-w2, w3 w5 w6, w7 w8.
+    assert settled == [["W0", "W1", "W2"], ["W3", "W4", "W5", "W6"], ["W7", "W8", "W2"]]
+
+
+def test_on_settled_gets_leading_cache_hits_before_the_engine_is_called():
+    cache = TranslationCache()
+    cache.store_many([(("uppercase", "en", "mr", t), t.upper()) for t in ("a", "b", "d")])
+    events = []
+
+    class RecordingEngine(UppercaseEngine):
+        def translate(self, texts, source_lang, target_lang):
+            events.append(("engine", list(texts)))
+            return super().translate(texts, source_lang, target_lang)
+
+    out = translate_batch(request(["a", "b", "c", "d"]), RecordingEngine(), cache,
+                          on_settled=lambda outputs: events.append(("settled", outputs)))
+    assert out == ["A", "B", "C", "D"]
+    assert events == [("settled", ["A", "B"]), ("engine", ["c"]), ("settled", ["C", "D"])]
+
+
+def test_on_settled_gets_a_fully_cached_batch_at_once():
+    cache = TranslationCache()
+    cache.store_many([(("uppercase", "en", "mr", t), t.upper()) for t in ("a", "b")])
+    settled = []
+    engine = CountingEngine(UppercaseEngine())
+    translate_batch(request(["a", "b", "a"]), engine, cache, on_settled=settled.append)
+    assert settled == [["A", "B", "A"]]
+    assert engine.calls == 0
 
 
 def test_wrong_length_from_engine_is_an_error():
@@ -456,7 +488,9 @@ class FailingTextEngine(TranslationEngine):
 
 @pytest.mark.parametrize("max_workers", [1, 3])
 def test_late_chunk_failure_keeps_earlier_chunks_cached(tmp_path, max_workers):
-    texts = [f"word{i}" for i in range(10)]  # chunks of 4: 0-3, 4-7, 8-9
+    texts = [f"word{i}" for i in range(10)]  # 3 chunks of at most 4: 0-3, 4-6, 7-9
+    chunks = gateway_chunks(texts, 4, max_workers)
+    assert chunks == [texts[0:4], texts[4:7], texts[7:10]]
     req = request(texts)
     path = tmp_path / "cache.jsonl"
     with TranslationCache(path) as cache, pytest.raises(EngineUnavailableError):
@@ -465,10 +499,10 @@ def test_late_chunk_failure_keeps_earlier_chunks_cached(tmp_path, max_workers):
 
     engine = CountingEngine(UppercaseEngine())
     with TranslationCache(path) as cache:
-        assert len(cache) == 8
+        assert len(cache) == 7
         out = translate_batch(req, engine, cache, batch_size=4, max_workers=max_workers)
     assert out == [t.upper() for t in texts]
-    assert (engine.calls, engine.texts_translated) == (1, 2)
+    assert (engine.calls, engine.texts_translated) == (1, 3)
 
 
 def test_request_validates_inputs():
@@ -512,7 +546,7 @@ def test_gateway_keeps_at_most_two_chunks_per_worker_unsettled(monkeypatch, max_
     call_model(uneven, items, "model", engine_error, settle, batch_size=3,
                max_workers=max_workers)
     assert state == {"open": 0, "peak": 2 * max_workers}
-    want = [items[j : j + 3] for j in range(0, 100, 3)]
+    want = gateway_chunks(items, 3, max_workers)
     assert settled == [(chunk, [t.upper() for t in chunk]) for chunk in want]
 
 
@@ -600,6 +634,7 @@ def test_chunks_settle_and_are_cached_in_input_order(tmp_path, max_workers):
         out = translate_batch(request(texts), UnevenEngine(), cache, batch_size=2,
                               max_workers=max_workers, on_settled=settled.append)
     assert out == [t.upper() for t in texts]
-    assert settled == [[t.upper() for t in texts[j : j + 2]] for j in range(0, 60, 2)]
+    chunks = gateway_chunks(texts, 2, max_workers)
+    assert settled == [[t.upper() for t in chunk] for chunk in chunks]
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line)["source_text"] for line in lines] == texts
